@@ -77,6 +77,17 @@ type lane_state = {
   mutable skipped : int;  (* queries blind-committed while degraded *)
 }
 
+(* The caller's WAL writer, with its observability: the writer's
+   [Wal.stats] when the server was created, the [essa.wal.*] counters
+   [stop] exports the difference into, and the batcher's per-snapshot
+   timer. *)
+type wal = {
+  writer : Wal.writer;
+  base : Wal.stats;
+  counters : (Essa_obs.Counter.t * (Wal.stats -> int)) list;
+  h_snapshot : Essa_obs.Histogram.t;
+}
+
 type t = {
   engine : Essa.Engine.t;
   ingress : Ingress.t;
@@ -104,7 +115,7 @@ type t = {
      at the quiescent rebalance boundary, where every lane is idle and no
      auction is in flight.  The writer is owned by the caller — the
      server never closes it. *)
-  wal : Wal.writer option;
+  wal : wal option;
   wal_snapshot_every : int;
   (* The Kill_server fault: once set, every lane blind-commits its
      remaining queries (no execution, no WAL records) and the ingress is
@@ -240,7 +251,7 @@ let lane_loop t ~lane ~on_commit mb =
              let log = t.commit_logs.(q.keyword) in
              log := summary :: !log;
              (match t.wal with
-             | Some w -> Wal.append w ~seq:q.seq summary
+             | Some w -> Wal.append w.writer ~seq:q.seq summary
              | None -> ()));
          on_commit summary
        with
@@ -302,6 +313,23 @@ let lane_loop t ~lane ~on_commit mb =
   in
   loop ()
 
+let wal_counters : (string * string * (Wal.stats -> int)) list =
+  [
+    ( "essa.wal.records",
+      "WAL records appended (summaries and snapshots)",
+      fun s -> s.records );
+    ( "essa.wal.bytes",
+      "WAL bytes appended, record headers included",
+      fun s -> s.bytes );
+    ("essa.wal.fsyncs", "WAL fsync barriers issued", fun s -> s.fsyncs);
+    ( "essa.wal.snapshots",
+      "WAL snapshot records appended",
+      fun s -> s.snapshots );
+    ( "essa.wal.snapshot_bytes",
+      "WAL bytes appended in snapshot records",
+      fun s -> s.snapshot_bytes );
+  ]
+
 let committed_count t =
   match t.commit with
   | Turnstile clock -> Commit_clock.next clock
@@ -309,6 +337,10 @@ let committed_count t =
 
 let batcher_loop t ~max_batch ~c_batches ~h_batch_size =
   let shards = Array.length t.mailboxes in
+  (* Each snapshot's buffer starts at the previous image's size plus
+     headroom for churn growth, so encoding rarely resizes; only the
+     size outlives the snapshot, never the buffer. *)
+  let snapshot_size = ref 65536 in
   let rec loop last_dispatched batches_done =
     match Ingress.drain t.ingress ~max:max_batch with
     | [] ->
@@ -356,11 +388,15 @@ let batcher_loop t ~max_batch ~c_batches ~h_batch_size =
                && batches_done > 0
                && batches_done mod t.wal_snapshot_every = 0
                && not (Atomic.get t.killed) ->
-            let buf = Buffer.create 65536 in
+            let t0 = t.clock () in
+            let buf = Buffer.create (!snapshot_size + (!snapshot_size / 8)) in
             Essa.Engine.encode_state t.engine buf;
-            Wal.append_snapshot w ~next_seq:(seq + 1)
+            snapshot_size := Buffer.length buf;
+            Wal.append_snapshot w.writer ~next_seq:(seq + 1)
               ~seqs:(Array.init (seq + 1) Fun.id)
-              ~blob:(Buffer.contents buf)
+              ~blob:(Buffer.contents buf);
+            Essa_obs.Histogram.record w.h_snapshot
+              (Int64.to_int (Int64.sub (t.clock ()) t0))
         | _ -> ());
         Essa_obs.Counter.incr c_batches;
         Essa_obs.Histogram.record h_batch_size (List.length batch);
@@ -442,7 +478,24 @@ let create ?metrics ?(on_commit = fun _ -> ()) ?(queue_capacity = 1024)
            Some (Shard.map_create ~shards:workers ~num_keywords:nk ())
          else None);
       rebalance_every;
-      wal;
+      wal =
+        Option.map
+          (fun writer ->
+            {
+              writer;
+              base = Wal.stats writer;
+              counters =
+                List.map
+                  (fun (name, help, field) ->
+                    (Essa_obs.Registry.counter registry name ~help, field))
+                  wal_counters;
+              h_snapshot =
+                Essa_obs.Registry.histogram registry "essa.wal.snapshot_ns"
+                  ~help:
+                    "Batcher time per WAL snapshot: engine encode plus \
+                     append (ns)";
+            })
+          wal;
       wal_snapshot_every;
       killed = Atomic.make false;
       commit_logs =
@@ -571,6 +624,14 @@ let stop t =
               Essa_obs.Histogram.reset h)
             t.lane_hists;
           Essa.Engine.sync_partition_metrics t.engine);
+      (* The WAL's own tallies, as far as this server appended them. *)
+      Option.iter
+        (fun w ->
+          let now = Wal.stats w.writer in
+          List.iter
+            (fun (c, field) -> Essa_obs.Counter.add c (field now - field w.base))
+            w.counters)
+        t.wal;
       (* The tallies at shutdown are part of the result even when lanes
          failed (they used to vanish behind a re-raised exception);
          [errors] carries every failure with its query.  Caching makes

@@ -159,7 +159,10 @@ val create :
     the quiescent boundary where the previous batch has fully committed
     and no lane is mid-auction.  The writer stays owned by the caller
     (close it after {!stop}); {!Recovery.restore} rebuilds an engine
-    from the directory.  A {!Fault.Kill_server} fault freezes the WAL at
+    from the directory.  The batcher times each snapshot (encode plus
+    append) into [essa.wal.snapshot_ns], and {!stop} exports the
+    writer's {!Wal.stats} accrued since [create] as the [essa.wal.*]
+    counters.  A {!Fault.Kill_server} fault freezes the WAL at
     the kill point: the killed query and everything after blind-commit
     with no record, [stats.killed] is set, and the ingress closes so the
     run winds down — recovery then replays to the last commit and the

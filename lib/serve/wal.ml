@@ -71,7 +71,12 @@ let read_summary r : Essa.Engine.summary =
   { auction_time; keyword; assignment; prices; clicks; revenue; degraded;
     spend_snapshot }
 
-(* Record payloads. *)
+(* Record payloads.  A payload is a small {e prefix} — the tag and the
+   fixed fields — followed, for snapshots, by the engine image.  The
+   image is the last field of the snapshot payload and is [write_string]
+   encoded (length, then bytes), so the prefix ends with its length and
+   the image's bytes follow verbatim: the writer frames the prefix and
+   streams the image straight from the caller's string. *)
 
 let tag_summary = 1
 let tag_snapshot = 2
@@ -80,20 +85,25 @@ type entry =
   | Summary of { seq : int; summary : Essa.Engine.summary }
   | Snapshot of { next_seq : int; seqs : int array; blob : string }
 
-let write_payload buf entry =
+(* Write [entry]'s payload prefix into [buf]; return the bytes that
+   complete the payload ([""] for a summary). *)
+let write_prefix buf entry =
   match entry with
   | Summary { seq; summary } ->
       B.write_u8 buf tag_summary;
       B.write_int buf seq;
-      write_summary buf summary
+      write_summary buf summary;
+      ""
   | Snapshot { next_seq; seqs; blob } ->
       B.write_u8 buf tag_snapshot;
       B.write_int buf next_seq;
       B.write_int_array buf seqs;
-      B.write_string buf blob
+      B.write_int buf (String.length blob);
+      blob
 
-let read_payload payload =
-  let r = B.reader payload in
+(* Decode the payload at [data.[pos .. pos + len - 1]] in place. *)
+let read_payload data ~pos ~len =
+  let r = B.reader ~pos ~len data in
   let entry =
     match B.read_u8 r with
     | t when t = tag_summary ->
@@ -113,9 +123,12 @@ let read_payload payload =
   if B.remaining r <> 0 then raise B.Truncated;
   entry
 
-(* Writer: one mutex serializes appends from all lanes.  Each record is
-   staged in a scratch buffer, framed (length + CRC), written in a
-   single [output_string], then flushed — and fsynced per the durability
+(* Writer: one mutex serializes appends from all lanes.  Every record
+   takes the same framing path: the payload prefix is staged in a small
+   scratch buffer, the CRC runs over the prefix and then the rest of the
+   payload (the snapshot image), and header, prefix and image go to the
+   channel in turn — the image is never copied into the writer's
+   buffers.  The record is then flushed and fsynced per the durability
    policy: [`Always] after every record, [`Every n] once per n records
    (group commit: one disk barrier amortized over the group, bounding
    loss to the last < n accepted records), [`Never] not at all.  Every
@@ -124,18 +137,31 @@ let read_payload payload =
    first hole).  Rotation closes the current segment and opens the next
    numbered one. *)
 
+type stats = {
+  records : int;
+  bytes : int;
+  fsyncs : int;
+  snapshots : int;
+  snapshot_bytes : int;
+}
+
 type writer = {
   dir : string;
   segment_bytes : int;
   fsync : [ `Always | `Never | `Every of int ];
   lock : Mutex.t;
-  payload_buf : Buffer.t;
-  frame_buf : Buffer.t;
+  scratch : Buffer.t;  (* a payload prefix, then its record header *)
   mutable seg_index : int;
   mutable oc : out_channel;
   mutable seg_written : int;  (* bytes in the current segment, magic included *)
   mutable unsynced : int;  (* records appended since the last fsync *)
   mutable closed : bool;
+  (* [stats], counted under [lock]. *)
+  mutable n_records : int;
+  mutable n_bytes : int;
+  mutable n_fsyncs : int;
+  mutable n_snapshots : int;
+  mutable n_snapshot_bytes : int;
 }
 
 let open_segment dir i =
@@ -163,18 +189,23 @@ let create_writer ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = `Never) ~dir () =
     segment_bytes;
     fsync;
     lock = Mutex.create ();
-    payload_buf = Buffer.create 512;
-    frame_buf = Buffer.create 512;
+    scratch = Buffer.create 512;
     seg_index = next;
     oc = open_segment dir next;
     seg_written = String.length magic;
     unsynced = 0;
     closed = false;
+    n_records = 0;
+    n_bytes = 0;
+    n_fsyncs = 0;
+    n_snapshots = 0;
+    n_snapshot_bytes = 0;
   }
 
 let do_fsync w =
   Unix.fsync (Unix.descr_of_out_channel w.oc);
-  w.unsynced <- 0
+  w.unsynced <- 0;
+  w.n_fsyncs <- w.n_fsyncs + 1
 
 (* Post-append durability: count the record, then barrier per policy. *)
 let sync w =
@@ -202,23 +233,37 @@ let rotate_if_needed w =
     w.seg_written <- String.length magic
   end
 
-let append_entry w entry =
+let with_lock w f =
   Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
+  Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) f
+
+let append_entry w entry =
+  with_lock w (fun () ->
       if w.closed then invalid_arg "Wal.append: writer closed";
       rotate_if_needed w;
-      Buffer.clear w.payload_buf;
-      write_payload w.payload_buf entry;
-      let payload = Buffer.contents w.payload_buf in
-      Buffer.clear w.frame_buf;
-      B.write_u32 w.frame_buf (String.length payload);
-      B.write_u32 w.frame_buf (Int32.to_int (Crc.string payload) land 0xFFFFFFFF);
-      Buffer.add_string w.frame_buf payload;
-      let frame = Buffer.contents w.frame_buf in
-      output_string w.oc frame;
-      w.seg_written <- w.seg_written + String.length frame;
+      let buf = w.scratch in
+      Buffer.clear buf;
+      let rest = write_prefix buf entry in
+      let prefix = Buffer.contents buf in
+      let len = String.length prefix + String.length rest in
+      let crc =
+        Crc.update (Crc.string prefix) rest ~pos:0 ~len:(String.length rest)
+      in
+      Buffer.clear buf;
+      B.write_u32 buf len;
+      B.write_u32 buf (Int32.to_int crc land 0xFFFFFFFF);
+      Buffer.output_buffer w.oc buf;
+      output_string w.oc prefix;
+      output_string w.oc rest;
+      let framed = header_bytes + len in
+      w.seg_written <- w.seg_written + framed;
+      w.n_records <- w.n_records + 1;
+      w.n_bytes <- w.n_bytes + framed;
+      (match entry with
+      | Snapshot _ ->
+          w.n_snapshots <- w.n_snapshots + 1;
+          w.n_snapshot_bytes <- w.n_snapshot_bytes + framed
+      | Summary _ -> ());
       sync w)
 
 let append w ~seq summary = append_entry w (Summary { seq; summary })
@@ -226,20 +271,29 @@ let append w ~seq summary = append_entry w (Summary { seq; summary })
 let append_snapshot w ~next_seq ~seqs ~blob =
   append_entry w (Snapshot { next_seq; seqs; blob })
 
+let stats w =
+  with_lock w (fun () ->
+      {
+        records = w.n_records;
+        bytes = w.n_bytes;
+        fsyncs = w.n_fsyncs;
+        snapshots = w.n_snapshots;
+        snapshot_bytes = w.n_snapshot_bytes;
+      })
+
 let close_writer w =
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
+  with_lock w (fun () ->
       if not w.closed then begin
         sync_boundary w;
         close_out w.oc;
         w.closed <- true
       end)
 
-(* Loader: scan segments in order; the first invalid byte — short
-   header, short payload, CRC mismatch, undecodable payload, bad magic —
-   ends the load, discarding everything after it. *)
+(* Reading: [scan] visits every valid record in order, segment by
+   segment; the first invalid byte — short header, short payload, CRC
+   mismatch, undecodable payload, bad magic — ends the scan, discarding
+   everything after it.  [load] and [compact] share it, so compaction
+   only ever keeps a snapshot that a load would return. *)
 
 type load = { entries : entry list; trimmed : bool }
 
@@ -249,90 +303,58 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ~dir =
-  let entries = ref [] in
-  let trimmed = ref false in
-  let rec scan_records data pos =
+(* [visit path entry] for each valid record; returns the trim flag. *)
+let scan ~dir visit =
+  let rec scan_records path data pos =
     let len_total = String.length data in
     if pos = len_total then true
-    else if len_total - pos < header_bytes then begin
-      trimmed := true;
-      false
-    end
+    else if len_total - pos < header_bytes then false
     else begin
       let r = B.reader ~pos data in
       let len = B.read_u32 r in
       let crc = B.read_u32 r in
       let body_pos = pos + header_bytes in
-      if len_total - body_pos < len then begin
-        trimmed := true;
-        false
-      end
-      else begin
-        let stored = Int32.to_int (Crc.update 0l data ~pos:body_pos ~len) land 0xFFFFFFFF in
-        if stored <> crc then begin
-          trimmed := true;
-          false
-        end
-        else
-          match read_payload (String.sub data body_pos len) with
-          | entry ->
-              entries := entry :: !entries;
-              scan_records data (body_pos + len)
-          | exception B.Truncated ->
-              trimmed := true;
-              false
-      end
+      if len_total - body_pos < len then false
+      else if
+        Int32.to_int (Crc.update 0l data ~pos:body_pos ~len) land 0xFFFFFFFF
+        <> crc
+      then false
+      else
+        match read_payload data ~pos:body_pos ~len with
+        | entry ->
+            visit path entry;
+            scan_records path data (body_pos + len)
+        | exception B.Truncated -> false
     end
   in
+  let magic_len = String.length magic in
   let rec scan_segments = function
-    | [] -> ()
+    | [] -> false
     | path :: rest ->
         let data = read_file path in
         let ok =
-          if
-            String.length data >= String.length magic
-            && String.sub data 0 (String.length magic) = magic
-          then scan_records data (String.length magic)
-          else begin
-            trimmed := true;
-            false
-          end
+          String.length data >= magic_len
+          && String.sub data 0 magic_len = magic
+          && scan_records path data magic_len
         in
         (* A torn record in a non-final segment invalidates everything
            after it too: WAL order is append order. *)
-        if ok then scan_segments rest
-        else if rest <> [] then trimmed := true
+        if ok then scan_segments rest else true
   in
-  scan_segments (segments ~dir);
-  { entries = List.rev !entries; trimmed = !trimmed }
+  scan_segments (segments ~dir)
+
+let load ~dir =
+  let entries = ref [] in
+  let trimmed = scan ~dir (fun _ e -> entries := e :: !entries) in
+  { entries = List.rev !entries; trimmed }
 
 let compact ~dir =
-  let segs = segments ~dir in
-  let has_snapshot path =
-    let data = read_file path in
-    let found = ref false in
-    let rec scan pos =
-      let len_total = String.length data in
-      if len_total - pos >= header_bytes then begin
-        let r = B.reader ~pos data in
-        let len = B.read_u32 r in
-        let _crc = B.read_u32 r in
-        let body_pos = pos + header_bytes in
-        if len_total - body_pos >= len then begin
-          if len > 0 && Char.code data.[body_pos] = tag_snapshot then
-            found := true;
-          scan (body_pos + len)
-        end
-      end
-    in
-    if
-      String.length data >= String.length magic
-      && String.sub data 0 (String.length magic) = magic
-    then scan (String.length magic);
-    !found
-  in
-  match List.rev segs |> List.find_opt has_snapshot with
+  let keep = ref None in
+  ignore
+    (scan ~dir (fun path -> function
+       | Snapshot _ -> keep := Some path
+       | Summary _ -> ()));
+  match !keep with
   | None -> 0
   | Some keep ->
       let deleted = ref 0 in
@@ -342,5 +364,5 @@ let compact ~dir =
             Sys.remove path;
             incr deleted
           end)
-        segs;
+        (segments ~dir);
       !deleted

@@ -30,6 +30,12 @@
       the snapshot subsumes — so recovery after {!compact} still knows
       exactly which queries are persisted.
 
+    A record is written in one pass: the header, then the payload's
+    fixed fields, then — for a snapshot — the engine image straight
+    from the caller's string.  The CRC is computed incrementally over
+    the same two pieces, so a snapshot is never copied inside the
+    writer; the bytes on disk are exactly the framing above.
+
     Torn tails — a crash mid-append leaves a short or CRC-corrupt final
     record — are {e trimmed}, never crashed on: {!load} stops at the last
     valid record and reports the trim.  Appends are mutex-serialized
@@ -68,6 +74,19 @@ val append_snapshot :
     image, [next_seq] the batcher's dispatch cursor, [seqs] the sorted
     sequence numbers covered by the snapshot.  Thread-safe. *)
 
+type stats = {
+  records : int;  (** records appended, summaries and snapshots *)
+  bytes : int;  (** framed bytes appended (headers included) *)
+  fsyncs : int;  (** fsync barriers issued *)
+  snapshots : int;  (** snapshot records appended *)
+  snapshot_bytes : int;  (** framed bytes of those snapshot records *)
+}
+
+val stats : writer -> stats
+(** The writer's running totals since {!create_writer}, counted under
+    the append lock (the append path does not allocate for them).
+    Thread-safe. *)
+
 val close_writer : writer -> unit
 (** Flush (and fsync unless [`Never]) and close.  Idempotent. *)
 
@@ -94,7 +113,9 @@ val segments : dir:string -> string list
 (** The segment files of [dir], sorted, as full paths. *)
 
 val compact : dir:string -> int
-(** Delete every segment that ends {e before} the last segment containing
-    a snapshot record (their summaries are subsumed by it; the snapshot's
-    [seqs] field keeps the persisted set recoverable).  Returns the
-    number of segments deleted.  Call only while no writer is open. *)
+(** Delete every segment before the one holding the last snapshot that
+    {!load} returns (their summaries are subsumed by it; the snapshot's
+    [seqs] field keeps the persisted set recoverable).  A snapshot the
+    loader would not reach — CRC-corrupt, undecodable, or after a torn
+    record — never anchors compaction.  Returns the number of segments
+    deleted.  Call only while no writer is open. *)

@@ -524,16 +524,16 @@ let encode ?bid t buf =
         (fun p ->
           B.write_int buf (Array.length p.members);
           B.write_int buf p.p_len;
-          let upto a = Array.sub a 0 p.p_len in
-          B.write_int_array buf (upto p.members);
-          B.write_int_array buf (upto p.bids);
-          B.write_int_array buf (upto p.maxbids);
-          B.write_int_array buf (upto p.values);
-          B.write_int_array buf (upto p.premiums);
-          B.write_int_array buf (upto p.gained);
-          B.write_int_array buf (upto p.spent);
-          B.write_bool_array buf (Array.sub p.bretired 0 p.p_len);
-          B.write_int_array buf (Array.sub p.free 0 p.free_len);
+          let upto a = B.write_int_array_prefix buf a ~len:p.p_len in
+          upto p.members;
+          upto p.bids;
+          upto p.maxbids;
+          upto p.values;
+          upto p.premiums;
+          upto p.gained;
+          upto p.spent;
+          B.write_bool_array_prefix buf p.bretired ~len:p.p_len;
+          B.write_int_array_prefix buf p.free ~len:p.free_len;
           B.write_int buf p.live;
           B.write_bool buf p.p_dirty)
         f.parts;

@@ -24,8 +24,28 @@ let write_array buf write_elt a =
   write_int buf (Array.length a);
   Array.iter (fun x -> write_elt buf x) a
 
-let write_int_array buf a = write_array buf write_int a
-let write_bool_array buf a = write_array buf write_bool a
+(* The int and bool arrays are the bulk of a store snapshot: direct
+   loops, no per-element closure call.  The [_prefix] forms encode the
+   first [len] elements exactly as the full form encodes [Array.sub a 0
+   len], without the copy. *)
+let write_int_array_prefix buf a ~len =
+  if len < 0 || len > Array.length a then
+    invalid_arg "Bincode.write_int_array_prefix";
+  write_int buf len;
+  for i = 0 to len - 1 do
+    write_int buf (Array.unsafe_get a i)
+  done
+
+let write_bool_array_prefix buf a ~len =
+  if len < 0 || len > Array.length a then
+    invalid_arg "Bincode.write_bool_array_prefix";
+  write_int buf len;
+  for i = 0 to len - 1 do
+    write_bool buf (Array.unsafe_get a i)
+  done
+
+let write_int_array buf a = write_int_array_prefix buf a ~len:(Array.length a)
+let write_bool_array buf a = write_bool_array_prefix buf a ~len:(Array.length a)
 let write_float_array buf a = write_array buf write_float a
 
 let write_option buf write_elt = function
@@ -37,14 +57,18 @@ let write_option buf write_elt = function
 (* ---------------------------------------------------------------- *)
 (* Reader *)
 
-type reader = { src : string; mutable pos : int }
+(* [limit] bounds the reader to a window of [src], so a record inside a
+   larger image decodes in place. *)
+type reader = { src : string; mutable pos : int; limit : int }
 
-let reader ?(pos = 0) src =
-  if pos < 0 || pos > String.length src then invalid_arg "Bincode.reader";
-  { src; pos }
+let reader ?(pos = 0) ?len src =
+  let len = match len with Some l -> l | None -> String.length src - pos in
+  if pos < 0 || len < 0 || pos > String.length src - len then
+    invalid_arg "Bincode.reader";
+  { src; pos; limit = pos + len }
 
 let pos r = r.pos
-let remaining r = String.length r.src - r.pos
+let remaining r = r.limit - r.pos
 
 let need r n = if remaining r < n then raise Truncated
 
@@ -96,8 +120,24 @@ let read_array r read_elt =
   if len > remaining r then raise Truncated;
   Array.init len (fun _ -> read_elt r)
 
-let read_int_array r = read_array r read_int
-let read_bool_array r = read_array r read_bool
+let read_int_array r =
+  let len = read_int r in
+  if len < 0 || len > remaining r / 8 then raise Truncated;
+  let a = Array.make len 0 in
+  for i = 0 to len - 1 do
+    Array.unsafe_set a i (read_int r)
+  done;
+  a
+
+let read_bool_array r =
+  let len = read_int r in
+  if len < 0 || len > remaining r then raise Truncated;
+  let a = Array.make len false in
+  for i = 0 to len - 1 do
+    Array.unsafe_set a i (read_bool r)
+  done;
+  a
+
 let read_float_array r = read_array r read_float
 
 let read_option r read_elt =

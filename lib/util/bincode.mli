@@ -26,6 +26,15 @@ val write_string : Buffer.t -> string -> unit
 val write_array : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a array -> unit
 val write_int_array : Buffer.t -> int array -> unit
 val write_bool_array : Buffer.t -> bool array -> unit
+
+val write_int_array_prefix : Buffer.t -> int array -> len:int -> unit
+(** The first [len] elements, encoded exactly as
+    [write_int_array buf (Array.sub a 0 len)] but without the copy.
+    @raise Invalid_argument unless [0 <= len <= Array.length a]. *)
+
+val write_bool_array_prefix : Buffer.t -> bool array -> len:int -> unit
+(** The [bool] counterpart of {!write_int_array_prefix}. *)
+
 val write_float_array : Buffer.t -> float array -> unit
 val write_option : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
 
@@ -33,9 +42,12 @@ val write_option : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
 
 type reader
 
-val reader : ?pos:int -> string -> reader
-(** A positional reader over [src], starting at [pos] (default 0).
-    @raise Invalid_argument when [pos] is outside the string. *)
+val reader : ?pos:int -> ?len:int -> string -> reader
+(** A positional reader over the [len] bytes of [src] starting at [pos]
+    (defaults: 0 and the rest of the string).  Reads past the window
+    raise {!Truncated}, so a record embedded in a larger image decodes
+    in place, without a [String.sub].
+    @raise Invalid_argument when the window is outside the string. *)
 
 val pos : reader -> int
 val remaining : reader -> int

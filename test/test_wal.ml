@@ -142,6 +142,113 @@ let test_crc_vector () =
   Alcotest.(check int32) "crc32 of 123456789" 0xCBF43926l
     (Crc.string "123456789")
 
+(* The reference CRC: the plain byte-at-a-time table loop, kept here as
+   the oracle for the sliced implementation. *)
+let ref_table =
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
+
+let ref_crc ?(crc = 0l) s ~pos ~len =
+  let c = ref (Int32.lognot crc) in
+  for i = pos to pos + len - 1 do
+    let index =
+      Int32.to_int
+        (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl)
+    in
+    c := Int32.logxor ref_table.(index) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.lognot !c
+
+let random_string st n = String.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Every head alignment (start offsets 0-7) crossed with every length
+   through eight full 8-byte steps, random bytes and a multi-megabyte
+   image; the streaming split must compose. *)
+let test_crc_matches_reference () =
+  let st = Random.State.make [| 13 |] in
+  let s = random_string st 200 in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      let expect = ref_crc s ~pos ~len in
+      if Crc.update 0l s ~pos ~len <> expect then
+        Alcotest.failf "crc differs at pos %d len %d" pos len;
+      (* A running CRC carried in from a previous chunk. *)
+      if Crc.update 0xDEADBEEFl s ~pos ~len <> ref_crc ~crc:0xDEADBEEFl s ~pos ~len
+      then Alcotest.failf "seeded crc differs at pos %d len %d" pos len
+    done
+  done;
+  for _ = 1 to 200 do
+    let t = random_string st (Random.State.int st 300) in
+    if Crc.string t <> ref_crc t ~pos:0 ~len:(String.length t) then
+      Alcotest.failf "crc differs on a random string of %d bytes"
+        (String.length t)
+  done;
+  let big = random_string st ((3 * 1024 * 1024) + 5) in
+  Alcotest.(check int32) "multi-MB string"
+    (ref_crc big ~pos:0 ~len:(String.length big))
+    (Crc.string big);
+  Alcotest.(check int32) "multi-MB string at an odd offset"
+    (ref_crc big ~pos:3 ~len:(String.length big - 4))
+    (Crc.update 0l big ~pos:3 ~len:(String.length big - 4))
+
+let crc_split =
+  QCheck.Test.make ~count:300 ~name:"update (string a) b = string (a ^ b)"
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Crc.update (Crc.string a) b ~pos:0 ~len:(String.length b)
+      = Crc.string (a ^ b))
+
+let test_int_array_prefix () =
+  let st = Random.State.make [| 5 |] in
+  let a = Array.init 37 (fun _ -> Random.State.bits st - (1 lsl 29)) in
+  let bools = Array.init 37 (fun _ -> Random.State.bool st) in
+  let enc f =
+    let buf = Buffer.create 64 in
+    f buf;
+    Buffer.contents buf
+  in
+  Alcotest.(check string) "full int array = prefix over the full length"
+    (enc (fun b -> B.write_int_array b a))
+    (enc (fun b -> B.write_int_array_prefix b a ~len:(Array.length a)));
+  Alcotest.(check string) "full bool array = prefix over the full length"
+    (enc (fun b -> B.write_bool_array b bools))
+    (enc (fun b -> B.write_bool_array_prefix b bools ~len:(Array.length bools)));
+  for len = 0 to Array.length a do
+    Alcotest.(check string) "int prefix = array of the sub"
+      (enc (fun b -> B.write_int_array b (Array.sub a 0 len)))
+      (enc (fun b -> B.write_int_array_prefix b a ~len));
+    Alcotest.(check string) "bool prefix = array of the sub"
+      (enc (fun b -> B.write_bool_array b (Array.sub bools 0 len)))
+      (enc (fun b -> B.write_bool_array_prefix b bools ~len))
+  done;
+  match B.write_int_array_prefix (Buffer.create 8) a ~len:38 with
+  | () -> Alcotest.fail "prefix longer than the array accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A reader window over part of a string stops at the window's end. *)
+let test_reader_window () =
+  let buf = Buffer.create 32 in
+  B.write_int buf 7;
+  B.write_int buf 8;
+  B.write_int buf 9;
+  let s = Buffer.contents buf in
+  let r = B.reader ~pos:8 ~len:8 s in
+  Alcotest.(check int) "windowed read" 8 (B.read_int r);
+  Alcotest.(check int) "window exhausted" 0 (B.remaining r);
+  (match B.read_int r with
+  | _ -> Alcotest.fail "read past the window"
+  | exception B.Truncated -> ());
+  match B.reader ~pos:16 ~len:9 s with
+  | _ -> Alcotest.fail "window past the string accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ---------------------------------------------------------------- *)
 (* WAL writer/loader round-trip, rotation and compaction. *)
 
@@ -244,6 +351,227 @@ let test_wal_group_commit () =
   match Wal.create_writer ~fsync:(`Every 0) ~dir () with
   | (_ : Wal.writer) -> Alcotest.fail "`Every 0 accepted"
   | exception Invalid_argument _ -> ()
+
+let read_segment path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let image engine =
+  let buf = Buffer.create 4096 in
+  Engine.encode_state engine buf;
+  Buffer.contents buf
+
+(* Format pin: a streamed snapshot record equals, byte for byte, the
+   whole-payload framing — [len|crc|payload] with the payload written by
+   the codec into one buffer and checksummed by the reference CRC. *)
+let test_snapshot_format_pin () =
+  let engine, summaries = sample_summaries ~count:6 in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let snapshots =
+    [
+      (6, Array.init 6 Fun.id, image engine);
+      (9, [| 1; 4; 8 |], String.init 4099 (fun i -> Char.chr (i * 31 land 0xFF)));
+      (0, [||], "");
+    ]
+  in
+  let w = Wal.create_writer ~dir () in
+  List.iter
+    (fun (next_seq, seqs, blob) -> Wal.append_snapshot w ~next_seq ~seqs ~blob)
+    snapshots;
+  Wal.append w ~seq:0 summaries.(0);
+  Wal.close_writer w;
+  let bytes = read_segment (List.hd (Wal.segments ~dir)) in
+  let expected =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf "ESSAWAL\x01";
+    List.iter
+      (fun (next_seq, seqs, blob) ->
+        let payload = Buffer.create 4096 in
+        B.write_u8 payload 2;
+        B.write_int payload next_seq;
+        B.write_int_array payload seqs;
+        B.write_string payload blob;
+        let payload = Buffer.contents payload in
+        let len = String.length payload in
+        B.write_u32 buf len;
+        B.write_u32 buf
+          (Int32.to_int (ref_crc payload ~pos:0 ~len) land 0xFFFFFFFF);
+        Buffer.add_string buf payload)
+      snapshots;
+    Buffer.contents buf
+  in
+  let n = String.length expected in
+  Alcotest.(check bool) "segment holds the summary after the snapshots" true
+    (String.length bytes > n);
+  Alcotest.(check string) "snapshot records byte-identical" expected
+    (String.sub bytes 0 n);
+  (* The summary record's header: its length, and the reference CRC of
+     the payload on disk. *)
+  let len = Int32.to_int (String.get_int32_le bytes n) land 0xFFFFFFFF in
+  Alcotest.(check int) "summary record fills the segment"
+    (String.length bytes - n - 8) len;
+  Alcotest.(check int32) "summary CRC" (ref_crc bytes ~pos:(n + 8) ~len)
+    (String.get_int32_le bytes (n + 4))
+
+(* Digest pins of two engine images, computed on the byte-at-a-time
+   writer: the encoder must keep producing these exact bytes. *)
+let flat_churn_image () =
+  let u = Workload.universe ~keywords:5 ~n:40 ~zipf_s:1.0 ~seed:11 () in
+  let store = Workload.universe_store ~churn:0.2 u () in
+  let engine =
+    Workload.make_flat_engine ~cache:false ~mechanism:`Classic u ~store
+  in
+  Array.iter
+    (fun kw -> ignore (Engine.run_partitioned engine ~keyword:kw))
+    (Workload.universe_queries u ~seed:12 ~count:150);
+  image engine
+
+let dense_rhtalu_image () =
+  let w =
+    Workload.section5 ~seed:7 ~n:60 ~k:5 ~num_keywords:6
+      ~budgeted_fraction:0.3 ()
+  in
+  let engine =
+    Workload.make_engine ~partitioned:true ~cache:false ~update_every:1
+      ~mechanism:`Classic w ~method_:`Rhtalu
+  in
+  Array.iter
+    (fun kw -> ignore (Engine.run_partitioned engine ~keyword:kw))
+    (Workload.queries w ~seed:8 ~count:120);
+  image engine
+
+let test_image_digests () =
+  Alcotest.(check string) "flat churn image"
+    "1448434b002b792c85bede743bc84129"
+    (Digest.to_hex (Digest.string (flat_churn_image ())));
+  Alcotest.(check string) "dense rhtalu image"
+    "090895f0c79639ecc536f34457f50084"
+    (Digest.to_hex (Digest.string (dense_rhtalu_image ())))
+
+(* Regression: compaction once anchored on any full-length record whose
+   first payload byte was the snapshot tag, CRC unchecked.  With the
+   newer of two snapshots corrupt, it deleted the segment holding the
+   older — the only one the loader can return. *)
+let test_compact_keeps_loadable_snapshot () =
+  let u = Workload.universe ~keywords:4 ~n:24 ~zipf_s:1.0 ~seed:31 () in
+  let engine_of snap =
+    let store =
+      match snap with
+      | None -> Workload.universe_store u ()
+      | Some s -> Sstore.of_snapshot_flat s
+    in
+    Workload.make_flat_engine u ~store
+  in
+  let engine = engine_of None in
+  let trace = Workload.universe_queries u ~seed:32 ~count:12 in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  (* Two writers, so two segments, each ending in a snapshot. *)
+  List.iter
+    (fun (first, last) ->
+      let w = Wal.create_writer ~dir () in
+      for seq = first to last do
+        Wal.append w ~seq (Engine.run_partitioned engine ~keyword:trace.(seq))
+      done;
+      Wal.append_snapshot w ~next_seq:(last + 1)
+        ~seqs:(Array.init (last + 1) Fun.id)
+        ~blob:(image engine);
+      Wal.close_writer w)
+    [ (0, 5); (6, 11) ];
+  let newer = List.nth (Wal.segments ~dir) 1 in
+  let bytes = Bytes.of_string (read_segment newer) in
+  let last = Bytes.length bytes - 1 in
+  Bytes.set bytes last (Char.chr (Char.code (Bytes.get bytes last) lxor 0x40));
+  let oc = open_out_bin newer in
+  output_bytes oc bytes;
+  close_out oc;
+  let snapshots () =
+    List.length
+      (List.filter
+         (function Wal.Snapshot _ -> true | Wal.Summary _ -> false)
+         (Wal.load ~dir).entries)
+  in
+  Alcotest.(check int) "one loadable snapshot before compact" 1 (snapshots ());
+  Alcotest.(check int) "nothing before the loadable snapshot to delete" 0
+    (Wal.compact ~dir);
+  Alcotest.(check int) "the loadable snapshot survives compact" 1
+    (snapshots ());
+  let rc = Essa_serve.Recovery.restore ~dir ~num_keywords:4 ~engine_of () in
+  Alcotest.(check bool) "restore uses the snapshot" true rc.snapshot_used;
+  Alcotest.(check int) "tail replays clean" 0 rc.tail_mismatches;
+  Alcotest.(check int) "every logged query persisted" 12
+    (Array.length rc.persisted)
+
+(* [Wal.stats] counts what was appended: records, framed bytes (equal
+   to the segment bytes past the magic), fsync barriers and snapshots. *)
+let test_wal_stats () =
+  let engine, summaries = sample_summaries ~count:5 in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let w = Wal.create_writer ~fsync:(`Every 2) ~dir () in
+  Array.iteri (fun i s -> Wal.append w ~seq:i s) summaries;
+  let blob = image engine in
+  Wal.append_snapshot w ~next_seq:5 ~seqs:(Array.init 5 Fun.id) ~blob;
+  let st = Wal.stats w in
+  Wal.close_writer w;
+  let on_disk =
+    List.fold_left
+      (fun acc path -> acc + String.length (read_segment path) - 8)
+      0 (Wal.segments ~dir)
+  in
+  Alcotest.(check int) "records" 6 st.records;
+  Alcotest.(check int) "bytes" on_disk st.bytes;
+  Alcotest.(check int) "fsyncs (group of 2)" 3 st.fsyncs;
+  Alcotest.(check int) "snapshots" 1 st.snapshots;
+  (* tag + next_seq + seqs (length + 5) + blob length, framed. *)
+  Alcotest.(check int) "snapshot bytes"
+    (8 + 1 + 8 + (8 * 6) + 8 + String.length blob)
+    st.snapshot_bytes
+
+(* The server exports the writer's tallies as [essa.wal.*] and times
+   each snapshot into [essa.wal.snapshot_ns]. *)
+let test_server_wal_metrics () =
+  let u = Workload.universe ~keywords:5 ~n:40 ~zipf_s:1.0 ~seed:1 () in
+  let store = Workload.universe_store u () in
+  let engine = Workload.make_flat_engine u ~store in
+  let trace = Workload.universe_queries u ~seed:2 ~count:200 in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let w = Wal.create_writer ~dir () in
+  let registry = Essa_obs.Registry.create () in
+  let server =
+    Essa_serve.Server.create ~metrics:registry ~workers:2
+      ~commit:`Per_keyword ~wal:w ~wal_snapshot_every:2 ~max_batch:16
+      ~queue_capacity:(Array.length trace) ~engine ()
+  in
+  Array.iter
+    (fun kw -> ignore (Essa_serve.Server.submit server ~keyword:kw))
+    trace;
+  let stats = Essa_serve.Server.stop server in
+  let st = Wal.stats w in
+  Wal.close_writer w;
+  let counter name =
+    match Essa_obs.Registry.find registry name with
+    | Some (Essa_obs.Registry.Counter c) -> Essa_obs.Counter.value c
+    | _ -> Alcotest.failf "no counter %s" name
+  in
+  let snapshots = counter "essa.wal.snapshots" in
+  Alcotest.(check bool) "snapshots taken" true (snapshots > 0);
+  Alcotest.(check int) "records = commits + snapshots"
+    (stats.committed + snapshots)
+    (counter "essa.wal.records");
+  Alcotest.(check int) "bytes" st.bytes (counter "essa.wal.bytes");
+  Alcotest.(check int) "snapshot bytes" st.snapshot_bytes
+    (counter "essa.wal.snapshot_bytes");
+  Alcotest.(check int) "fsyncs (never)" 0 (counter "essa.wal.fsyncs");
+  match Essa_obs.Registry.find registry "essa.wal.snapshot_ns" with
+  | Some (Essa_obs.Registry.Histogram h) ->
+      Alcotest.(check int) "one timing per snapshot" snapshots
+        (Essa_obs.Histogram.count h)
+  | _ -> Alcotest.fail "no essa.wal.snapshot_ns histogram"
 
 (* ---------------------------------------------------------------- *)
 (* Torn tails: truncate the final segment at every byte offset of its
@@ -582,6 +910,11 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_bincode_roundtrip;
           Alcotest.test_case "truncation" `Quick test_bincode_truncation;
           Alcotest.test_case "crc32 vector" `Quick test_crc_vector;
+          Alcotest.test_case "crc32 = bytewise reference" `Quick
+            test_crc_matches_reference;
+          QCheck_alcotest.to_alcotest crc_split;
+          Alcotest.test_case "array prefix form" `Quick test_int_array_prefix;
+          Alcotest.test_case "reader window" `Quick test_reader_window;
         ] );
       ( "wal",
         [
@@ -591,6 +924,14 @@ let () =
             test_wal_torn_tail;
           Alcotest.test_case "group commit drains at close" `Quick
             test_wal_group_commit;
+          Alcotest.test_case "snapshot format pin" `Quick
+            test_snapshot_format_pin;
+          Alcotest.test_case "engine image digests" `Quick test_image_digests;
+          Alcotest.test_case "compact keeps the loadable snapshot" `Quick
+            test_compact_keeps_loadable_snapshot;
+          Alcotest.test_case "stats" `Quick test_wal_stats;
+          Alcotest.test_case "server exports essa.wal.*" `Quick
+            test_server_wal_metrics;
         ] );
       ( "continuation",
         [
