@@ -395,7 +395,7 @@ let create ?metrics ?pool ?(parallel_threshold = 4096)
        n × k structure, and partitions never need it (pools are rejected
        in partitioned mode and flat paths are slot-indexed). *)
     scratch =
-      Mechanism.make_scratch ~n ~k
+      Mechanism.make_scratch ~n ~k ~flat:false
         ~with_w:
           ((not partitioned)
           && Mechanism.needs_w ~method_ ~pooled:(pool <> None));
@@ -491,7 +491,8 @@ let create_flat ?metrics ?(clock = Essa_util.Timing.now_ns) ?cache
     total_revenue = 0;
     auctions = 0;
     scratch =
-      Mechanism.make_scratch ~n:1 ~k ~with_w:false (* unused: serial path raises *);
+      (* unused: the serial path raises *)
+      Mechanism.make_scratch ~n:1 ~k ~with_w:false ~flat:true;
     is_partitioned = true;
     is_flat = true;
     partitions = Array.make nk None;
@@ -553,7 +554,9 @@ let partition_of t ~keyword =
       let p =
         {
           p_rng = Essa_util.Rng.split t.user_rng ~key:keyword;
-          p_scratch = Mechanism.make_scratch ~n:scratch_n ~k:t.k ~with_w:false;
+          p_scratch =
+            Mechanism.make_scratch ~n:scratch_n ~k:t.k ~with_w:false
+              ~flat:t.is_flat;
           p_h_total = Essa_obs.Histogram.create ();
           p_revenue = 0;
           p_cache = None;
@@ -919,7 +922,8 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
             .Sstore.fs_capacity
         in
         if Array.length p.p_scratch.Mechanism.stamp < cap then
-          p.p_scratch <- Mechanism.make_scratch ~n:cap ~k:t.k ~with_w:false;
+          p.p_scratch <-
+            Mechanism.make_scratch ~n:cap ~k:t.k ~with_w:false ~flat:true;
         p.p_scratch
       end
     in

@@ -8,8 +8,8 @@ open Mechanism
 let wd x s ~reserve ~keyword =
   reset_wd_stats s;
   if x.x_is_flat then begin
-    let assignment, top = flat_winner_determination x s ~reserve ~keyword in
-    { e_assignment = assignment; e_view = Flat_top top }
+    let assignment, winners = flat_winner_determination x s ~reserve ~keyword in
+    { e_assignment = assignment; e_view = Flat_top winners }
   end
   else
     match x.x_method with
@@ -55,9 +55,9 @@ let wd x s ~reserve ~keyword =
 (* Flat pricing: GSP from the flat top lists, or pay-as-bid straight off
    the store.  VCG is rejected at engine construction (it needs the dense
    pricing view). *)
-let price_flat x ~pricing ~reserve ~keyword ~assignment ~top =
+let price_flat x s ~pricing ~reserve ~keyword ~assignment ~winners =
   match pricing with
-  | `Gsp -> gsp_from_top_flat x ~reserve ~assignment ~top
+  | `Gsp -> gsp_from_top_flat x s ~reserve ~keyword ~assignment ~winners
   | `Pay_as_bid ->
       let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
       Array.mapi
@@ -76,7 +76,8 @@ let price_eval ~pricing x s ~reserve ~keyword ev =
   let assignment = ev.e_assignment in
   match ev.e_view with
   | Priced prices -> prices
-  | Flat_top top -> price_flat x ~pricing ~reserve ~keyword ~assignment ~top
+  | Flat_top winners ->
+      price_flat x s ~pricing ~reserve ~keyword ~assignment ~winners
   | (Full _ | Reduced _) as view -> (
       let ctr ~adv ~slot = x.x_ctr.(adv).(slot - 1) in
       let per_click_of_expected ~expected ~slot ~adv =

@@ -18,7 +18,10 @@ type scratch = {
   mutable stamp_token : int;
   local_of : int array;
   reduced_advs : int array;            (* capacity k·(k+1) candidates *)
-  reduced_w_rows : float array array;  (* capacity k·(k+1) rows of k *)
+  (* Rows of k weights: dense engines keep the reduced matrix here
+     (capacity k·(k+1) rows); flat engines keep every live member's
+     scores, indexed by partition slot (capacity = the partition's). *)
+  reduced_w_rows : float array array;
   (* Threshold-algorithm workspace of the SoA fast path: a stamp array for
      the per-slot seen set (no Hashtbl) and one insertion-sorted top-(k+1)
      buffer reused by every slot scan. *)
@@ -39,9 +42,9 @@ type scratch = {
 }
 
 (* [n] is the index space of the stamp arrays: the fleet size on dense
-   engines, the keyword partition's capacity on flat ones (where the
+   engines, the keyword partition's capacity on [flat] ones (where the
    scratch is slot-indexed and grows with the partition). *)
-let make_scratch ~n ~k ~with_w =
+let make_scratch ~n ~k ~with_w ~flat =
   let reduced_capacity = min n (k * (k + 1)) in
   {
     w_buffer = (if with_w then Array.make_matrix n k 0.0 else [||]);
@@ -49,7 +52,8 @@ let make_scratch ~n ~k ~with_w =
     stamp_token = 0;
     local_of = Array.make n 0;
     reduced_advs = Array.make reduced_capacity 0;
-    reduced_w_rows = Array.make_matrix reduced_capacity k 0.0;
+    reduced_w_rows =
+      Array.make_matrix (if flat then n else reduced_capacity) k 0.0;
     ta_seen = Array.make n 0;
     ta_token = 0;
     tk_ids = Array.make (k + 1) 0;
@@ -103,7 +107,7 @@ type view =
       w : float array array;
       top : (int * float) list array;
     }
-  | Flat_top of (int * float) list array
+  | Flat_top of int array
   | Priced of int array
 
 type eval = { e_assignment : Essa_matching.Assignment.t; e_view : view }
@@ -591,6 +595,46 @@ let gsp_from_top x s ~reserve ~assignment ~top =
    matches the dense `Rh path, so on a universe where partitions and
    fleet agree the two engines assign and price identically. *)
 
+(* Canonical order on (score, global id): higher score first, ties to
+   the smaller id — or, with [worst], exactly the reverse. *)
+let[@inline] precedes ~worst (sc : float) (gid : int) ps pg =
+  if worst then sc < ps || (sc = ps && gid > pg)
+  else sc > ps || (sc = ps && gid < pg)
+
+(* Insertion-select into the scratch's tk buffers the [count] live members
+   that come first in [precedes ~worst] order on column [j] of the score
+   rows; returns how many were kept (fewer only when fewer are live). *)
+let select_flat s ~members ~len ~j ~count ~worst =
+  let rows = s.reduced_w_rows in
+  let tk_ids = s.tk_ids and tk_scores = s.tk_scores and tk_slots = s.tk_slots in
+  let size = ref 0 in
+  for slot = 0 to len - 1 do
+    let gid = members.(slot) in
+    if gid >= 0 then begin
+      let sc = rows.(slot).(j) in
+      let full = !size >= count in
+      if
+        (not full)
+        || precedes ~worst sc gid tk_scores.(count - 1) tk_ids.(count - 1)
+      then begin
+        let p = ref (if full then count - 1 else !size) in
+        if not full then incr size;
+        while
+          !p > 0 && precedes ~worst sc gid tk_scores.(!p - 1) tk_ids.(!p - 1)
+        do
+          tk_scores.(!p) <- tk_scores.(!p - 1);
+          tk_ids.(!p) <- tk_ids.(!p - 1);
+          tk_slots.(!p) <- tk_slots.(!p - 1);
+          decr p
+        done;
+        tk_scores.(!p) <- sc;
+        tk_ids.(!p) <- gid;
+        tk_slots.(!p) <- slot
+      end
+    end
+  done;
+  !size
+
 let flat_winner_determination x s ~reserve ~keyword =
   let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
   let fv = Sstore.flat_view store ~keyword in
@@ -598,126 +642,119 @@ let flat_winner_determination x s ~reserve ~keyword =
   and bids = fv.Sstore.fv_bids
   and prems = fv.Sstore.fv_premiums in
   let len = fv.Sstore.fv_len in
-  let count = x.x_k + 1 in
-  let tk_ids = s.tk_ids and tk_scores = s.tk_scores and tk_slots = s.tk_slots in
-  let tops = Array.make x.x_k [] in
-  s.stamp_token <- s.stamp_token + 1;
-  let token = s.stamp_token in
-  let ncand = ref 0 in
-  for j = 0 to x.x_k - 1 do
-    (* Insertion-sorted top-(k+1) scan of the live slots; canonical order:
-       higher score first, ties to the smaller global id. *)
-    let tk_size = ref 0 in
-    for slot = 0 to len - 1 do
-      let gid = members.(slot) in
-      if gid >= 0 then begin
-        let bid_c = bids.(slot) in
-        let sc =
-          if bid_c < reserve then 0.0
-          else
-            let b = float_of_int bid_c in
-            if j = 0 then x.x_ctr.(gid).(0) *. (b +. float_of_int prems.(slot))
-            else x.x_ctr.(gid).(j) *. b
-        in
-        let full = !tk_size >= count in
-        let accept =
-          (not full)
-          ||
-          let ms = tk_scores.(count - 1) in
-          sc > ms || (sc = ms && gid < tk_ids.(count - 1))
-        in
-        if accept then begin
-          let p = ref (if full then count - 1 else !tk_size) in
-          if not full then incr tk_size;
-          while
-            !p > 0
-            && (let ps = tk_scores.(!p - 1) in
-                sc > ps || (sc = ps && gid < tk_ids.(!p - 1)))
-          do
-            tk_scores.(!p) <- tk_scores.(!p - 1);
-            tk_ids.(!p) <- tk_ids.(!p - 1);
-            tk_slots.(!p) <- tk_slots.(!p - 1);
-            decr p
-          done;
-          tk_scores.(!p) <- sc;
-          tk_ids.(!p) <- gid;
-          tk_slots.(!p) <- slot
-        end
-      end
-    done;
-    let rec build i acc =
-      if i < 0 then acc else build (i - 1) ((tk_ids.(i), tk_scores.(i)) :: acc)
-    in
-    tops.(j) <- build (!tk_size - 1) [];
-    (* Fold this slot's survivors into the reduced candidate set (stamp
-       dedupe on partition slots). *)
-    for i = 0 to !tk_size - 1 do
-      let slot = tk_slots.(i) in
-      if s.stamp.(slot) <> token then begin
-        s.stamp.(slot) <- token;
-        s.reduced_advs.(!ncand) <- slot;
-        incr ncand
-      end
-    done
-  done;
-  (* Reduced pricing view in ascending global-id order, exactly like the
-     dense [reduced_from_top]. *)
-  let slots = Array.sub s.reduced_advs 0 !ncand in
-  Array.sort (fun a b -> Int.compare members.(a) members.(b)) slots;
-  let advertisers = Array.map (fun slot -> members.(slot)) slots in
-  for r = 0 to !ncand - 1 do
-    let slot = slots.(r) in
+  let k = x.x_k in
+  let rows = s.reduced_w_rows in
+  (* Score once: every later step reads these rows. *)
+  for slot = 0 to len - 1 do
     let gid = members.(slot) in
-    let row = s.reduced_w_rows.(r) in
-    let bid_c = bids.(slot) in
-    if bid_c < reserve then Array.fill row 0 x.x_k 0.0
-    else begin
-      let b = float_of_int bid_c in
-      row.(0) <- x.x_ctr.(gid).(0) *. (b +. float_of_int prems.(slot));
-      for j = 1 to x.x_k - 1 do
-        row.(j) <- x.x_ctr.(gid).(j) *. b
-      done
+    if gid >= 0 then begin
+      let row = rows.(slot) and bid_c = bids.(slot) in
+      if bid_c < reserve then Array.fill row 0 k 0.0
+      else begin
+        let b = float_of_int bid_c and ctr = x.x_ctr.(gid) in
+        row.(0) <- ctr.(0) *. (b +. float_of_int prems.(slot));
+        for j = 1 to k - 1 do
+          row.(j) <- ctr.(j) *. b
+        done
+      end
     end
   done;
+  (* The candidates are the union of the slots' top-(k+1) lists, marked
+     from whichever side of the live set is smaller.  With m live members
+     beyond k+1, each list is the complement of the slot's bottom m in
+     the reversed order, so a member drops out only by losing on every
+     slot: the stamps chain through the slots' loser sets (m <= 0 marks
+     nobody).  Otherwise the top lists themselves are stamped. *)
+  let count = k + 1 in
+  let m = fv.Sstore.fv_live - count in
+  let complement = m < count in
+  let stamp = s.stamp in
+  s.stamp_token <- s.stamp_token + 1;
+  if complement then begin
+    let j = ref 0 and losing = ref m in
+    while !j < k && !losing > 0 do
+      let prev = s.stamp_token in
+      s.stamp_token <- prev + 1;
+      let kept = select_flat s ~members ~len ~j:!j ~count:m ~worst:true in
+      losing := 0;
+      for i = 0 to kept - 1 do
+        let slot = s.tk_slots.(i) in
+        if !j = 0 || stamp.(slot) = prev then begin
+          stamp.(slot) <- s.stamp_token;
+          incr losing
+        end
+      done;
+      incr j
+    done
+  end
+  else
+    for j = 0 to k - 1 do
+      let kept = select_flat s ~members ~len ~j ~count ~worst:false in
+      for i = 0 to kept - 1 do
+        stamp.(s.tk_slots.(i)) <- s.stamp_token
+      done
+    done;
+  let token = s.stamp_token and ncand = ref 0 in
+  for slot = 0 to len - 1 do
+    if members.(slot) >= 0 && (stamp.(slot) = token) <> complement then begin
+      s.reduced_advs.(!ncand) <- slot;
+      incr ncand
+    end
+  done;
+  (* Reduced view in ascending global-id order, exactly like the dense
+     [reduced_from_top]; its rows are the score rows themselves. *)
+  let slots = Array.sub s.reduced_advs 0 !ncand in
+  Array.sort (fun a b -> Int.compare members.(a) members.(b)) slots;
   Essa_obs.Counter.add x.x_c_reduced !ncand;
   s.wd_reduced <- s.wd_reduced + !ncand;
-  let reduced =
-    Essa_matching.Hungarian.solve ~w:(Array.sub s.reduced_w_rows 0 !ncand)
-  in
   let assignment =
-    Array.map (Option.map (fun local -> advertisers.(local))) reduced
+    Essa_matching.Hungarian.solve ~w:(Array.map (fun slot -> rows.(slot)) slots)
   in
-  (assignment, tops)
+  (* [solve] answers an empty candidate set with an empty assignment. *)
+  let winners = Array.make (Array.length assignment) (-1) in
+  Array.iteri
+    (fun j cell ->
+      match cell with
+      | None -> ()
+      | Some local ->
+          winners.(j) <- slots.(local);
+          assignment.(j) <- Some members.(slots.(local)))
+    assignment;
+  (assignment, winners)
 
-(* GSP runner-up search over the flat top lists.  Winner membership is a
-   linear scan of the ≤ k assignment cells (the scratch stamp array is
-   slot-indexed here, while top entries carry global ids). *)
-let gsp_from_top_flat x ~reserve ~assignment ~top =
-  let is_winner id =
-    let rec go j0 =
-      if j0 >= Array.length assignment then false
-      else
-        match assignment.(j0) with
-        | Some w when w = id -> true
-        | _ -> go (j0 + 1)
-    in
-    go 0
-  in
+(* GSP runner-up by scan: the best live non-winner on the slot's column
+   of the score rows.  That is the first non-winner of the slot's
+   top-(k+1) list — a list of k+1 entries holds at least one non-winner,
+   and a shorter list holds every live member — and only its score enters
+   the price, so the highest non-winner score gives the prices of the
+   list search, at the same arithmetic and reserve floor. *)
+let gsp_from_top_flat x s ~reserve ~keyword ~assignment ~winners =
+  let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
+  let fv = Sstore.flat_view store ~keyword in
+  let members = fv.Sstore.fv_members and len = fv.Sstore.fv_len in
+  let rows = s.reduced_w_rows in
+  s.stamp_token <- s.stamp_token + 1;
+  let token = s.stamp_token in
+  Array.iter (fun slot -> if slot >= 0 then s.stamp.(slot) <- token) winners;
   Array.mapi
     (fun j0 cell ->
       match cell with
       | None -> 0
       | Some winner ->
-          let rec runner = function
-            | [] -> 0
-            | (i, weight) :: rest ->
-                if is_winner i then runner rest
-                else
-                  let p = x.x_ctr.(winner).(j0) in
-                  if p <= 0.0 || weight <= 0.0 then 0
-                  else int_of_float (Float.ceil ((weight /. p) -. 1e-9))
+          (* No non-winner leaves [neg_infinity]: no runner-up, price 0. *)
+          let weight = ref neg_infinity in
+          for slot = 0 to len - 1 do
+            if members.(slot) >= 0 && s.stamp.(slot) <> token then begin
+              let sc = rows.(slot).(j0) in
+              if sc > !weight then weight := sc
+            end
+          done;
+          let p = x.x_ctr.(winner).(j0) in
+          let runner =
+            if p <= 0.0 || !weight <= 0.0 then 0
+            else int_of_float (Float.ceil ((!weight /. p) -. 1e-9))
           in
-          max (runner top.(j0)) reserve)
+          max runner reserve)
     assignment
 
 (* The deadline-degraded single-pass fallback, flat form: top-k of the

@@ -68,9 +68,15 @@ type scratch = {
   mutable wd_reduced : int;
 }
 
-val make_scratch : n:int -> k:int -> with_w:bool -> scratch
+val make_scratch : n:int -> k:int -> with_w:bool -> flat:bool -> scratch
 (** [n] is the index space of the stamp arrays: the fleet size on dense
-    engines, the keyword partition's capacity on flat ones. *)
+    engines, the keyword partition's capacity on [flat] ones.
+    [reduced_w_rows] holds [min n (k·(k+1))] rows of [k] on dense
+    engines (the reduced matrix) and [n] rows on flat ones: one row of
+    scores per partition slot, filled once per auction by
+    {!flat_winner_determination} and read by its selection, its
+    Hungarian solve and {!gsp_from_top_flat}.  The two sizes agree
+    whenever [n <= k·(k+1)]. *)
 
 val needs_w : method_:method_ -> pooled:bool -> bool
 (** Whether the classic mechanism's winner determination materializes the
@@ -118,8 +124,10 @@ type view =
       w : float array array;    (** reduced weight rows *)
       top : (int * float) list array;  (** per-slot top-(k+1) lists *)
     }  (** the RH/RHTALU reduced view; exact for GSP and VCG *)
-  | Flat_top of (int * float) list array
-      (** flat engines: per-slot top lists in global advertiser ids *)
+  | Flat_top of int array
+      (** flat engines: each ad slot's winner as a partition slot ([-1]
+          when empty); the scores stay in the scratch's score rows, which
+          the same auction's [price] reads *)
   | Priced of int array
       (** mechanisms whose winner determination already prices the
           outcome (stable matching: prices are the auction's fixed
@@ -195,16 +203,26 @@ val cheap_allocation :
 
 val flat_winner_determination :
   ctx -> scratch -> reserve:int -> keyword:int ->
-  Essa_matching.Assignment.t * (int * float) list array
-(** Flat-store winner determination: top-(k+1) scan of the keyword's
-    live slots, Hungarian on the reduced view; returns the assignment
-    and the per-slot top lists (global advertiser ids). *)
+  Essa_matching.Assignment.t * int array
+(** Flat-store winner determination.  Scores every live member of the
+    keyword's partition once into the scratch's score rows, takes as
+    candidates the union of the slots' top-(k+1) lists (canonical order:
+    score descending, global id ascending) and runs the Hungarian method
+    on them in ascending global-id order.  With [live] members and
+    [m = live - (k+1)], the candidates are every live member when
+    [m <= 0]; when [0 < m < k+1], every member that is not among the
+    bottom [m] of all [k] slots (the complement of the top lists); and
+    otherwise the per-slot top-(k+1) insertion scans.  Returns the
+    assignment (global advertiser ids) and each ad slot's winner as a
+    partition slot ([-1] when empty). *)
 
 val gsp_from_top_flat :
-  ctx -> reserve:int ->
-  assignment:Essa_matching.Assignment.t ->
-  top:(int * float) list array -> int array
-(** GSP runner-up prices over flat top lists. *)
+  ctx -> scratch -> reserve:int -> keyword:int ->
+  assignment:Essa_matching.Assignment.t -> winners:int array -> int array
+(** GSP runner-up prices after {!flat_winner_determination} on the same
+    scratch: the runner-up of an ad slot is the best live non-winner on
+    its score column, which is the first non-winner of the slot's
+    top-(k+1) list; prices are floored at [reserve]. *)
 
 val cheap_allocation_flat :
   ctx -> reserve:int -> keyword:int ->

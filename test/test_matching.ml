@@ -97,6 +97,114 @@ let test_hungarian_ragged_rejected () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* The reduced LAP against its reference: the list-free kernel behind
+   [Hungarian.solve] (contiguous costs, collapsed free null columns) must
+   return exactly the assignment of the straightforward scan below — the
+   previous kernel, kept verbatim — including every tie-break.  Small
+   integer weights with zeros and negatives force ties and matched null
+   columns; n < k leaves slots to the nulls outright. *)
+
+let lap_reduced ~nrows ~n ~w =
+  let ncols = n + nrows in
+  let u = Array.make (nrows + 1) 0.0 in
+  let v = Array.make (ncols + 1) 0.0 in
+  let p = Array.make (ncols + 1) 0 in
+  let way = Array.make (ncols + 1) 0 in
+  (* Dijkstra scratch, reused across the row phases (reset by fill). *)
+  let minv = Array.make (ncols + 1) infinity in
+  let used = Array.make (ncols + 1) false in
+  for i = 1 to nrows do
+    p.(0) <- i;
+    let j0 = ref 0 in
+    Array.fill minv 0 (ncols + 1) infinity;
+    Array.fill used 0 (ncols + 1) false;
+    let augmenting = ref true in
+    while !augmenting do
+      used.(!j0) <- true;
+      let i0 = p.(!j0) in
+      let delta = ref infinity and j1 = ref 0 in
+      let r = i0 - 1 in
+      let ui0 = u.(i0) in
+      (* Candidate columns 1..n, then null columns n+1..ncols — same
+         ascending-j scan as [lap] with the [j <= n] test lifted out. *)
+      for j = 1 to n do
+        if not used.(j) then begin
+          let x = w.(j - 1).(r) in
+          let cost = if x > 0.0 then -.x else infinity in
+          let cur = cost -. ui0 -. v.(j) in
+          if cur < minv.(j) then begin
+            minv.(j) <- cur;
+            way.(j) <- !j0
+          end;
+          if minv.(j) < !delta then begin
+            delta := minv.(j);
+            j1 := j
+          end
+        end
+      done;
+      for j = n + 1 to ncols do
+        if not used.(j) then begin
+          let cur = -.ui0 -. v.(j) in
+          if cur < minv.(j) then begin
+            minv.(j) <- cur;
+            way.(j) <- !j0
+          end;
+          if minv.(j) < !delta then begin
+            delta := minv.(j);
+            j1 := j
+          end
+        end
+      done;
+      assert (!delta < infinity);
+      for j = 0 to ncols do
+        if used.(j) then begin
+          u.(p.(j)) <- u.(p.(j)) +. !delta;
+          v.(j) <- v.(j) -. !delta
+        end
+        else minv.(j) <- minv.(j) -. !delta
+      done;
+      j0 := !j1;
+      if p.(!j0) = 0 then augmenting := false
+    done;
+    let j = ref !j0 in
+    while !j <> 0 do
+      let j' = way.(!j) in
+      p.(!j) <- p.(j');
+      j := j'
+    done
+  done;
+  p
+
+let reference_solve ~w =
+  let n = Array.length w in
+  let k = if n = 0 then 0 else Array.length w.(0) in
+  let assignment = Assignment.empty ~k in
+  if n > 0 then begin
+    let p = lap_reduced ~nrows:k ~n ~w in
+    for j = 1 to n do
+      if p.(j) <> 0 then assignment.(p.(j) - 1) <- Some (j - 1)
+    done
+  end;
+  assignment
+
+let gen_lap_instance =
+  let open QCheck2.Gen in
+  let* n = int_range 0 48 in
+  let* k = int_range 1 16 in
+  let* cell =
+    oneofl
+      [
+        map float_of_int (oneofl [ -2; -1; 0; 0; 1; 1; 2; 3 ]);
+        float_range (-10.0) 30.0;
+      ]
+  in
+  array_size (return n) (array_size (return k) cell)
+
+let prop_lap_equals_reference =
+  qtest ~count:600 "solve = reference LAP (assignment, ties, nulls)"
+    gen_lap_instance (fun w -> Hungarian.solve ~w = reference_solve ~w)
+
+(* ------------------------------------------------------------------ *)
 (* Reduction (RH) *)
 
 let prop_rh_equals_hungarian =
@@ -286,6 +394,7 @@ let () =
         [
           prop_hungarian_optimal;
           prop_classic_equals_fast;
+          prop_lap_equals_reference;
           Alcotest.test_case "negative weights" `Quick test_hungarian_negative_weights_unused;
           Alcotest.test_case "zero weights unassigned" `Quick
             test_hungarian_zero_weights_leave_slots_empty;

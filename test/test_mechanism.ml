@@ -200,6 +200,294 @@ let prop_cache_twin_reserve_flat =
     (cache_twin_flat (`Reserve `Monopoly))
 
 (* ------------------------------------------------------------------ *)
+(* Flat winner determination against its reference: the list-based
+   top-(k+1) scan and list-walking GSP the score-once kernel replaced,
+   kept here as the oracle.  Hand-built single-keyword stores put the
+   live count on every side of the kernel's selection regimes (live <=
+   k+1, k+1 < live < 2(k+1), live >= 2(k+1)), with retirement holes,
+   equal bids and scores (ties broken by global id), a reserve above some
+   bids (all-zero rows) and slot-0 premiums. *)
+
+module Mechanism = Essa.Mechanism
+module Sstore = Essa_strategy.State_store
+
+let reference_flat_wd (x : Mechanism.ctx) ~reserve ~keyword =
+  let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
+  let fv = Sstore.flat_view store ~keyword in
+  let members = fv.Sstore.fv_members
+  and bids = fv.Sstore.fv_bids
+  and prems = fv.Sstore.fv_premiums in
+  let len = fv.Sstore.fv_len in
+  let count = x.x_k + 1 in
+  let tk_ids = Array.make count 0
+  and tk_scores = Array.make count 0.0
+  and tk_slots = Array.make count 0 in
+  let tops = Array.make x.x_k [] in
+  let stamped = Array.make len false in
+  let cands = ref [] in
+  for j = 0 to x.x_k - 1 do
+    let tk_size = ref 0 in
+    for slot = 0 to len - 1 do
+      let gid = members.(slot) in
+      if gid >= 0 then begin
+        let bid_c = bids.(slot) in
+        let sc =
+          if bid_c < reserve then 0.0
+          else
+            let b = float_of_int bid_c in
+            if j = 0 then x.x_ctr.(gid).(0) *. (b +. float_of_int prems.(slot))
+            else x.x_ctr.(gid).(j) *. b
+        in
+        let full = !tk_size >= count in
+        let accept =
+          (not full)
+          ||
+          let ms = tk_scores.(count - 1) in
+          sc > ms || (sc = ms && gid < tk_ids.(count - 1))
+        in
+        if accept then begin
+          let p = ref (if full then count - 1 else !tk_size) in
+          if not full then incr tk_size;
+          while
+            !p > 0
+            && (let ps = tk_scores.(!p - 1) in
+                sc > ps || (sc = ps && gid < tk_ids.(!p - 1)))
+          do
+            tk_scores.(!p) <- tk_scores.(!p - 1);
+            tk_ids.(!p) <- tk_ids.(!p - 1);
+            tk_slots.(!p) <- tk_slots.(!p - 1);
+            decr p
+          done;
+          tk_scores.(!p) <- sc;
+          tk_ids.(!p) <- gid;
+          tk_slots.(!p) <- slot
+        end
+      end
+    done;
+    let rec build i acc =
+      if i < 0 then acc else build (i - 1) ((tk_ids.(i), tk_scores.(i)) :: acc)
+    in
+    tops.(j) <- build (!tk_size - 1) [];
+    for i = 0 to !tk_size - 1 do
+      let slot = tk_slots.(i) in
+      if not stamped.(slot) then begin
+        stamped.(slot) <- true;
+        cands := slot :: !cands
+      end
+    done
+  done;
+  let slots = Array.of_list !cands in
+  Array.sort (fun a b -> Int.compare members.(a) members.(b)) slots;
+  let advertisers = Array.map (fun slot -> members.(slot)) slots in
+  let w =
+    Array.map
+      (fun slot ->
+        let gid = members.(slot) and bid_c = bids.(slot) in
+        if bid_c < reserve then Array.make x.x_k 0.0
+        else
+          let b = float_of_int bid_c in
+          Array.init x.x_k (fun j ->
+              if j = 0 then x.x_ctr.(gid).(0) *. (b +. float_of_int prems.(slot))
+              else x.x_ctr.(gid).(j) *. b))
+      slots
+  in
+  let reduced = Essa_matching.Hungarian.solve ~w in
+  let assignment =
+    Array.map (Option.map (fun local -> advertisers.(local))) reduced
+  in
+  (assignment, tops, Array.length slots)
+
+let reference_gsp_flat (x : Mechanism.ctx) ~reserve ~assignment ~top =
+  let is_winner id =
+    let rec go j0 =
+      if j0 >= Array.length assignment then false
+      else
+        match assignment.(j0) with
+        | Some w when w = id -> true
+        | _ -> go (j0 + 1)
+    in
+    go 0
+  in
+  Array.mapi
+    (fun j0 cell ->
+      match cell with
+      | None -> 0
+      | Some winner ->
+          let rec runner = function
+            | [] -> 0
+            | (i, weight) :: rest ->
+                if is_winner i then runner rest
+                else
+                  let p = x.x_ctr.(winner).(j0) in
+                  if p <= 0.0 || weight <= 0.0 then 0
+                  else int_of_float (Float.ceil ((weight /. p) -. 1e-9))
+          in
+          max (runner top.(j0)) reserve)
+    assignment
+
+let flat_ctx ~ctr ~k store : Mechanism.ctx =
+  let c () = Essa_obs.Counter.create () in
+  {
+    x_method = `Rh;
+    x_n = Array.length ctr;
+    x_k = k;
+    x_reserve = 0;
+    x_ctr = ctr;
+    x_ctr_sorted = [||];
+    x_ctr_ids = [||];
+    x_ctr_vals = [||];
+    x_ctr_cols = [||];
+    x_premiums = [||];
+    x_premium_sorted = [||];
+    x_prem_ids = [||];
+    x_prem_vals = [||];
+    x_fleet = Essa_strategy.Roi_fleet.flat_p store;
+    x_is_flat = true;
+    x_pool = None;
+    x_parallel_threshold = max_int;
+    x_c_ta_sorted = c ();
+    x_c_ta_random = c ();
+    x_c_ta_seen = c ();
+    x_c_reduced = c ();
+  }
+
+(* One case: [k] slots, [live] members after [holes] retirements,
+   advertisers enrolled in a shuffled global-id order, bids and CTRs from
+   small sets (ties) or continuous CTRs, and two reserves run back to
+   back on one scratch (stale stamps and rows must not leak between
+   auctions). *)
+let gen_flat_case_at ~k ~live =
+  let open QCheck2.Gen in
+  let* holes = int_range 0 4 in
+  let total = live + holes in
+  let n = total + 2 in
+  let* order = shuffle_a (Array.init n Fun.id) in
+  let* retired = shuffle_a (Array.init total Fun.id) in
+  let* bids = array_size (return total) (int_range 0 6) in
+  let* prems = array_size (return total) (oneofl [ 0; 0; 0; 2; 5 ]) in
+  let* ctr =
+    array_size (return n)
+      (array_size (return k)
+         (oneof [ oneofl [ 0.0; 0.1; 0.25; 0.5 ]; float_range 0.0 1.0 ]))
+  in
+  let* reserves = pair (int_range 0 4) (int_range 0 7) in
+  return (k, live, holes, order, retired, bids, prems, ctr, reserves)
+
+(* The live counts at and around the regime boundaries: live <= k+1,
+   k+1 < live < 2(k+1) and live >= 2(k+1) are all present for every k. *)
+let boundary_lives k =
+  [ 0; 1; k; k + 1; k + 2; (2 * k) + 1; (2 * k) + 2; (2 * k) + 3; 5 * k ]
+
+let gen_flat_case =
+  let open QCheck2.Gen in
+  let* k = int_range 1 6 in
+  let* live = oneofl (boundary_lives k) in
+  gen_flat_case_at ~k ~live
+
+let flat_case_matches (k, live, holes, order, retired, bids, prems, ctr, (r1, r2))
+    =
+  let n = Array.length ctr in
+  let store =
+    Sstore.create_flat ~num_keywords:1 ~n ~budgets:(Array.make n (-1))
+      ~targets:(Array.make n 1.0) ()
+  in
+  Array.iteri
+    (fun i bid ->
+      Sstore.flat_enroll store ~keyword:0 ~adv:order.(i) ~value:50 ~maxbid:50
+        ~bid ~premium:prems.(i))
+    bids;
+  for h = 0 to holes - 1 do
+    Sstore.flat_retire store ~keyword:0 ~adv:order.(retired.(h))
+  done;
+  let x = flat_ctx ~ctr ~k store in
+  let fv = Sstore.flat_view store ~keyword:0 in
+  assert (fv.Sstore.fv_live = live);
+  let cap = (Sstore.flat_stats store ~keyword:0).Sstore.fs_capacity in
+  let s = Mechanism.make_scratch ~n:cap ~k ~with_w:false ~flat:true in
+  List.for_all
+    (fun reserve ->
+      let a_ref, top, ncand = reference_flat_wd x ~reserve ~keyword:0 in
+      let p_ref = reference_gsp_flat x ~reserve ~assignment:a_ref ~top in
+      Mechanism.reset_wd_stats s;
+      let a, winners =
+        Mechanism.flat_winner_determination x s ~reserve ~keyword:0
+      in
+      let p =
+        Mechanism.gsp_from_top_flat x s ~reserve ~keyword:0 ~assignment:a
+          ~winners
+      in
+      if a <> a_ref || p <> p_ref || s.Mechanism.wd_reduced <> ncand then
+        QCheck2.Test.fail_reportf "k=%d live=%d reserve=%d: %s" k live reserve
+          (if a <> a_ref then "assignments differ"
+           else if p <> p_ref then "prices differ"
+           else
+             Printf.sprintf "candidates %d vs %d" s.Mechanism.wd_reduced ncand);
+      Array.for_all2
+        (fun cell slot ->
+          match cell with
+          | None -> slot = -1
+          | Some gid -> fv.Sstore.fv_members.(slot) = gid)
+        a winners)
+    [ r1; r2 ]
+
+let prop_flat_wd_equals_reference =
+  qtest ~count:1000 "flat WD + GSP = list-based reference" gen_flat_case
+    flat_case_matches
+
+(* Every (k, boundary live count) pair at fixed seeds, so each selection
+   regime is exercised on every run, whatever the property drew. *)
+let test_flat_wd_every_regime () =
+  for k = 1 to 6 do
+    List.iter
+      (fun live ->
+        for seed = 0 to 4 do
+          let rand = Random.State.make [| k; live; seed |] in
+          let case = QCheck2.Gen.generate1 ~rand (gen_flat_case_at ~k ~live) in
+          if not (flat_case_matches case) then
+            Alcotest.failf "k=%d live=%d seed=%d: winner slots disagree" k
+              live seed
+        done)
+      (boundary_lives k)
+  done
+
+let regime ~k ~live =
+  if live <= k + 1 then 0 else if live < 2 * (k + 1) then 1 else 2
+
+(* Served-stream pin: a fixed-seed flat churn universe whose head
+   partitions straddle k+1 and 2(k+1) live members, so the stream runs
+   winner determination in all three selection regimes.  The digest of
+   every summary's (assignment, prices, clicks, revenue) was computed
+   with the list-based flat winner determination and the previous LAP;
+   the engine must reproduce it bit-for-bit. *)
+let test_served_stream_pin () =
+  let u =
+    Workload.universe ~keywords:50 ~n:650 ~zipf_s:1.1 ~budgeted_fraction:0.3
+      ~brand_fraction:0.3 ~seed:41 ()
+  in
+  let q = Workload.universe_queries u ~seed:42 ~count:4000 in
+  let store = Workload.universe_store ~churn:0.02 u () in
+  let engine =
+    Workload.make_flat_engine ~cache:false ~update_every:1 ~mechanism:`Classic
+      u ~store
+  in
+  let k = Engine.k engine in
+  let regimes = Array.make 3 0 in
+  let outcomes =
+    Array.map
+      (fun kw ->
+        let s = Engine.run_partitioned engine ~keyword:kw in
+        let live = (Sstore.flat_view store ~keyword:kw).Sstore.fv_live in
+        let rg = regime ~k ~live in
+        regimes.(rg) <- regimes.(rg) + 1;
+        (s.Engine.assignment, s.Engine.prices, s.Engine.clicks, s.Engine.revenue))
+      q
+  in
+  Alcotest.(check (array int)) "auctions per selection regime"
+    [| 88; 3692; 220 |] regimes;
+  Alcotest.(check string) "summary digest" "942d5f0691f500cf370de0d2fe6476f2"
+    (Digest.to_hex (Digest.string (Marshal.to_string outcomes [])))
+
+(* ------------------------------------------------------------------ *)
 (* Stable matching: the solver's fixed point has no blocking pair.  A
    candidate would deviate to slot [j] when the effective price there
    (current price, +1 cent if occupied — the auction's ε) is within its
@@ -389,6 +677,14 @@ let () =
           prop_cache_twin_reserve_dense;
           prop_cache_twin_stable_flat;
           prop_cache_twin_reserve_flat;
+        ] );
+      ( "flat_wd",
+        [
+          prop_flat_wd_equals_reference;
+          Alcotest.test_case "every selection regime, fixed seeds" `Quick
+            test_flat_wd_every_regime;
+          Alcotest.test_case "served stream pinned" `Quick
+            test_served_stream_pin;
         ] );
       ( "stable_match",
         [
