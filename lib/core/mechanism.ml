@@ -193,11 +193,11 @@ let rh_top_lists x s ~reserve ~keyword ~count =
 
    Sorted access on the maintained bid lists is an inline merge of the
    fleet's persistent sorted views ({!Essa_strategy.Roi_fleet.sorted_views}):
-   flat arrays that survive across consecutive auctions of the keyword
-   until a list structurally changes — the TA-resume state.  The seen set
-   is a stamp array and the top-(k+1) buffer an insertion-sorted pair of
-   parallel arrays, both in the per-auction scratch, so a TA open
-   allocates nothing but the k result lists. *)
+   for logical fleets, the adjustment lists' own sorted arrays, read in
+   place with no per-auction copy.  The seen set is a stamp array and the
+   top-(k+1) buffer an insertion-sorted pair of parallel arrays, both in
+   the per-auction scratch, so a TA open allocates nothing but the k
+   result lists. *)
 let ta_top_lists_fast x s ~reserve ~keyword ~count =
   let views = Essa_strategy.Roi_fleet.sorted_views x.x_fleet ~keyword in
   let nv = Array.length views in

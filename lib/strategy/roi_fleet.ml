@@ -180,13 +180,15 @@ let effective_bid ls ~adv ~keyword =
   ls.stored.(keyword).(adv)
   + Adjustment_list.adjustment (list_of ls ~keyword ls.tag.(keyword).(adv))
 
-(* Move [adv] into the list dictated by its current condition, installing
-   the bound trigger that will evict it when the shared adjustment carries
-   its bid to a boundary.  The caller has already removed it from its
-   previous list.  [amt] is the spend reading classification uses: the
-   live cell on the serial path, the auction's snapshot entry on the
-   partitioned path. *)
-let place ls states ~adv ~keyword ~time ~effective ~amt =
+(* Decide the list [adv] belongs in under its current condition, arm the
+   bound trigger that will evict it when the shared adjustment carries its
+   bid to a boundary, and update the mirrors; return that list and the
+   effective bid to insert at.  The caller has already removed [adv] from
+   its previous list, and inserts it: one cell at a time ([place]) or a
+   batch per list ([insert_seated]).  [amt] is the spend reading
+   classification uses: the live cell on the serial path, the auction's
+   snapshot entry on the partitioned path. *)
+let seat ls states ~adv ~keyword ~time ~effective ~amt =
   let st = states.(adv) in
   ls.l_epoch.(keyword) <- ls.l_epoch.(keyword) + 1;
   ls.cell_version.(keyword).(adv) <- ls.cell_version.(keyword).(adv) + 1;
@@ -195,49 +197,58 @@ let place ls states ~adv ~keyword ~time ~effective ~amt =
   (* Budget exhaustion retires the bid: mirror Roi_state.record_win, which
      zeroes every bid the moment the budget is reached. *)
   let effective = if Roi_state.exhausted_at st ~amt then 0 else effective in
-  match
-    Roi_state.classify ~budget:(Roi_state.budget st) ~amt_spent:amt
-      ~target_rate:(Roi_state.target_rate st) ~time ~bid:effective ~maxbid
-  with
-  | Roi_state.Inc ->
-      let list = ls.inc.(keyword) in
-      Adjustment_list.insert list ~id:adv ~effective;
-      ls.tag.(keyword).(adv) <- In_inc;
-      let stored = effective - Adjustment_list.adjustment list in
-      ls.stored.(keyword).(adv) <- stored;
+  let tag =
+    match
+      Roi_state.classify ~budget:(Roi_state.budget st) ~amt_spent:amt
+        ~target_rate:(Roi_state.target_rate st) ~time ~bid:effective ~maxbid
+    with
+    | Roi_state.Inc -> In_inc
+    | Roi_state.Dec -> In_dec
+    | Roi_state.Stay -> In_const
+  in
+  let list = list_of ls ~keyword tag in
+  let stored = effective - Adjustment_list.adjustment list in
+  ls.tag.(keyword).(adv) <- tag;
+  ls.stored.(keyword).(adv) <- stored;
+  (match tag with
+  | In_inc ->
       Essa_util.Min_heap.push ls.inc_bounds.(keyword)
         ~priority:(float_of_int (maxbid - stored))
         (adv, version)
-  | Roi_state.Dec ->
-      let list = ls.dec.(keyword) in
-      Adjustment_list.insert list ~id:adv ~effective;
-      ls.tag.(keyword).(adv) <- In_dec;
-      let stored = effective - Adjustment_list.adjustment list in
-      ls.stored.(keyword).(adv) <- stored;
+  | In_dec ->
       Essa_util.Min_heap.push ls.dec_bounds.(keyword)
         ~priority:(float_of_int stored)
         (adv, version)
-  | Roi_state.Stay ->
-      let list = ls.const_.(keyword) in
-      Adjustment_list.insert list ~id:adv ~effective;
-      ls.tag.(keyword).(adv) <- In_const;
-      ls.stored.(keyword).(adv) <- effective - Adjustment_list.adjustment list
+  | In_const -> ());
+  (list, effective)
 
-let remove_from_current ls ~adv ~keyword =
-  let list = list_of ls ~keyword ls.tag.(keyword).(adv) in
-  let effective = ls.stored.(keyword).(adv) + Adjustment_list.adjustment list in
-  Adjustment_list.remove list ~id:adv;
-  effective
+let place ls states ~adv ~keyword ~time ~effective ~amt =
+  let list, effective = seat ls states ~adv ~keyword ~time ~effective ~amt in
+  Adjustment_list.insert list ~id:adv ~effective
+
+(* Insert seated (adv, list, effective) cells of one keyword, one merge
+   per list: a batch of m moves costs one pass over each list instead of
+   m shifts. *)
+let insert_seated ls ~keyword seated =
+  List.iter
+    (fun list ->
+      match
+        List.filter_map
+          (fun (adv, l, effective) -> if l == list then Some (adv, effective) else None)
+          seated
+      with
+      | [] -> ()
+      | entries -> Adjustment_list.insert_many list entries)
+    [ ls.inc.(keyword); ls.dec.(keyword); ls.const_.(keyword) ]
 
 (* Re-seat one (adv, keyword) cell against a spend reading, skipping the
-   tree remove/insert when neither the list membership nor the stored bid
+   list remove/insert when neither the list membership nor the stored bid
    would change — the common case after a win: spend moved but the
    classification on most keywords did not.  The skip leaves the cell's
    version and its pending bound trigger untouched; both remain valid
    because tag and stored bid are exactly what they were when the trigger
-   was armed.  It also leaves the adjustment lists structurally unchanged,
-   which keeps their flattened sorted-array caches (the TA-resume state)
-   alive across wins. *)
+   was armed.  It also spares the two O(n) shifts a move between sorted
+   arrays costs. *)
 let reseat ls states ~adv ~keyword ~time ~amt =
   let tag = ls.tag.(keyword).(adv) in
   let list = list_of ls ~keyword tag in
@@ -303,17 +314,36 @@ let fire_bound_triggers ?amt_of ls states ~time ~keyword =
     | Some f -> f
     | None -> fun adv -> Roi_state.amt_spent states.(adv)
   in
+  (* Every due cell leaves the heap's list in one batch: one removal pass
+     and one merge per destination list.  A bulk adjustment can carry
+     hundreds of bids to a boundary at once (all members that entered at
+     the same distance from it), and a shift per move would then cost
+     hundreds of passes over a list. *)
   let fire_heap heap threshold expected_tag =
-    List.iter
-      (fun (_, (adv, version)) ->
-        if
-          version = ls.cell_version.(keyword).(adv)
-          && ls.tag.(keyword).(adv) = expected_tag
-        then begin
-          let effective = remove_from_current ls ~adv ~keyword in
-          place ls states ~adv ~keyword ~time ~effective ~amt:(amt_of adv)
-        end)
-      (Essa_util.Min_heap.pop_le heap threshold)
+    let list = list_of ls ~keyword expected_tag in
+    let moved =
+      List.filter_map
+        (fun (_, (adv, version)) ->
+          if
+            version = ls.cell_version.(keyword).(adv)
+            && ls.tag.(keyword).(adv) = expected_tag
+          then begin
+            let effective =
+              ls.stored.(keyword).(adv) + Adjustment_list.adjustment list
+            in
+            let dest, effective =
+              seat ls states ~adv ~keyword ~time ~effective ~amt:(amt_of adv)
+            in
+            Some (adv, dest, effective)
+          end
+          else None)
+        (Essa_util.Min_heap.pop_le heap threshold)
+    in
+    match moved with
+    | [] -> ()
+    | _ ->
+        Adjustment_list.remove_many list (List.map (fun (adv, _, _) -> adv) moved);
+        insert_seated ls ~keyword moved
   in
   fire_heap ls.inc_bounds.(keyword)
     (float_of_int (Adjustment_list.adjustment ls.inc.(keyword)))
@@ -463,14 +493,19 @@ let logical_state_of states ~nk =
       stored = Array.make_matrix nk n 0;
     }
   in
-  for adv = 0 to n - 1 do
-    for keyword = 0 to nk - 1 do
+  for keyword = 0 to nk - 1 do
+    let seated = ref [] in
+    for adv = 0 to n - 1 do
       (* Fresh states have spent nothing, so they are underspending at
          every time until their first win; placement at time 1 is safe. *)
-      place ls states ~adv ~keyword ~time:1
-        ~effective:(Roi_state.bid states.(adv) ~keyword)
-        ~amt:(Roi_state.amt_spent states.(adv))
-    done
+      let list, effective =
+        seat ls states ~adv ~keyword ~time:1
+          ~effective:(Roi_state.bid states.(adv) ~keyword)
+          ~amt:(Roi_state.amt_spent states.(adv))
+      in
+      seated := (adv, list, effective) :: !seated
+    done;
+    insert_seated ls ~keyword !seated
   done;
   ls
 

@@ -118,11 +118,11 @@ val sorted_views : t -> keyword:int -> sorted_view array
     allocation-free sorted-access form the auction engine's threshold
     algorithm consumes.  Explicit strategies return one view aliasing the
     persistent {!Bid_index} arrays (repaired incrementally); logical
-    strategies return the inc/dec/const lists as cached flattenings that
-    survive bulk adjustments and are recomputed only when a list
-    structurally changed — the TA-resume state across consecutive
-    auctions of a keyword.  The views alias internal state: read-only,
-    valid until the next fleet mutation on this keyword. *)
+    strategies return the inc/dec/const lists' own sorted arrays
+    ({!Adjustment_list.sorted_arrays}), kept in order by every insert and
+    remove, with the shared adjustment as [sv_adjust] — nothing is
+    flattened or copied per read.  The views alias internal state:
+    read-only, valid until the next fleet mutation on this keyword. *)
 
 val record_win :
   t -> time:int -> adv:int -> keyword:int -> price:int -> clicked:bool -> unit

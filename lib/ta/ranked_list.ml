@@ -10,32 +10,23 @@ end
 
 module M = Map.Make (Key)
 
-type t = {
-  mutable tree : unit M.t;
-  index : (int, float) Hashtbl.t;
-  (* Bumped on every structural change (insert/remove); lets callers cache
-     a flattened traversal and revalidate in O(1). *)
-  mutable version : int;
-}
+type t = { mutable tree : unit M.t; index : (int, float) Hashtbl.t }
 
-let create () = { tree = M.empty; index = Hashtbl.create 64; version = 0 }
+let create () = { tree = M.empty; index = Hashtbl.create 64 }
 
 let size t = Hashtbl.length t.index
-let version t = t.version
 
 let remove t ~id =
   match Hashtbl.find_opt t.index id with
   | None -> ()
   | Some score ->
       t.tree <- M.remove (score, id) t.tree;
-      Hashtbl.remove t.index id;
-      t.version <- t.version + 1
+      Hashtbl.remove t.index id
 
 let insert t ~id ~value =
   remove t ~id;
   t.tree <- M.add (value, id) () t.tree;
-  Hashtbl.replace t.index id value;
-  t.version <- t.version + 1
+  Hashtbl.replace t.index id value
 
 let of_array entries =
   let t = create () in
@@ -51,10 +42,5 @@ let max_entry t =
   | Some ((score, id), ()) -> Some (id, score)
 
 let to_seq_desc t = Seq.map (fun ((score, id), ()) -> (id, score)) (M.to_seq t.tree)
-
-(* Same traversal order as [to_seq_desc] (Map iteration follows the key
-   order: score descending, id ascending) without the Seq nodes — the
-   flattening primitive behind cached sorted-array views. *)
-let iter_desc t f = M.iter (fun (score, id) () -> f id score) t.tree
 
 let to_list_desc t = List.of_seq (to_seq_desc t)

@@ -5,7 +5,10 @@
     parameter; when the auction's k winners update their parameters, only
     their positions move ("O(|Yj| · k · log n)" in the paper).  Backed by a
     balanced tree (stdlib [Map]) keyed by (score desc, id asc) plus an
-    id → score index. *)
+    id → score index.  Serves the ramp fleet's per-parameter lists; the
+    Section IV-B logical-update lists are flat sorted arrays instead
+    ([Essa_strategy.Adjustment_list]), read in place by the engine's
+    threshold algorithm. *)
 
 type t
 
@@ -15,13 +18,6 @@ val of_array : (int * float) array -> t
 (** Bulk build; later ids win on duplicate ids. *)
 
 val size : t -> int
-
-val version : t -> int
-(** Monotone structural version: bumped by every effective {!insert} /
-    {!remove}.  Two reads returning the same version bracket a window with
-    no structural change, so a flattened copy of the traversal taken in
-    between is still valid — the revalidation handle for cached
-    sorted-array views (the TA-resume state of the auction hot path). *)
 
 val insert : t -> id:int -> value:float -> unit
 (** Add or reposition [id] at [value]. *)
@@ -41,8 +37,3 @@ val to_seq_desc : t -> (int * float) Seq.t
     the list as of the call; do not mutate during traversal. *)
 
 val to_list_desc : t -> (int * float) list
-
-val iter_desc : t -> (int -> float -> unit) -> unit
-(** [iter_desc t f] calls [f id score] in the same descending order as
-    {!to_seq_desc}, with no intermediate allocation.  Do not mutate during
-    the iteration. *)

@@ -189,6 +189,230 @@ let test_adjustment_list_seq_snapshot () =
   (* The previously created sequence must reflect the state at call time. *)
   Alcotest.(check (list (pair int int))) "snapshot" [ (1, 5) ] (List.of_seq s)
 
+(* The reference: the tree-backed adjustment list the sorted-array one
+   replaced, kept verbatim (over a verbatim copy of the parts of the
+   ranked list it used, structural version and all) as the oracle for
+   the property below. *)
+module Ref_ranked_list = struct
+  module Key = struct
+    type t = float * int  (* score, id *)
+
+    (* Descending by score, ascending by id — a strict total order, so the
+       map never conflates distinct objects with equal scores. *)
+    let compare (sa, ia) (sb, ib) =
+      let c = Float.compare sb sa in
+      if c <> 0 then c else Int.compare ia ib
+  end
+
+  module M = Map.Make (Key)
+
+  type t = {
+    mutable tree : unit M.t;
+    index : (int, float) Hashtbl.t;
+    (* Bumped on every structural change (insert/remove); lets callers cache
+       a flattened traversal and revalidate in O(1). *)
+    mutable version : int;
+  }
+
+  let create () = { tree = M.empty; index = Hashtbl.create 64; version = 0 }
+
+  let size t = Hashtbl.length t.index
+  let version t = t.version
+
+  let remove t ~id =
+    match Hashtbl.find_opt t.index id with
+    | None -> ()
+    | Some score ->
+        t.tree <- M.remove (score, id) t.tree;
+        Hashtbl.remove t.index id;
+        t.version <- t.version + 1
+
+  let insert t ~id ~value =
+    remove t ~id;
+    t.tree <- M.add (value, id) () t.tree;
+    Hashtbl.replace t.index id value;
+    t.version <- t.version + 1
+
+  let value_of t id = Hashtbl.find_opt t.index id
+  let mem t id = Hashtbl.mem t.index id
+
+  let to_seq_desc t = Seq.map (fun ((score, id), ()) -> (id, score)) (M.to_seq t.tree)
+
+  (* Same traversal order as [to_seq_desc] (Map iteration follows the key
+     order: score descending, id ascending) without the Seq nodes — the
+     flattening primitive behind cached sorted-array views. *)
+  let iter_desc t f = M.iter (fun (score, id) () -> f id score) t.tree
+end
+
+module Ref_adjustment_list = struct
+  type t = {
+    ranked : Ref_ranked_list.t;  (* scores are stored (pre-adjustment) bids *)
+    mutable adjustment : int;
+    (* Cached flattening of [ranked] in descending order, revalidated
+       against the ranked list's structural version.  [bulk_adjust] does not
+       invalidate it: stored bids and their order are untouched — the shared
+       offset is applied per read.  This is the TA-resume state: consecutive
+       auctions on a keyword reuse the flat arrays instead of re-walking the
+       tree. *)
+    mutable cache_ids : int array;
+    mutable cache_stored : int array;
+    mutable cache_len : int;
+    mutable cache_version : int;
+  }
+
+  let create () =
+    {
+      ranked = Ref_ranked_list.create ();
+      adjustment = 0;
+      cache_ids = [||];
+      cache_stored = [||];
+      cache_len = 0;
+      cache_version = -1;
+    }
+
+  let size t = Ref_ranked_list.size t.ranked
+  let adjustment t = t.adjustment
+  let bulk_adjust t delta = t.adjustment <- t.adjustment + delta
+
+  let insert t ~id ~effective =
+    Ref_ranked_list.insert t.ranked ~id ~value:(float_of_int (effective - t.adjustment))
+
+  let remove t ~id = Ref_ranked_list.remove t.ranked ~id
+  let mem t id = Ref_ranked_list.mem t.ranked id
+
+  let stored_of t id =
+    Option.map int_of_float (Ref_ranked_list.value_of t.ranked id)
+
+  let effective_of t id = Option.map (fun s -> s + t.adjustment) (stored_of t id)
+
+  let to_seq_desc t =
+    (* Capture the adjustment now: the sequence is consumed lazily and must
+       reflect the list as of this call. *)
+    let adjustment = t.adjustment in
+    Seq.map
+      (fun (id, stored) -> (id, int_of_float stored + adjustment))
+      (Ref_ranked_list.to_seq_desc t.ranked)
+
+  let sorted_arrays t =
+    let v = Ref_ranked_list.version t.ranked in
+    if t.cache_version <> v then begin
+      let n = Ref_ranked_list.size t.ranked in
+      if Array.length t.cache_ids < n then begin
+        let cap = max 16 (2 * n) in
+        t.cache_ids <- Array.make cap 0;
+        t.cache_stored <- Array.make cap 0
+      end;
+      let i = ref 0 in
+      Ref_ranked_list.iter_desc t.ranked (fun id stored ->
+          t.cache_ids.(!i) <- id;
+          t.cache_stored.(!i) <- int_of_float stored;
+          incr i);
+      t.cache_len <- !i;
+      t.cache_version <- v
+    end;
+    (t.cache_ids, t.cache_stored, t.cache_len)
+end
+
+type list_op =
+  | Insert of int * int
+  | Remove of int
+  | Bulk of int
+  | Insert_many of (int * int) list
+  | Remove_many of int list
+
+(* Ids come mostly from a small pool, so inserts repeat ids and removes
+   hit present ones, with an occasional id near 3000 so both the sorted
+   arrays and the by-id mirror grow past their first capacity.  Narrow
+   bid ranges force ties, which break by id. *)
+let gen_list_ops =
+  QCheck2.Gen.(
+    let id = frequency [ (6, int_range 0 24); (1, int_range 0 3000) ] in
+    list_size (int_range 0 150)
+      (frequency
+         [
+           (5, map2 (fun id e -> Insert (id, e)) id (int_range (-4) 12));
+           (2, map (fun id -> Remove id) id);
+           (2, map (fun d -> Bulk d) (int_range (-3) 3));
+           ( 2,
+             map
+               (fun l -> Insert_many l)
+               (list_size (int_range 0 12) (pair id (int_range (-4) 12))) );
+           (1, map (fun l -> Remove_many l) (list_size (int_range 0 12) id));
+         ]))
+
+let prop_adjustment_list_matches_reference =
+  qtest ~count:300 "sorted arrays = tree-backed reference" gen_list_ops
+    (fun ops ->
+      let l = Adjustment_list.create () and r = Ref_adjustment_list.create () in
+      let touched = ref [ -1; 3001; 5000 ] in
+      List.iteri
+        (fun step op ->
+          (match op with
+          | Insert (id, effective) ->
+              touched := id :: !touched;
+              Adjustment_list.insert l ~id ~effective;
+              Ref_adjustment_list.insert r ~id ~effective
+          | Remove id ->
+              Adjustment_list.remove l ~id;
+              Ref_adjustment_list.remove r ~id
+          | Bulk d ->
+              Adjustment_list.bulk_adjust l d;
+              Ref_adjustment_list.bulk_adjust r d
+          | Insert_many entries -> (
+              let ids = List.map fst entries in
+              touched := ids @ !touched;
+              (* Valid batches hold distinct non-members; any other batch
+                 must be rejected with the list untouched. *)
+              let valid =
+                List.length (List.sort_uniq compare ids) = List.length ids
+                && not (List.exists (Ref_adjustment_list.mem r) ids)
+              in
+              match Adjustment_list.insert_many l entries with
+              | () ->
+                  if not valid then
+                    QCheck2.Test.fail_reportf "step %%d: invalid batch accepted" step;
+                  List.iter
+                    (fun (id, effective) -> Ref_adjustment_list.insert r ~id ~effective)
+                    entries
+              | exception Invalid_argument _ ->
+                  if valid then
+                    QCheck2.Test.fail_reportf "step %%d: valid batch rejected" step)
+          | Remove_many ids ->
+              Adjustment_list.remove_many l ids;
+              List.iter (fun id -> Ref_adjustment_list.remove r ~id) ids);
+          let fail what = QCheck2.Test.fail_reportf "step %d: %s differ" step what in
+          let prefix (ids, stored, len) =
+            (Array.sub ids 0 len, Array.sub stored 0 len)
+          in
+          if prefix (Adjustment_list.sorted_arrays l)
+             <> prefix (Ref_adjustment_list.sorted_arrays r)
+          then fail "sorted arrays";
+          if List.of_seq (Adjustment_list.to_seq_desc l)
+             <> List.of_seq (Ref_adjustment_list.to_seq_desc r)
+          then fail "to_seq_desc";
+          if Adjustment_list.size l <> Ref_adjustment_list.size r then fail "size";
+          if Adjustment_list.adjustment l <> Ref_adjustment_list.adjustment r then
+            fail "adjustment";
+          List.iter
+            (fun id ->
+              if Adjustment_list.mem l id <> Ref_adjustment_list.mem r id then
+                fail (Printf.sprintf "mem %d" id);
+              if Adjustment_list.stored_of l id <> Ref_adjustment_list.stored_of r id
+              then fail (Printf.sprintf "stored_of %d" id);
+              if Adjustment_list.effective_of l id
+                 <> Ref_adjustment_list.effective_of r id
+              then fail (Printf.sprintf "effective_of %d" id))
+            !touched)
+        ops;
+      true)
+
+let test_adjustment_list_rejects_negative_id () =
+  let l = Adjustment_list.create () in
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Adjustment_list: negative id") (fun () ->
+      Adjustment_list.insert l ~id:(-1) ~effective:3);
+  Alcotest.(check int) "still empty" 0 (Adjustment_list.size l)
+
 (* ------------------------------------------------------------------ *)
 (* Sql_program: the paper's Fig. 4 -> Fig. 6 example *)
 
@@ -1349,6 +1573,102 @@ let test_ramp_ta_sublinear_on_skew () =
   in
   Alcotest.(check bool) "saw far fewer than n" true (stats.seen_objects < n / 2)
 
+(* ------------------------------------------------------------------ *)
+(* Section IV at bench scale: 1000 advertisers on 10 keywords, so each
+   keyword's constant list holds nearly all of them and every move
+   between lists shifts deep into a long list.  The digests of every
+   summary's (assignment, prices, clicks, revenue, spend_snapshot) and
+   the threshold-algorithm and reduction counters were computed with the
+   tree-backed adjustment lists; the engine must reproduce them
+   bit-for-bit. *)
+
+let bench_scale_workload () =
+  Essa_sim.Workload.section5 ~seed:1 ~n:1000 ~k:15 ~num_keywords:10 ()
+
+let check_scale_pin ~digest ~counters metrics summaries =
+  let rows =
+    Array.map
+      (fun s ->
+        Essa.Engine.
+          (s.assignment, s.prices, s.clicks, s.revenue, s.spend_snapshot))
+      summaries
+  in
+  Alcotest.(check string) "summary digest" digest
+    (Digest.to_hex (Digest.string (Marshal.to_string rows [])));
+  List.iter
+    (fun (name, expected) ->
+      match Essa_obs.Registry.find metrics name with
+      | Some (Essa_obs.Registry.Counter c) ->
+          Alcotest.(check int) name expected (Essa_obs.Counter.value c)
+      | _ -> Alcotest.failf "%s missing" name)
+    counters
+
+(* Dense partitioned RHTALU through [run_partitioned]: the first, third
+   and fifth 500-query stretches run unbatched; in the others each window
+   of 8 queries is grouped by keyword into [batch_start] runs, as the
+   serving batcher groups them. *)
+let test_bench_scale_partitioned_pin () =
+  let w = bench_scale_workload () in
+  let metrics = Essa_obs.Registry.create () in
+  let engine =
+    Essa_sim.Workload.make_engine ~metrics ~partitioned:true ~cache:false
+      ~update_every:1 ~mechanism:`Classic w ~method_:`Rhtalu
+  in
+  let q = Essa_sim.Workload.queries w ~seed:2 ~count:3000 in
+  let out = ref [] in
+  let run ?batch kw =
+    out := Essa.Engine.run_partitioned ?batch engine ~keyword:kw :: !out
+  in
+  let i = ref 0 in
+  while !i < Array.length q do
+    if !i / 500 mod 2 = 0 then begin
+      run q.(!i);
+      incr i
+    end
+    else begin
+      let window = Array.sub q !i (min 8 (Array.length q - !i)) in
+      List.iter
+        (fun kw ->
+          let batch = Essa.Engine.batch_start engine ~keyword:kw in
+          Array.iter (fun k -> if k = kw then run ~batch kw) window)
+        (List.sort_uniq compare (Array.to_list window));
+      i := !i + Array.length window
+    end
+  done;
+  check_scale_pin ~digest:"0be85351cc659537957352c0baa4d2ed"
+    ~counters:
+      [
+        ("essa.ta.sorted_accesses", 5060003);
+        ("essa.ta.random_accesses", 10151809);
+        ("essa.ta.seen_objects", 4899681);
+        ("essa.reduction.candidates", 179227);
+      ]
+    metrics
+    (Array.of_list (List.rev !out))
+
+(* Serial RHTALU: the [Logical] fleet on one global clock. *)
+let test_bench_scale_serial_pin () =
+  let w = bench_scale_workload () in
+  let metrics = Essa_obs.Registry.create () in
+  let engine =
+    Essa_sim.Workload.make_engine ~metrics ~cache:false ~update_every:1
+      ~mechanism:`Classic w ~method_:`Rhtalu
+  in
+  let summaries =
+    Array.map
+      (fun kw -> Essa.Engine.run_auction engine ~keyword:kw)
+      (Essa_sim.Workload.queries w ~seed:3 ~count:2000)
+  in
+  check_scale_pin ~digest:"7927ff599411018fb006f0aac567a21a"
+    ~counters:
+      [
+        ("essa.ta.sorted_accesses", 3415293);
+        ("essa.ta.random_accesses", 6822439);
+        ("essa.ta.seen_objects", 3299104);
+        ("essa.reduction.candidates", 122446);
+      ]
+    metrics summaries
+
 let () =
   Alcotest.run "essa_strategy"
     [
@@ -1371,6 +1691,9 @@ let () =
         [
           Alcotest.test_case "bulk adjust" `Quick test_adjustment_list;
           Alcotest.test_case "seq snapshot" `Quick test_adjustment_list_seq_snapshot;
+          prop_adjustment_list_matches_reference;
+          Alcotest.test_case "negative id rejected" `Quick
+            test_adjustment_list_rejects_negative_id;
         ] );
       ( "sql_program",
         [
@@ -1432,5 +1755,12 @@ let () =
           Alcotest.test_case "validation" `Quick test_ramp_validation;
           prop_ramp_ta_equals_naive;
           Alcotest.test_case "sublinear on skew" `Quick test_ramp_ta_sublinear_on_skew;
+        ] );
+      ( "section_iv_scale",
+        [
+          Alcotest.test_case "partitioned RHTALU pin" `Quick
+            test_bench_scale_partitioned_pin;
+          Alcotest.test_case "serial RHTALU pin" `Quick
+            test_bench_scale_serial_pin;
         ] );
     ]
