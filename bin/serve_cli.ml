@@ -585,9 +585,8 @@ let rebalance_every_t =
 let cache_t =
   Arg.(value & opt (some bool) None
        & info [ "cache" ]
-           ~doc:"Force the cross-auction evaluation cache on (true) or off \
-                 (false).  Default: on, unless the ESSA_NO_CACHE \
-                 environment variable is set to anything but \"\" or 0.")
+           ~doc:"Turn the cross-auction evaluation cache on (true) or off \
+                 (false).  Default: on.")
 
 let update_every_t =
   Arg.(value & opt int 1

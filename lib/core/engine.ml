@@ -159,12 +159,14 @@ type cache_entry = {
   ce_reduced : int;
 }
 
-(* Per-keyword execution state of the partitioned mode: an independent
-   click-sampling stream (split off the user seed by keyword), private
-   scratch, a private total-latency histogram (histograms are not
-   thread-safe; drained by [sync_partition_metrics]), and a local revenue
-   tally.  Exactly one lane owns each keyword, so no field needs
-   synchronization. *)
+(* Per-keyword execution state.  On a partitioned engine each keyword has
+   an independent click-sampling stream (split off the user seed by
+   keyword), private scratch and a private total-latency histogram
+   (histograms are not thread-safe; drained by [sync_partition_metrics]);
+   exactly one lane owns each keyword, so no field needs synchronization.
+   A serial engine's partitions share the engine's click RNG, scratch and
+   [essa.auction.total_ns] histogram, so only the cache entry, the
+   decimation counter and the revenue tally are per keyword. *)
 type epartition = {
   p_rng : Essa_util.Rng.t;
   mutable p_scratch : Mechanism.scratch;  (* replaced when a flat partition grows *)
@@ -175,7 +177,7 @@ type epartition = {
   mutable p_cache : cache_entry option;
   (* Auctions run on this partition — the bid-update decimation counter:
      the begin pass runs when [p_au_count mod update_every = 0], otherwise
-     the auction only ticks the keyword clock ([tick_p]). *)
+     the auction only advances the clock. *)
   mutable p_au_count : int;
   (* Durability only: the open decimation window's (assignment, prices),
      restored from a snapshot.  A dense engine rebuilt from bare states
@@ -200,19 +202,16 @@ type t = {
   mech : (module Mechanism.S);
   ctx : Mechanism.ctx;
   user_rng : Essa_util.Rng.t;
-  mutable time : int;
-  mutable total_revenue : int;
-  mutable auctions : int;
+  (* Serial engines: the scratch every keyword's partition shares. *)
   scratch : Mechanism.scratch;
-  (* Partitioned mode: per-keyword execution state (lazy — only auctioned
-     keywords allocate), and atomic cross-keyword tallies replacing the
-     three mutable counters above. *)
   is_partitioned : bool;
   (* Flat mode: the fleet is a {!Essa_strategy.Roi_fleet.flat_p} over a
      flat {!Sstore}; mechanisms take their slot-indexed paths and all
      n-sized / nk×n side structures in the ctx are empty. *)
   is_flat : bool;
+  (* Per-keyword execution state, lazy: only auctioned keywords allocate. *)
   partitions : epartition option array;
+  (* Cross-keyword tallies; a serial engine's clock is its auction count. *)
   a_revenue : int Atomic.t;
   a_auctions : int Atomic.t;
   (* Monotonic ns clock consulted by the deadline checks only (latency
@@ -220,11 +219,9 @@ type t = {
      can script exactly which check trips, without sleeps. *)
   clock : unit -> int64;
   (* Cross-auction evaluation cache, keyed on the fleet's per-keyword
-     dirty epoch.  Serial engines keep one entry per keyword here;
-     partitioned engines keep theirs in the (lane-private) epartition.
-     Degraded tiers bypass the cache entirely. *)
+     dirty epoch; the entries live in the partitions.  Degraded tiers
+     bypass the cache entirely. *)
   cache_on : bool;
-  caches : cache_entry option array;
   (* Bid-update decimation: programs update their bids on every
      [update_every]-th auction of a keyword; the auctions in between
      evaluate against unchanged bids (the production regime where queries
@@ -232,19 +229,10 @@ type t = {
      evaluation cache exploits).  1 (the default) is today's
      update-per-auction semantics, bit for bit. *)
   update_every : int;
-  au_counts : int array;  (* serial engines: per-keyword auction counts *)
   (* Per-phase latency histograms and event counters; updated on every
      auction at negligible (allocation-free) cost. *)
   m : engine_metrics;
 }
-
-(* Default cache policy: on, unless the environment opts out
-   (ESSA_NO_CACHE set to anything but the empty string or "0").  The
-   explicit [?cache] argument always wins. *)
-let cache_default () =
-  match Sys.getenv_opt "ESSA_NO_CACHE" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
 
 (* Resolve the mechanism selector to its first-class module.  [`Fixed]
    floors are validated here (both constructors funnel through). *)
@@ -265,24 +253,62 @@ let resolve_mechanism ~nk ~pricing (mechanism : mechanism) :
       | `Monopoly -> ());
       Reserve.make ~pricing rule
 
+(* Both constructors take an n × k click matrix: k > 0 slots, every row
+   of length k, every entry a probability.  Returns k. *)
+let check_ctr ~who ctr =
+  let k = Array.length ctr.(0) in
+  if k = 0 then invalid_arg (who ^ ": no slots");
+  Array.iter
+    (fun row ->
+      if Array.length row <> k then invalid_arg (who ^ ": ragged ctr");
+      Array.iter
+        (fun p ->
+          if not (p >= 0.0 && p <= 1.0) then
+            invalid_arg (who ^ ": click probability outside [0,1]"))
+        row)
+    ctr;
+  k
+
+(* The engine record of both constructors, built after their checks;
+   [ctx_of] completes the mechanism context once the metric handles
+   exist. *)
+let assemble ?metrics ~clock ~cache ~update_every ~mechanism ~pricing
+    ~partitioned ~flat ~ctr ~fleet ~scratch ~user_seed ctx_of =
+  let registry =
+    match metrics with Some r -> r | None -> Essa_obs.Registry.create ()
+  in
+  let m = engine_metrics registry in
+  let ctx : Mechanism.ctx = ctx_of m in
+  let nk = Essa_strategy.Roi_fleet.num_keywords fleet in
+  {
+    n = ctx.x_n;
+    k = ctx.x_k;
+    nk;
+    ctr;
+    fleet;
+    mech = resolve_mechanism ~nk ~pricing mechanism;
+    ctx;
+    user_rng = Essa_util.Rng.create user_seed;
+    scratch;
+    is_partitioned = partitioned;
+    is_flat = flat;
+    partitions = Array.make nk None;
+    a_revenue = Atomic.make 0;
+    a_auctions = Atomic.make 0;
+    clock;
+    cache_on = cache;
+    update_every;
+    m;
+  }
+
 let create ?metrics ?pool ?(parallel_threshold = 4096)
-    ?(clock = Essa_util.Timing.now_ns) ?(partitioned = false) ?cache
+    ?(clock = Essa_util.Timing.now_ns) ?(partitioned = false) ?(cache = true)
     ?(update_every = 1) ?(mechanism = `Classic) ~reserve ~pricing ~method_ ~ctr
     ~states ~user_seed () =
   if update_every < 1 then invalid_arg "Engine.create: update_every < 1";
   let n = Array.length ctr in
   if n = 0 then invalid_arg "Engine.create: no advertisers";
-  let k = Array.length ctr.(0) in
-  if k = 0 then invalid_arg "Engine.create: no slots";
-  Array.iter
-    (fun row ->
-      if Array.length row <> k then invalid_arg "Engine.create: ragged ctr";
-      Array.iter
-        (fun p ->
-          if not (p >= 0.0 && p <= 1.0) then
-            invalid_arg "Engine.create: click probability outside [0,1]")
-        row)
-    ctr;
+  let k = check_ctr ~who:"Engine.create" ctr in
   if Array.length states <> n then
     invalid_arg "Engine.create: states length <> ctr rows";
   (* Every state must agree on the keyword universe: [premiums] is sized
@@ -343,84 +369,44 @@ let create ?metrics ?pool ?(parallel_threshold = 4096)
   if reserve < 0 then invalid_arg "Engine.create: negative reserve";
   if parallel_threshold < 0 then
     invalid_arg "Engine.create: negative parallel threshold";
-  let registry =
-    match metrics with Some r -> r | None -> Essa_obs.Registry.create ()
-  in
   let split_ids = Array.map (Array.map fst) in
   let split_vals = Array.map (Array.map snd) in
-  let cache_on =
-    match cache with Some b -> b | None -> cache_default ()
+  (* The full-matrix buffer is only allocated when the mechanism's
+     winner determination can actually materialize it (naive methods,
+     or pooled `Rh): the sequential `Rh scan and the TA never touch an
+     n × k structure, and partitions never need it (pools are rejected
+     in partitioned mode and flat paths are slot-indexed). *)
+  let scratch =
+    Mechanism.make_scratch ~n ~k ~flat:false
+      ~with_w:(Mechanism.needs_w ~method_ ~pooled:(pool <> None))
   in
-  let m = engine_metrics registry in
-  let ctx =
-    {
-      Mechanism.x_method = method_;
-      x_n = n;
-      x_k = k;
-      x_reserve = reserve;
-      x_ctr = ctr;
-      x_ctr_sorted = ctr_sorted;
-      x_ctr_ids = split_ids ctr_sorted;
-      x_ctr_vals = split_vals ctr_sorted;
-      x_ctr_cols = Array.init k (fun j -> Array.init n (fun i -> ctr.(i).(j)));
-      x_premiums = premiums;
-      x_premium_sorted = premium_sorted;
-      x_prem_ids = split_ids premium_sorted;
-      x_prem_vals = split_vals premium_sorted;
-      x_fleet = fleet;
-      x_is_flat = false;
-      x_pool = pool;
-      x_parallel_threshold = parallel_threshold;
-      x_c_ta_sorted = m.c_ta_sorted;
-      x_c_ta_random = m.c_ta_random;
-      x_c_ta_seen = m.c_ta_seen;
-      x_c_reduced = m.c_reduced_candidates;
-    }
-  in
-  {
-    n;
-    k;
-    nk = Essa_strategy.Roi_fleet.num_keywords fleet;
-    ctr;
-    fleet;
-    mech = resolve_mechanism ~nk ~pricing mechanism;
-    ctx;
-    user_rng = Essa_util.Rng.create user_seed;
-    time = 0;
-    total_revenue = 0;
-    auctions = 0;
-    (* The full-matrix buffer is only allocated when the mechanism's
-       winner determination can actually materialize it (naive methods,
-       or pooled `Rh): the sequential `Rh scan and the TA never touch an
-       n × k structure, and partitions never need it (pools are rejected
-       in partitioned mode and flat paths are slot-indexed). *)
-    scratch =
-      Mechanism.make_scratch ~n ~k ~flat:false
-        ~with_w:
-          ((not partitioned)
-          && Mechanism.needs_w ~method_ ~pooled:(pool <> None));
-    is_partitioned = partitioned;
-    is_flat = false;
-    partitions =
-      (if partitioned then
-         Array.make (Essa_strategy.Roi_fleet.num_keywords fleet) None
-       else [||]);
-    a_revenue = Atomic.make 0;
-    a_auctions = Atomic.make 0;
-    clock;
-    cache_on;
-    caches =
-      (if cache_on && not partitioned then
-         Array.make (Essa_strategy.Roi_fleet.num_keywords fleet) None
-       else [||]);
-    update_every;
-    au_counts =
-      (if partitioned then [||]
-       else Array.make (Essa_strategy.Roi_fleet.num_keywords fleet) 0);
-    m;
-  }
+  assemble ?metrics ~clock ~cache ~update_every ~mechanism ~pricing
+    ~partitioned ~flat:false ~ctr ~fleet ~scratch ~user_seed (fun m ->
+      {
+        Mechanism.x_method = method_;
+        x_n = n;
+        x_k = k;
+        x_reserve = reserve;
+        x_ctr = ctr;
+        x_ctr_sorted = ctr_sorted;
+        x_ctr_ids = split_ids ctr_sorted;
+        x_ctr_vals = split_vals ctr_sorted;
+        x_ctr_cols = Array.init k (fun j -> Array.init n (fun i -> ctr.(i).(j)));
+        x_premiums = premiums;
+        x_premium_sorted = premium_sorted;
+        x_prem_ids = split_ids premium_sorted;
+        x_prem_vals = split_vals premium_sorted;
+        x_fleet = fleet;
+        x_is_flat = false;
+        x_pool = pool;
+        x_parallel_threshold = parallel_threshold;
+        x_c_ta_sorted = m.c_ta_sorted;
+        x_c_ta_random = m.c_ta_random;
+        x_c_ta_seen = m.c_ta_seen;
+        x_c_reduced = m.c_reduced_candidates;
+      })
 
-let create_flat ?metrics ?(clock = Essa_util.Timing.now_ns) ?cache
+let create_flat ?metrics ?(clock = Essa_util.Timing.now_ns) ?(cache = true)
     ?(update_every = 1) ?(mechanism = `Classic) ~reserve ~pricing ~ctr ~store
     ~user_seed () =
   if update_every < 1 then invalid_arg "Engine.create_flat: update_every < 1";
@@ -429,82 +415,44 @@ let create_flat ?metrics ?(clock = Essa_util.Timing.now_ns) ?cache
   let n = Sstore.flat_n store in
   if Array.length ctr <> n then
     invalid_arg "Engine.create_flat: ctr rows <> advertisers";
-  let k = Array.length ctr.(0) in
-  if k = 0 then invalid_arg "Engine.create_flat: no slots";
-  Array.iter
-    (fun row ->
-      if Array.length row <> k then invalid_arg "Engine.create_flat: ragged ctr";
-      Array.iter
-        (fun p ->
-          if not (p >= 0.0 && p <= 1.0) then
-            invalid_arg "Engine.create_flat: click probability outside [0,1]")
-        row)
-    ctr;
+  let k = check_ctr ~who:"Engine.create_flat" ctr in
   if reserve < 0 then invalid_arg "Engine.create_flat: negative reserve";
   (match pricing with
   | `Vcg ->
       invalid_arg "Engine.create_flat: VCG needs the dense pricing view"
   | `Gsp | `Pay_as_bid -> ());
   let fleet = Essa_strategy.Roi_fleet.flat_p store in
-  let registry =
-    match metrics with Some r -> r | None -> Essa_obs.Registry.create ()
-  in
-  let nk = Sstore.num_keywords store in
-  let m = engine_metrics registry in
-  let ctx =
-    {
-      Mechanism.x_method = `Rh;
-      x_n = n;
-      x_k = k;
-      x_reserve = reserve;
-      x_ctr = ctr;
-      (* All n-sized / nk×n side structures stay empty: at 10⁵ keywords ×
-         10⁵ advertisers they are exactly what the flat layout removes. *)
-      x_ctr_sorted = [||];
-      x_ctr_ids = [||];
-      x_ctr_vals = [||];
-      x_ctr_cols = [||];
-      x_premiums = [||];
-      x_premium_sorted = [||];
-      x_prem_ids = [||];
-      x_prem_vals = [||];
-      x_fleet = fleet;
-      x_is_flat = true;
-      x_pool = None;
-      x_parallel_threshold = max_int;
-      x_c_ta_sorted = m.c_ta_sorted;
-      x_c_ta_random = m.c_ta_random;
-      x_c_ta_seen = m.c_ta_seen;
-      x_c_reduced = m.c_reduced_candidates;
-    }
-  in
-  {
-    n;
-    k;
-    nk;
-    ctr;
-    fleet;
-    mech = resolve_mechanism ~nk ~pricing mechanism;
-    ctx;
-    user_rng = Essa_util.Rng.create user_seed;
-    time = 0;
-    total_revenue = 0;
-    auctions = 0;
-    scratch =
-      (* unused: the serial path raises *)
-      Mechanism.make_scratch ~n:1 ~k ~with_w:false ~flat:true;
-    is_partitioned = true;
-    is_flat = true;
-    partitions = Array.make nk None;
-    a_revenue = Atomic.make 0;
-    a_auctions = Atomic.make 0;
-    clock;
-    cache_on = (match cache with Some b -> b | None -> cache_default ());
-    caches = [||] (* partitioned: entries live in the epartitions *);
-    update_every;
-    au_counts = [||];
-    m;
-  }
+  assemble ?metrics ~clock ~cache ~update_every ~mechanism ~pricing
+    ~partitioned:true ~flat:true ~ctr ~fleet
+    ~scratch:(* unused: serial only *)
+      (Mechanism.make_scratch ~n:1 ~k ~with_w:false ~flat:true)
+    ~user_seed (fun m ->
+      {
+        Mechanism.x_method = `Rh;
+        x_n = n;
+        x_k = k;
+        x_reserve = reserve;
+        x_ctr = ctr;
+        (* All n-sized / nk×n side structures stay empty: at 10⁵ keywords
+           × 10⁵ advertisers they are exactly what the flat layout
+           removes. *)
+        x_ctr_sorted = [||];
+        x_ctr_ids = [||];
+        x_ctr_vals = [||];
+        x_ctr_cols = [||];
+        x_premiums = [||];
+        x_premium_sorted = [||];
+        x_prem_ids = [||];
+        x_prem_vals = [||];
+        x_fleet = fleet;
+        x_is_flat = true;
+        x_pool = None;
+        x_parallel_threshold = max_int;
+        x_c_ta_sorted = m.c_ta_sorted;
+        x_c_ta_random = m.c_ta_random;
+        x_c_ta_seen = m.c_ta_seen;
+        x_c_reduced = m.c_reduced_candidates;
+      })
 
 let cache_enabled t = t.cache_on
 
@@ -513,11 +461,9 @@ let k t = t.k
 let num_keywords t = t.nk
 let partitioned t = t.is_partitioned
 let is_flat t = t.is_flat
-let time t = if t.is_partitioned then Atomic.get t.a_auctions else t.time
-let total_revenue t =
-  if t.is_partitioned then Atomic.get t.a_revenue else t.total_revenue
-let auctions_run t =
-  if t.is_partitioned then Atomic.get t.a_auctions else t.auctions
+let auctions_run t = Atomic.get t.a_auctions
+let time = auctions_run
+let total_revenue t = Atomic.get t.a_revenue
 let fleet t = t.fleet
 let metrics t = t.m.registry
 
@@ -530,34 +476,40 @@ let keyword_time t ~keyword =
     invalid_arg "Engine.keyword_time: serial engine (one global clock)";
   Essa_strategy.Roi_fleet.keyword_time t.fleet ~keyword
 
-(* The owning lane initializes its keywords' partitions on first use;
-   cells are disjoint across lanes, so no synchronization is needed.  The
+(* A keyword's partition is made on its first auction, by the lane that
+   owns the keyword; cells are disjoint across lanes, so no
+   synchronization is needed.  (The [`Global] commit mode drives a serial
+   engine from several lanes one at a time, under its turnstile.)  The
    keyed RNG split is pure (the base stream is never advanced), so the
    partition family is independent of first-touch order. *)
 let partition_of t ~keyword =
   match t.partitions.(keyword) with
   | Some p -> p
   | None ->
-      (* Flat scratch is slot-indexed: size it to the keyword partition's
-         current capacity, not the fleet (it is re-made bigger if churn
-         grows the partition).  Partition scratches never carry the full
-         weight matrix: partitioned mode rejects pools, and those are the
-         only consumer ({!Mechanism.needs_w}). *)
-      let scratch_n =
-        if t.is_flat then
-          (Sstore.flat_stats
-             (Essa_strategy.Roi_fleet.store_of t.fleet)
-             ~keyword)
-            .Sstore.fs_capacity
-        else t.n
+      let rng, scratch, h_total =
+        if not t.is_partitioned then (t.user_rng, t.scratch, t.m.h_total)
+        else
+          (* Flat scratch is slot-indexed: size it to the keyword
+             partition's current capacity, not the fleet (it is re-made
+             bigger if churn grows the partition). *)
+          let scratch_n =
+            if t.is_flat then
+              (Sstore.flat_stats
+                 (Essa_strategy.Roi_fleet.store_of t.fleet)
+                 ~keyword)
+                .Sstore.fs_capacity
+            else t.n
+          in
+          ( Essa_util.Rng.split t.user_rng ~key:keyword,
+            Mechanism.make_scratch ~n:scratch_n ~k:t.k ~with_w:false
+              ~flat:t.is_flat,
+            Essa_obs.Histogram.create () )
       in
       let p =
         {
-          p_rng = Essa_util.Rng.split t.user_rng ~key:keyword;
-          p_scratch =
-            Mechanism.make_scratch ~n:scratch_n ~k:t.k ~with_w:false
-              ~flat:t.is_flat;
-          p_h_total = Essa_obs.Histogram.create ();
+          p_rng = rng;
+          p_scratch = scratch;
+          p_h_total = h_total;
           p_revenue = 0;
           p_cache = None;
           p_au_count = 0;
@@ -570,15 +522,14 @@ let partition_of t ~keyword =
 let bid t ~adv ~keyword = Essa_strategy.Roi_fleet.bid t.fleet ~adv ~keyword
 
 (* ------------------------------------------------------------------ *)
-(* Evaluation-cache plumbing shared by the serial and partitioned
-   drivers.  A probe compares the stored epoch with the keyword's current
-   one (read *after* the begin pass, so every mutation that could change
-   this auction's inputs has already been counted); hits skip winner
-   determination and pricing entirely, misses run them and store the
-   completed frontier.  Clicks, billing and win notifications always run
-   per auction — a hit consumes exactly the RNG draws and applies exactly
-   the state transitions of a cold run, which is what keeps cached and
-   uncached timelines bit-identical. *)
+(* Evaluation-cache plumbing.  A probe compares the stored epoch with the
+   keyword's current one (read *after* the begin pass, so every mutation
+   that could change this auction's inputs has already been counted);
+   hits skip winner determination and pricing entirely, misses run them
+   and store the completed frontier.  Clicks, billing and win
+   notifications always run per auction — a hit consumes exactly the RNG
+   draws and applies exactly the state transitions of a cold run, which
+   is what keeps cached and uncached timelines bit-identical. *)
 
 let cache_probe t ~epoch entry =
   match entry with
@@ -614,166 +565,6 @@ let cache_entry_of ~epoch (s : Mechanism.scratch) ~assignment ~prices =
     ce_reduced = s.Mechanism.wd_reduced;
   }
 
-let run_auction ?deadline_ns t ~keyword =
-  if keyword < 0 || keyword >= t.nk then
-    invalid_arg (Printf.sprintf "Engine.run_auction: keyword %d" keyword);
-  if t.is_partitioned then
-    invalid_arg "Engine.run_auction: partitioned engine (use run_partitioned)";
-  t.time <- t.time + 1;
-  t.auctions <- t.auctions + 1;
-  Essa_obs.Counter.incr t.m.c_auctions;
-  let t0 = Essa_util.Timing.now_ns () in
-  let over_deadline () =
-    match deadline_ns with
-    | None -> false
-    | Some d -> Int64.compare (t.clock ()) d >= 0
-  in
-  let (module M) = t.mech in
-  (* Sample the user's clicks top-to-bottom; bill per click.  Shared by
-     the full path and the deadline-degraded cheap path: a degraded
-     allocation is still a real allocation — clicks are sampled, winners
-     billed and notified, so the shared RNG and advertiser states stay on
-     one consistent timeline. *)
-  let finish ~stamp ~assignment ~prices ~degraded =
-    let clicks = Array.make t.k false in
-    let revenue = ref 0 in
-    let filled = ref 0 and clicked_count = ref 0 in
-    Array.iteri
-      (fun j0 cell ->
-        match cell with
-        | None -> ()
-        | Some adv ->
-            incr filled;
-            let clicked =
-              Essa_util.Rng.bernoulli t.user_rng t.ctr.(adv).(j0)
-            in
-            clicks.(j0) <- clicked;
-            if clicked then begin
-              revenue := !revenue + prices.(j0);
-              incr clicked_count
-            end;
-            Essa_strategy.Roi_fleet.record_win t.fleet ~time:t.time ~adv
-              ~keyword ~price:prices.(j0) ~clicked)
-      assignment;
-    t.total_revenue <- t.total_revenue + !revenue;
-    Essa_obs.Counter.add t.m.c_revenue !revenue;
-    Essa_obs.Counter.add t.m.c_clicks !clicked_count;
-    Essa_obs.Counter.add t.m.c_slots_filled !filled;
-    let now = Essa_util.Timing.now_ns () in
-    Essa_obs.Histogram.record t.m.h_user (Int64.to_int (Int64.sub now stamp));
-    Essa_obs.Histogram.record t.m.h_total (Int64.to_int (Int64.sub now t0));
-    {
-      auction_time = t.time;
-      keyword;
-      assignment;
-      prices;
-      clicks;
-      revenue = !revenue;
-      degraded;
-      spend_snapshot = None;
-    }
-  in
-  if over_deadline () then begin
-    (* Already past the deadline before any work: the ultimate fallback.
-       Serve the query unfilled and shed this auction's bid-program
-       updates ([on_auction] is skipped; the fleet clock is monotone but
-       not contiguous, which the strategies support).  No clicks, no
-       billing, no RNG consumption. *)
-    Essa_obs.Counter.incr t.m.c_degraded_unfilled;
-    let now = Essa_util.Timing.now_ns () in
-    Essa_obs.Histogram.record t.m.h_total (Int64.to_int (Int64.sub now t0));
-    {
-      auction_time = t.time;
-      keyword;
-      assignment = Array.make t.k None;
-      prices = Array.make t.k 0;
-      clicks = Array.make t.k false;
-      revenue = 0;
-      degraded = Some Unfilled;
-      spend_snapshot = None;
-    }
-  end
-  else begin
-  let stamp = t0 in
-  (* Bid-update decimation: the program-update pass runs on every
-     [update_every]-th auction of the keyword; in between, bids are
-     frozen (the fleet clock [t.time] still advanced, so pacing targets
-     accrue per auction exactly as at update_every = 1). *)
-  let c = t.au_counts.(keyword) in
-  t.au_counts.(keyword) <- c + 1;
-  if c mod t.update_every = 0 then
-    Essa_strategy.Roi_fleet.on_auction t.fleet ~time:t.time ~keyword;
-  let stamp =
-    let now = Essa_util.Timing.now_ns () in
-    Essa_obs.Histogram.record t.m.h_program_eval (Int64.to_int (Int64.sub now stamp));
-    now
-  in
-  if over_deadline () then begin
-    (* Budget exhausted after program evaluation: skip the full winner
-       determination (the dominant cost at scale) for the mechanism's
-       single-pass fallback — the paper's RH reduction taken to its
-       cheapest limit. *)
-    let assignment, prices = M.cheap t.ctx ~keyword in
-    Essa_obs.Counter.incr t.m.c_degraded_cheap;
-    let stamp =
-      let now = Essa_util.Timing.now_ns () in
-      Essa_obs.Histogram.record t.m.h_winner_determination
-        (Int64.to_int (Int64.sub now stamp));
-      now
-    in
-    finish ~stamp ~assignment ~prices ~degraded:(Some Cheap_allocation)
-  end
-  else begin
-  let s = t.scratch in
-  (* Probe the keyword's evaluation cache.  The epoch is read after
-     [on_auction] (the begin pass), so every bid move / list change /
-     retirement of this auction's inputs is already counted; winner
-     determination and pricing only read the fleet, so the epoch read
-     here still labels the entry correctly when it is stored below. *)
-  let epoch =
-    if t.cache_on then Essa_strategy.Roi_fleet.epoch_of t.fleet ~keyword else 0
-  in
-  let hit =
-    if t.cache_on then cache_probe t ~epoch t.caches.(keyword) else None
-  in
-  match hit with
-  | Some ce ->
-      cache_replay_counters t ce;
-      let stamp =
-        let now = Essa_util.Timing.now_ns () in
-        Essa_obs.Histogram.record t.m.h_winner_determination
-          (Int64.to_int (Int64.sub now stamp));
-        now
-      in
-      let stamp =
-        let now = Essa_util.Timing.now_ns () in
-        Essa_obs.Histogram.record t.m.h_pricing
-          (Int64.to_int (Int64.sub now stamp));
-        now
-      in
-      finish ~stamp ~assignment:(Array.copy ce.ce_assignment)
-        ~prices:(Array.copy ce.ce_prices) ~degraded:None
-  | None ->
-  let ev = M.winner_determination t.ctx s ~keyword in
-  let assignment = ev.Mechanism.e_assignment in
-  let stamp =
-    let now = Essa_util.Timing.now_ns () in
-    Essa_obs.Histogram.record t.m.h_winner_determination
-      (Int64.to_int (Int64.sub now stamp));
-    now
-  in
-  let prices = M.price t.ctx s ~keyword ev in
-  let stamp =
-    let now = Essa_util.Timing.now_ns () in
-    Essa_obs.Histogram.record t.m.h_pricing (Int64.to_int (Int64.sub now stamp));
-    now
-  in
-  if t.cache_on then
-    t.caches.(keyword) <- Some (cache_entry_of ~epoch s ~assignment ~prices);
-  finish ~stamp ~assignment ~prices ~degraded:None
-  end
-  end
-
 (* Keyword-batched evaluation: a batch amortizes the spend-snapshot scan
    (n atomic reads per auction — the one cross-keyword touch of the hot
    path) over a run of consecutive auctions on the same keyword.  The
@@ -798,53 +589,67 @@ let batch_start t ~keyword =
     invalid_arg (Printf.sprintf "Engine.batch_start: keyword %d" keyword);
   { b_keyword = keyword; b_snap = None }
 
-(* Partitioned auction driver, shared by the live path ([run_partitioned],
-   [forced = None]: the deadline ladder decides the degrade tier) and the
-   replay path ([replay_auction], [forced = Some tier]: the recorded tier
-   is re-executed against the recorded snapshot, clock ignored).
+let now () = Int64.to_int (Essa_util.Timing.now_ns ())
 
-   Determinism contract: everything this function reads is either
-   keyword-local (fleet partition state, keyword clock, the per-keyword
-   click RNG — split off the user seed by keyword, so independent of lane
-   interleaving) or the spend snapshot taken at [begin_auction_p] (and
-   recorded in the summary).  Hence the summary is a pure function of
-   (keyword-local history, snapshot, forced tier), which is exactly what
-   the replay checker re-executes.  Phase histograms are skipped (they are
-   not thread-safe); total latency goes to the partition's private
-   histogram, drained by [sync_partition_metrics]. *)
-let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
-  if keyword < 0 || keyword >= t.nk then
-    invalid_arg (Printf.sprintf "Engine.run_partitioned: keyword %d" keyword);
-  if not t.is_partitioned then
-    invalid_arg "Engine.run_partitioned: serial engine (use run_auction)";
-  (match batch with
-  | Some b when b.b_keyword <> keyword ->
-      invalid_arg
-        (Printf.sprintf "Engine.run_partitioned: batch is for keyword %d"
-           b.b_keyword)
-  | _ -> ());
+let past_deadline t = function
+  | None -> false
+  | Some d -> Int64.compare (t.clock ()) d >= 0
+
+(* One phase boundary: a serial engine records the time since [stamp]
+   into [h] and starts the next phase; partitioned lanes skip the phase
+   histograms (they are not thread-safe). *)
+let lap ~serial h stamp =
+  if serial then begin
+    let now = now () in
+    Essa_obs.Histogram.record h (now - stamp);
+    now
+  end
+  else stamp
+
+(* The auction driver behind [run_auction], [run_partitioned] and
+   [replay_auction]: the begin pass, the deadline ladder, the cache, winner
+   determination and pricing, click sampling and billing.  [forced = None]
+   lets the deadline ladder pick the tier; replay passes [Some tier] to
+   re-execute the recorded tier against the recorded snapshot, clock
+   ignored.  Only three things depend on the engine's shape:
+
+   - the clock: a serial auction's time is the engine's auction count, a
+     partitioned one's the keyword clock that [tick_p] / [begin_auction_p]
+     advance;
+   - the begin pass and win notification: [on_auction] / [record_win
+     ~time], or [begin_auction_p] / [record_win_p];
+   - the phase histograms, which only serial engines record.
+
+   Determinism contract (partitioned engines): everything this function
+   reads is either keyword-local (fleet partition state, keyword clock,
+   the per-keyword click RNG — split off the user seed by keyword, so
+   independent of lane interleaving) or the spend snapshot taken at
+   [begin_auction_p] (and recorded in the summary).  Hence the summary is
+   a pure function of (keyword-local history, snapshot, forced tier),
+   which is exactly what the replay checker re-executes. *)
+let drive ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
+  let serial = not t.is_partitioned in
   let p = partition_of t ~keyword in
-  ignore (Atomic.fetch_and_add t.a_auctions 1);
+  let time = Atomic.fetch_and_add t.a_auctions 1 + 1 in
   Essa_obs.Counter.incr t.m.c_auctions;
-  let t0 = Essa_util.Timing.now_ns () in
-  let over_deadline () =
-    match deadline_ns with
-    | None -> false
-    | Some d -> Int64.compare (t.clock ()) d >= 0
-  in
+  let t0 = now () in
   let unfilled =
     match forced with
     | Some tier -> tier = Some Unfilled
-    | None -> over_deadline ()
+    | None -> past_deadline t deadline_ns
   in
   if unfilled then begin
-    (* Shed everything except the keyword clock: no snapshot, no program
-       updates, no RNG consumption — so an Unfilled tick needs no witness
-       to replay ([spend_snapshot = None]). *)
-    let kt = Essa_strategy.Roi_fleet.tick_p t.fleet ~keyword in
+    (* Already past the deadline before any work: serve the query
+       unfilled and shed everything but the clock — no snapshot, no
+       program updates, no RNG consumption, so an Unfilled tick needs no
+       witness to replay ([spend_snapshot = None]).  A serial fleet's
+       clock is monotone but not contiguous, which the strategies
+       support. *)
+    let kt =
+      if serial then time else Essa_strategy.Roi_fleet.tick_p t.fleet ~keyword
+    in
     Essa_obs.Counter.incr t.m.c_degraded_unfilled;
-    let now = Essa_util.Timing.now_ns () in
-    Essa_obs.Histogram.record p.p_h_total (Int64.to_int (Int64.sub now t0));
+    Essa_obs.Histogram.record p.p_h_total (now () - t0);
     {
       auction_time = kt;
       keyword;
@@ -870,11 +675,13 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
     in
     (* Bid-update decimation: the begin pass (spend snapshot, scheduled
        churn, program updates) runs on every [update_every]-th auction of
-       the keyword; the auctions in between only tick the keyword clock
-       and evaluate against frozen bids.  A decimated auction records
-       [spend_snapshot = None], which is also how replay knows to skip
-       the begin pass: the live/replay decision is a pure function of the
-       recorded witness, never of the replaying engine's own counters. *)
+       the keyword; the auctions in between only advance the clock and
+       evaluate against frozen bids (pacing targets still accrue per
+       auction exactly as at update_every = 1).  A decimated partitioned
+       auction records [spend_snapshot = None], which is also how replay
+       knows to skip the begin pass: the live/replay decision is a pure
+       function of the recorded witness, never of the replaying engine's
+       own counters. *)
     let update =
       match forced with
       | Some _ ->
@@ -891,11 +698,15 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
           p.p_au_count <- c + 1;
           c mod t.update_every = 0
     in
+    (* The window closes: a restored frozen allocation (if any) dies with
+       it — from here the rebuilt lists are authoritative. *)
+    if update then p.p_frozen <- None;
     let kt, snap_opt =
-      if update then begin
-        (* The window closes: a restored frozen allocation (if any) dies
-           with it — from here the rebuilt lists are authoritative. *)
-        p.p_frozen <- None;
+      if serial then begin
+        if update then Essa_strategy.Roi_fleet.on_auction t.fleet ~time ~keyword;
+        (time, None)
+      end
+      else if update then begin
         let kt, snap =
           Essa_strategy.Roi_fleet.begin_auction_p t.fleet ~keyword ?snapshot
             ?adopt ()
@@ -904,11 +715,12 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
       end
       else (Essa_strategy.Roi_fleet.tick_p t.fleet ~keyword, None)
     in
+    let stamp = lap ~serial t.m.h_program_eval t0 in
     let spend_snapshot = Option.map Array.copy snap_opt in
     let cheap =
       match forced with
       | Some tier -> tier = Some Cheap_allocation
-      | None -> over_deadline ()
+      | None -> past_deadline t deadline_ns
     in
     (* Flat scratch is slot-indexed: churn inside [begin_auction_p] may
        have grown the partition past the scratch, so re-check here. *)
@@ -927,11 +739,18 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
         p.p_scratch
       end
     in
-    let assignment, prices, degraded =
+    let assignment, prices, degraded, stamp =
       if cheap then begin
+        (* Budget exhausted after program evaluation: skip the full
+           winner determination (the dominant cost at scale) for the
+           mechanism's single-pass fallback — the paper's RH reduction
+           taken to its cheapest limit.  A degraded allocation is still a
+           real one: clicks are sampled and winners billed and notified,
+           so the RNG and advertiser states stay on one timeline. *)
         let assignment, prices = M.cheap t.ctx ~keyword in
         Essa_obs.Counter.incr t.m.c_degraded_cheap;
-        (assignment, prices, Some Cheap_allocation)
+        let stamp = lap ~serial t.m.h_winner_determination stamp in
+        (assignment, prices, Some Cheap_allocation, stamp)
       end
       else begin
         match (if update then None else p.p_frozen) with
@@ -939,49 +758,66 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
             (* Snapshot-restored open window: serve the allocation the
                killed engine's last begin pass computed (see
                [epartition.p_frozen]). *)
-            (Array.copy fa, Array.copy fp, None)
+            (Array.copy fa, Array.copy fp, None, stamp)
         | None -> (
-        (* Probe the keyword's evaluation cache (lane-private, like the
-           scratch).  The epoch is read after [begin_auction_p], so this
-           auction's begin-pass mutations (classify bid moves, lazy
-           retirements, churn) are already counted. *)
-        let epoch =
-          if t.cache_on then Essa_strategy.Roi_fleet.epoch_of t.fleet ~keyword
-          else 0
-        in
-        let hit = if t.cache_on then cache_probe t ~epoch p.p_cache else None in
-        match hit with
-        | Some ce ->
-            cache_replay_counters t ce;
-            (Array.copy ce.ce_assignment, Array.copy ce.ce_prices, None)
-        | None ->
-            let ev = M.winner_determination t.ctx scr ~keyword in
-            let assignment = ev.Mechanism.e_assignment in
-            let prices = M.price t.ctx scr ~keyword ev in
-            if t.cache_on then
-              p.p_cache <-
-                Some (cache_entry_of ~epoch scr ~assignment ~prices);
-            (assignment, prices, None))
+            (* Probe the keyword's evaluation cache.  The epoch is read
+               after the begin pass, so this auction's begin-pass
+               mutations (bid moves, list changes, lazy retirements,
+               churn) are already counted; winner determination and
+               pricing only read the fleet, so the epoch read here still
+               labels the entry correctly when it is stored below. *)
+            let epoch =
+              if t.cache_on then
+                Essa_strategy.Roi_fleet.epoch_of t.fleet ~keyword
+              else 0
+            in
+            let hit =
+              if t.cache_on then cache_probe t ~epoch p.p_cache else None
+            in
+            match hit with
+            | Some ce ->
+                cache_replay_counters t ce;
+                let stamp = lap ~serial t.m.h_winner_determination stamp in
+                let stamp = lap ~serial t.m.h_pricing stamp in
+                ( Array.copy ce.ce_assignment,
+                  Array.copy ce.ce_prices,
+                  None,
+                  stamp )
+            | None ->
+                let ev = M.winner_determination t.ctx scr ~keyword in
+                let assignment = ev.Mechanism.e_assignment in
+                let stamp = lap ~serial t.m.h_winner_determination stamp in
+                let prices = M.price t.ctx scr ~keyword ev in
+                let stamp = lap ~serial t.m.h_pricing stamp in
+                if t.cache_on then
+                  p.p_cache <-
+                    Some (cache_entry_of ~epoch scr ~assignment ~prices);
+                (assignment, prices, None, stamp))
       end
     in
+    (* Sample the user's clicks top-to-bottom; bill per click. *)
     let clicks = Array.make t.k false in
     let revenue = ref 0 in
     let filled = ref 0 and clicked_count = ref 0 in
-    Array.iteri
-      (fun j0 cell ->
-        match cell with
-        | None -> ()
-        | Some adv ->
-            incr filled;
-            let clicked = Essa_util.Rng.bernoulli p.p_rng t.ctr.(adv).(j0) in
-            clicks.(j0) <- clicked;
-            if clicked then begin
-              revenue := !revenue + prices.(j0);
-              incr clicked_count
-            end;
-            Essa_strategy.Roi_fleet.record_win_p t.fleet ~adv ~keyword
-              ~price:prices.(j0) ~clicked)
-      assignment;
+    for j0 = 0 to Array.length assignment - 1 do
+      match assignment.(j0) with
+      | None -> ()
+      | Some adv ->
+          incr filled;
+          let price = prices.(j0) in
+          let clicked = Essa_util.Rng.bernoulli p.p_rng t.ctr.(adv).(j0) in
+          clicks.(j0) <- clicked;
+          if clicked then begin
+            revenue := !revenue + price;
+            incr clicked_count
+          end;
+          if serial then
+            Essa_strategy.Roi_fleet.record_win t.fleet ~time ~adv ~keyword
+              ~price ~clicked
+          else
+            Essa_strategy.Roi_fleet.record_win_p t.fleet ~adv ~keyword ~price
+              ~clicked
+    done;
     (* Maintain the batch snapshot: mirror exactly the charges
        [record_win_p] just applied to the atomic cells (price per clicked
        win), so the next auction of the batch adopts what a fresh read
@@ -1032,8 +868,9 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
     Essa_obs.Counter.add t.m.c_revenue !revenue;
     Essa_obs.Counter.add t.m.c_clicks !clicked_count;
     Essa_obs.Counter.add t.m.c_slots_filled !filled;
-    let now = Essa_util.Timing.now_ns () in
-    Essa_obs.Histogram.record p.p_h_total (Int64.to_int (Int64.sub now t0));
+    let now = now () in
+    if serial then Essa_obs.Histogram.record t.m.h_user (now - stamp);
+    Essa_obs.Histogram.record p.p_h_total (now - t0);
     {
       auction_time = kt;
       keyword;
@@ -1046,11 +883,32 @@ let run_partitioned_gen ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
     }
   end
 
+let run_auction ?deadline_ns t ~keyword =
+  if keyword < 0 || keyword >= t.nk then
+    invalid_arg (Printf.sprintf "Engine.run_auction: keyword %d" keyword);
+  if t.is_partitioned then
+    invalid_arg "Engine.run_auction: partitioned engine (use run_partitioned)";
+  drive ?deadline_ns ~forced:None t ~keyword
+
+let check_partitioned t ~keyword =
+  if keyword < 0 || keyword >= t.nk then
+    invalid_arg (Printf.sprintf "Engine.run_partitioned: keyword %d" keyword);
+  if not t.is_partitioned then
+    invalid_arg "Engine.run_partitioned: serial engine (use run_auction)"
+
 let run_partitioned ?deadline_ns ?batch t ~keyword =
-  run_partitioned_gen ?deadline_ns ?batch ~forced:None t ~keyword
+  check_partitioned t ~keyword;
+  (match batch with
+  | Some b when b.b_keyword <> keyword ->
+      invalid_arg
+        (Printf.sprintf "Engine.run_partitioned: batch is for keyword %d"
+           b.b_keyword)
+  | _ -> ());
+  drive ?deadline_ns ?batch ~forced:None t ~keyword
 
 let replay_auction ?snapshot ~degraded t ~keyword =
-  run_partitioned_gen ?snapshot ~forced:(Some degraded) t ~keyword
+  check_partitioned t ~keyword;
+  drive ?snapshot ~forced:(Some degraded) t ~keyword
 
 let keyword_revenue t ~keyword =
   if not t.is_partitioned then
@@ -1088,6 +946,18 @@ let encode_state t buf =
   B.write_int buf (Atomic.get t.a_revenue);
   B.write_int buf t.nk;
   let (module M) = t.mech in
+  (* Recomputing a frozen allocation is not an auction: it counts its
+     accesses on private handles, so writing a snapshot leaves the
+     exported essa.ta.* / reduction counters where they were. *)
+  let quiet_ctx =
+    {
+      t.ctx with
+      Mechanism.x_c_ta_sorted = Essa_obs.Counter.create ();
+      x_c_ta_random = Essa_obs.Counter.create ();
+      x_c_ta_seen = Essa_obs.Counter.create ();
+      x_c_reduced = Essa_obs.Counter.create ();
+    }
+  in
   Array.iteri
     (fun keyword p ->
       B.write_option buf
@@ -1116,8 +986,8 @@ let encode_state t buf =
                 then None
                 else
                   let scr = p.p_scratch in
-                  let ev = M.winner_determination t.ctx scr ~keyword in
-                  let prices = M.price t.ctx scr ~keyword ev in
+                  let ev = M.winner_determination quiet_ctx scr ~keyword in
+                  let prices = M.price quiet_ctx scr ~keyword ev in
                   Some (ev.Mechanism.e_assignment, prices)
           in
           B.write_option buf

@@ -106,9 +106,8 @@ val create :
     then be auctioned concurrently from different domains, as long as each
     keyword has exactly one owning lane.  Only [`Rh] and [`Rhtalu] support
     it, and [pool] cannot be combined with it.
-    [cache] enables the cross-auction evaluation cache (default: on,
-    unless the [ESSA_NO_CACHE] environment variable is set to anything
-    but [""] or ["0"]).  Per keyword, the engine keeps the last completed
+    [cache] (default true) enables the cross-auction evaluation cache.
+    Per keyword, the engine keeps the last completed
     winner-determination + pricing result together with the keyword's
     dirty epoch ({!Essa_strategy.Roi_fleet.epoch_of}) at which it was
     computed; a repeat auction whose begin pass left the epoch unchanged
@@ -198,7 +197,7 @@ val mechanism_name : t -> string
 
 val cache_enabled : t -> bool
 (** Whether this engine runs with the cross-auction evaluation cache
-    (the resolved value of [?cache] / [ESSA_NO_CACHE]). *)
+    (the value of [?cache]). *)
 
 type degrade =
   | Cheap_allocation
@@ -248,6 +247,11 @@ val run_auction : ?deadline_ns:int64 -> t -> keyword:int -> summary
     bit-identical streams).  The counters
     [essa.auction.degraded_cheap] / [essa.auction.degraded_unfilled]
     record trips.
+
+    Serial and partitioned engines run one auction driver; only the
+    clock (the engine's auction count here), the begin pass and win
+    notification, and the per-phase latency histograms (recorded by
+    serial engines only) depend on the shape.
     @raise Invalid_argument on a bad keyword index, or on a partitioned
     engine (use {!run_partitioned}). *)
 
@@ -291,11 +295,14 @@ val batch_start : t -> keyword:int -> batch
     @raise Invalid_argument on a bad keyword index or a serial engine. *)
 
 val run_partitioned : ?deadline_ns:int64 -> ?batch:batch -> t -> keyword:int -> summary
-(** Execute one auction on a partitioned engine.  Same degrade ladder as
-    {!run_auction}, with [auction_time] now the keyword-local clock and
-    [spend_snapshot] carrying the replay witness (except {!Unfilled},
-    which only ticks the clock).  Must be called by the keyword's owning
-    lane.  [batch] threads the keyword-batched snapshot (see {!batch}).
+(** Execute one auction on a partitioned engine, through the same driver
+    and degrade ladder as {!run_auction}, with [auction_time] now the
+    keyword-local clock and [spend_snapshot] carrying the replay witness
+    (except {!Unfilled}, which only ticks the clock).  Only
+    [essa.auction.total_ns] is recorded (per partition, see
+    {!sync_partition_metrics}); the phase histograms are not.  Must be
+    called by the keyword's owning lane.  [batch] threads the
+    keyword-batched snapshot (see {!batch}).
     @raise Invalid_argument on a bad keyword index, a serial engine, or a
     batch started for a different keyword. *)
 

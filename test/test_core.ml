@@ -922,6 +922,166 @@ let prop_cache_bit_identity_flat =
         q
       && counters_except_cache r_off = counters_except_cache r_on)
 
+(* ------------------------------------------------------------------ *)
+(* The auction driver on every engine shape: a scripted clock walks each
+   engine through all three deadline tiers, interleaved with cache hits
+   and bid-update decimation, and the partitioned engines alternate
+   batched and unbatched stretches.  The digests of every summary and the
+   essa.* counters were computed with separate serial and partitioned
+   drivers; the engine must reproduce them bit-for-bit. *)
+
+type tier_mode = Full | Cheap | Late
+
+(* [Late]: every read is past the deadline, so the auction is served
+   unfilled.  [Cheap]: the start check passes and the check after
+   program evaluation trips.  [Full]: no check trips. *)
+let scripted_clock () =
+  let mode = ref Full and reads = ref 0 in
+  let clock () =
+    incr reads;
+    match !mode with
+    | Late -> 100L
+    | Cheap -> if !reads = 1 then 0L else 100L
+    | Full -> 0L
+  in
+  let set m =
+    mode := m;
+    reads := 0
+  in
+  (clock, set)
+
+let mode_of i = if i mod 11 = 4 then Late else if i mod 6 = 5 then Cheap else Full
+
+let mixed_dense ~partitioned ~clock ~metrics =
+  let w =
+    Essa_sim.Workload.section5 ~seed:5 ~n:40 ~k:4 ~num_keywords:3
+      ~budgeted_fraction:0.3 ()
+  in
+  Essa.Engine.create ~metrics ~clock ~partitioned ~cache:true ~update_every:3
+    ~reserve:0 ~pricing:`Gsp ~method_:`Rhtalu ~ctr:(Essa_sim.Workload.ctr w)
+    ~states:(Essa_sim.Workload.fresh_states w) ~user_seed:17 ()
+
+let mixed_flat ~clock ~metrics =
+  let u =
+    Essa_sim.Workload.universe ~keywords:4 ~n:40 ~zipf_s:1.0
+      ~budgeted_fraction:0.3 ~seed:5 ()
+  in
+  Essa.Engine.create_flat ~metrics ~clock ~cache:true ~update_every:3
+    ~reserve:0 ~pricing:`Gsp ~ctr:(Essa_sim.Workload.universe_ctr u)
+    ~store:(Essa_sim.Workload.universe_store ~churn:0.1 u ())
+    ~user_seed:17 ()
+
+(* Runs [queries] and returns the summaries in execution order.
+   Partitioned engines run 30-query stretches alternately unbatched and
+   in windows of 6 grouped by keyword into [batch_start] runs. *)
+let run_mixed engine ~set_mode ~queries =
+  let executed = ref 0 in
+  let out = ref [] in
+  let run ?batch kw =
+    set_mode (mode_of !executed);
+    incr executed;
+    let s =
+      if Essa.Engine.partitioned engine then
+        Essa.Engine.run_partitioned ~deadline_ns:50L ?batch engine ~keyword:kw
+      else Essa.Engine.run_auction ~deadline_ns:50L engine ~keyword:kw
+    in
+    out := s :: !out
+  in
+  let i = ref 0 in
+  while !i < Array.length queries do
+    if !i / 30 mod 2 = 0 || not (Essa.Engine.partitioned engine) then begin
+      run queries.(!i);
+      incr i
+    end
+    else begin
+      let window = Array.sub queries !i (min 6 (Array.length queries - !i)) in
+      List.iter
+        (fun kw ->
+          let batch = Essa.Engine.batch_start engine ~keyword:kw in
+          Array.iter (fun k -> if k = kw then run ~batch kw) window)
+        (List.sort_uniq compare (Array.to_list window));
+      i := !i + Array.length window
+    end
+  done;
+  Array.of_list (List.rev !out)
+
+let counter_line reg =
+  String.concat " "
+    (List.filter_map
+       (fun (e : Essa_obs.Registry.entry) ->
+         match e.metric with
+         | Essa_obs.Registry.Counter c ->
+             Some (Printf.sprintf "%s=%d" e.name (Essa_obs.Counter.value c))
+         | _ -> None)
+       (Essa_obs.Registry.entries reg))
+
+let check_mixed ~digest ~counters ~make ~queries =
+  let clock, set_mode = scripted_clock () in
+  let metrics = Essa_obs.Registry.create () in
+  let engine = make ~clock ~metrics in
+  let summaries = run_mixed engine ~set_mode ~queries in
+  Alcotest.(check string) "summary digest" digest
+    (Digest.to_hex (Digest.string (Marshal.to_string summaries [])));
+  Alcotest.(check string) "counters" counters (counter_line metrics);
+  if Essa.Engine.partitioned engine then begin
+    let fresh =
+      make ~clock:(fun () -> 0L) ~metrics:(Essa_obs.Registry.create ())
+    in
+    Array.iteri
+      (fun i (s : Essa.Engine.summary) ->
+        let r =
+          Essa.Engine.replay_auction ?snapshot:s.spend_snapshot
+            ~degraded:s.degraded fresh ~keyword:s.keyword
+        in
+        if r <> s then Alcotest.failf "replay diverges at auction %d" i)
+      summaries
+  end
+
+let mixed_queries ~keywords =
+  Array.init 240 (fun i -> (i * 7 + i / 5) mod keywords)
+
+let test_mixed_tiers_serial () =
+  check_mixed ~digest:"27e131f3a2abc3fa67d44adfbf1b0b43"
+    ~counters:
+      "essa.auctions=240 essa.revenue_cents=17261 essa.clicks=502 \
+       essa.slots_filled=872 essa.ta.sorted_accesses=14198 \
+       essa.ta.random_accesses=27909 essa.ta.seen_objects=12274 \
+       essa.reduction.candidates=1599 \
+       essa.auction.degraded_cheap=37 \
+       essa.auction.degraded_unfilled=22 essa.engine.cache_hits=98 \
+       essa.engine.cache_misses=83 \
+       essa.engine.cache_invalidations=80"
+    ~make:(mixed_dense ~partitioned:false)
+    ~queries:(mixed_queries ~keywords:3)
+
+let test_mixed_tiers_dense () =
+  check_mixed ~digest:"9b399b017a4d10889e9ea9207e4d241a"
+    ~counters:
+      "essa.auctions=240 essa.revenue_cents=15717 essa.clicks=474 \
+       essa.slots_filled=872 essa.ta.sorted_accesses=14976 \
+       essa.ta.random_accesses=29328 essa.ta.seen_objects=12866 \
+       essa.reduction.candidates=1689 \
+       essa.auction.degraded_cheap=37 \
+       essa.auction.degraded_unfilled=22 essa.engine.cache_hits=108 \
+       essa.engine.cache_misses=73 \
+       essa.engine.cache_invalidations=70"
+    ~make:(mixed_dense ~partitioned:true)
+    ~queries:(mixed_queries ~keywords:3)
+
+let test_mixed_tiers_flat () =
+  check_mixed ~digest:"80e6a818d52ef24f1eaa132f5c358fa2"
+    ~counters:
+      "essa.auctions=240 essa.revenue_cents=16315 essa.clicks=1653 \
+       essa.slots_filled=3267 essa.ta.sorted_accesses=0 \
+       essa.ta.random_accesses=0 essa.ta.seen_objects=0 \
+       essa.reduction.candidates=3026 \
+       essa.auction.degraded_cheap=37 \
+       essa.auction.degraded_unfilled=22 essa.engine.cache_hits=110 \
+       essa.engine.cache_misses=71 \
+       essa.engine.cache_invalidations=67"
+    ~make:mixed_flat
+    ~queries:(mixed_queries ~keywords:4)
+
 let () =
   Alcotest.run "essa_core"
     [
@@ -1000,4 +1160,13 @@ let () =
         ] );
       ( "cache",
         [ prop_cache_bit_identity_serial; prop_cache_bit_identity_flat ] );
+      ( "driver",
+        [
+          Alcotest.test_case "mixed tiers pinned (serial)" `Quick
+            test_mixed_tiers_serial;
+          Alcotest.test_case "mixed tiers pinned (dense partitioned)" `Quick
+            test_mixed_tiers_dense;
+          Alcotest.test_case "mixed tiers pinned (flat)" `Quick
+            test_mixed_tiers_flat;
+        ] );
     ]

@@ -1,0 +1,103 @@
+(* Cost pins for the auction driver: minor-heap words per auction on
+   fixed engine-only streams, run on one domain with the evaluation cache
+   off.  Allocation counts repeat exactly from run to run where timings
+   on a shared host do not, so a ceiling catches a regression no timing
+   gate can see.
+
+   The ceilings are the dev-profile values ([dune runtest]); the perf
+   profile must come in at or below them.  A change that raises a ceiling
+   says why in CHANGES.md. *)
+
+module Engine = Essa.Engine
+module Workload = Essa_sim.Workload
+
+(* Minor words per auction, one row per stream, rounded up at the third
+   decimal. *)
+let ceilings =
+  [
+    ("flat zipf, partitioned", 1058.632);
+    ("section5 rhtalu, partitioned", 4593.669);
+    ("section5 rhtalu, serial", 3954.385);
+    ("section5 rh, serial", 165074.320);
+  ]
+
+type stream = {
+  name : string;
+  engine : unit -> Engine.t;
+  run : Engine.t -> keyword:int -> Engine.summary;
+  queries : int array;
+  warm : int;  (* auctions run before the count starts *)
+}
+
+let partitioned e ~keyword = Engine.run_partitioned e ~keyword
+let serial e ~keyword = Engine.run_auction e ~keyword
+
+let streams () =
+  let u = Workload.universe ~keywords:2000 ~n:20000 ~zipf_s:1.1 ~seed:1 () in
+  let w = Workload.section5 ~k:15 ~num_keywords:10 ~seed:1 ~n:1000 () in
+  let q = Workload.queries w ~seed:2 ~count:900 in
+  let dense ?partitioned method_ () =
+    Workload.make_engine ?partitioned ~cache:false ~mechanism:`Classic w
+      ~method_
+  in
+  [
+    {
+      name = "flat zipf, partitioned";
+      engine =
+        (fun () ->
+          Workload.make_flat_engine ~cache:false ~mechanism:`Classic u
+            ~store:(Workload.universe_store ~churn:0.02 u ()));
+      run = partitioned;
+      queries = Workload.universe_queries u ~seed:2 ~count:3000;
+      warm = 1000;
+    };
+    {
+      name = "section5 rhtalu, partitioned";
+      engine = dense ~partitioned:true `Rhtalu;
+      run = partitioned;
+      queries = q;
+      warm = 300;
+    };
+    {
+      name = "section5 rhtalu, serial";
+      engine = dense `Rhtalu;
+      run = serial;
+      queries = q;
+      warm = 300;
+    };
+    {
+      name = "section5 rh, serial";
+      engine = dense `Rh;
+      run = serial;
+      queries = Array.sub q 0 120;
+      warm = 20;
+    };
+  ]
+
+let words_per_auction s =
+  let e = s.engine () in
+  for i = 0 to s.warm - 1 do
+    ignore (s.run e ~keyword:s.queries.(i))
+  done;
+  let before = Gc.minor_words () in
+  for i = s.warm to Array.length s.queries - 1 do
+    ignore (s.run e ~keyword:s.queries.(i))
+  done;
+  (Gc.minor_words () -. before)
+  /. float_of_int (Array.length s.queries - s.warm)
+
+let test_stream s () =
+  let ceiling = List.assoc s.name ceilings in
+  let words = words_per_auction s in
+  if words > ceiling then
+    Alcotest.failf "%s: %.3f minor words per auction, ceiling %.3f" s.name
+      words ceiling
+
+let () =
+  Alcotest.run "essa_cost"
+    [
+      ( "minor_words",
+        List.map
+          (fun s -> Alcotest.test_case s.name `Quick (test_stream s))
+          (streams ()) );
+    ]

@@ -451,6 +451,37 @@ let test_image_digests () =
     "090895f0c79639ecc536f34457f50084"
     (Digest.to_hex (Digest.string (dense_rhtalu_image ())))
 
+(* Regression: writing a snapshot must not move the exported counters.
+   Mid-window, a dense engine's image carries the open window's frozen
+   allocation, which [encode_state] recomputes by winner determination;
+   that recomputation once added its threshold-algorithm accesses and
+   reduction candidates to the engine's essa.* counters, so a run that
+   wrote snapshots exported more work than the same run without them. *)
+let test_encode_state_keeps_counters () =
+  let w = Workload.section5 ~seed:1 ~n:50 ~k:5 ~num_keywords:3 () in
+  let metrics = Essa_obs.Registry.create () in
+  let engine =
+    Workload.make_engine ~metrics ~partitioned:true ~cache:false
+      ~update_every:4 ~mechanism:`Classic w ~method_:`Rhtalu
+  in
+  for _ = 1 to 6 do
+    ignore (Engine.run_partitioned engine ~keyword:0)
+  done;
+  let counters () =
+    List.filter_map
+      (fun (e : Essa_obs.Registry.entry) ->
+        match e.metric with
+        | Essa_obs.Registry.Counter c -> Some (e.name, Essa_obs.Counter.value c)
+        | _ -> None)
+      (Essa_obs.Registry.entries metrics)
+  in
+  let before = counters () in
+  let img = image engine in
+  Alcotest.(check (list (pair string int))) "counters unchanged" before
+    (counters ());
+  Alcotest.(check string) "image digest" "881da06c66db4faae352485919db0ec8"
+    (Digest.to_hex (Digest.string img))
+
 (* Regression: compaction once anchored on any full-length record whose
    first payload byte was the snapshot tag, CRC unchecked.  With the
    newer of two snapshots corrupt, it deleted the segment holding the
@@ -927,6 +958,8 @@ let () =
           Alcotest.test_case "snapshot format pin" `Quick
             test_snapshot_format_pin;
           Alcotest.test_case "engine image digests" `Quick test_image_digests;
+          Alcotest.test_case "snapshot leaves the counters alone" `Quick
+            test_encode_state_keeps_counters;
           Alcotest.test_case "compact keeps the loadable snapshot" `Quick
             test_compact_keeps_loadable_snapshot;
           Alcotest.test_case "stats" `Quick test_wal_stats;
