@@ -32,7 +32,14 @@ examples:
 	dune exec examples/search_session.exe
 	dune exec examples/competitor_guard.exe
 
+# Line counts (.ml + .mli) of the library, the executables and the tests.
+loc:
+	@for d in lib bin test; do \
+	  printf '%-5s %6d\n' "$$d/" \
+	    "$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"; \
+	done
+
 clean:
 	dune clean
 
-.PHONY: all build test test-verbose bench experiments-quick fig12 fig13 examples clean
+.PHONY: all build test test-verbose bench experiments-quick fig12 fig13 examples loc clean

@@ -90,7 +90,7 @@ let mechanism_of_string :
       exit 2
 
 let run n slots keywords method_ seed workers queue_capacity max_batch auctions
-    rate window pool_size parallel_threshold metrics fault_specs
+    rate window metrics fault_specs
     deadline_budget_ms max_restarts commit replay_check universe churn balance
     rebalance_every cache update_every wal_dir fsync wal_snapshot_every recover
     mechanism =
@@ -148,23 +148,11 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
     | None -> commit_of_string commit
   in
   let partitioned = commit = `Per_keyword in
-  (match universe_spec with
-  | Some _ ->
-      if pool_size <> None then begin
-        prerr_endline "--universe cannot be combined with --engine-pool";
-        exit 2
-      end
-  | None -> (
-      (match (commit, method_) with
-      | `Per_keyword, (`Lp | `Lp_dense | `H) ->
-          prerr_endline "--commit per-keyword requires --method rh or rhtalu";
-          exit 2
-      | _ -> ());
-      if partitioned && pool_size <> None then begin
-        prerr_endline
-          "--commit per-keyword cannot be combined with --engine-pool";
-        exit 2
-      end));
+  (match (universe_spec, commit, method_) with
+  | None, `Per_keyword, (`Lp | `Lp_dense | `H) ->
+      prerr_endline "--commit per-keyword requires --method rh or rhtalu";
+      exit 2
+  | _ -> ());
   if replay_check && not partitioned then begin
     prerr_endline "--replay-check requires --commit per-keyword";
     exit 2
@@ -193,271 +181,257 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
     exit 2
   end;
   let registry = Essa_obs.Registry.create () in
-  let with_opt_pool f =
-    match pool_size with
-    | None -> f None
-    | Some d -> Essa_util.Domain_pool.with_pool d (fun pool -> f (Some pool))
+  (* Both modes produce the same five things: an engine constructor
+     (over an optional recovered store image), the keyword stream and
+     its materialized-trace form, a thunk building the bit-identical
+     fresh engine for --replay-check, and a header line. *)
+  let engine_of, keywords_seq, trace_of, fresh_engine, describe, nkw =
+    match universe_spec with
+    | Some (ukw, un, uzs) ->
+        let u =
+          Essa_sim.Workload.universe ~slots ~keywords:ukw ~n:un
+            ~zipf_s:uzs ~seed ()
+        in
+        let engine_of snap =
+          let store =
+            match snap with
+            | None -> Essa_sim.Workload.universe_store ~churn u ()
+            | Some s ->
+                (* The snapshot carries the tick-RNG positions, so the
+                   re-attached churn hook resumes mid-stream. *)
+                let store = Essa_strategy.State_store.of_snapshot_flat s in
+                if churn > 0.0 then
+                  Essa_sim.Workload.universe_attach_churn u store ~churn;
+                store
+          in
+          Essa_sim.Workload.make_flat_engine ~metrics:registry ?cache
+            ~update_every ~pricing ~mechanism u ~store
+        in
+        ( engine_of,
+          Essa_sim.Workload.universe_query_stream u ~seed:(seed + 1),
+          (fun count ->
+            Essa_sim.Workload.universe_queries u ~seed:(seed + 1) ~count),
+          (fun () ->
+            Essa_sim.Workload.make_flat_engine ?cache ~update_every
+              ~pricing ~mechanism u
+              ~store:(Essa_sim.Workload.universe_store ~churn u ())),
+          (fun () ->
+            Format.printf
+              "universe: keywords=%d n=%d zipf=%.2f churn=%.3f slots=%d \
+               seed=%d@."
+              ukw un uzs churn slots seed),
+          ukw )
+    | None ->
+        let workload =
+          Essa_sim.Workload.section5 ~seed ~n ~k:slots
+            ~num_keywords:keywords ()
+        in
+        let engine_of snap =
+          let states =
+            Option.map Essa_strategy.State_store.dense_states snap
+          in
+          Essa_sim.Workload.make_engine ~metrics:registry ~partitioned
+            ?cache ~update_every ~pricing ~mechanism ?states workload ~method_
+        in
+        ( engine_of,
+          Essa_sim.Workload.query_stream workload ~seed:(seed + 1),
+          (fun count ->
+            Essa_sim.Workload.queries workload ~seed:(seed + 1) ~count),
+          (fun () ->
+            Essa_sim.Workload.make_engine ~partitioned ?cache ~update_every
+              ~pricing ~mechanism workload ~method_),
+          (fun () ->
+            Format.printf "workload: n=%d slots=%d keywords=%d seed=%d@." n
+              slots keywords seed),
+          keywords )
   in
-  with_opt_pool (fun pool ->
-      (* Both modes produce the same five things: an engine constructor
-         (over an optional recovered store image), the keyword stream and
-         its materialized-trace form, a thunk building the bit-identical
-         fresh engine for --replay-check, and a header line. *)
-      let engine_of, keywords_seq, trace_of, fresh_engine, describe, nkw =
-        match universe_spec with
-        | Some (ukw, un, uzs) ->
-            let u =
-              Essa_sim.Workload.universe ~slots ~keywords:ukw ~n:un
-                ~zipf_s:uzs ~seed ()
-            in
-            let engine_of snap =
-              let store =
-                match snap with
-                | None -> Essa_sim.Workload.universe_store ~churn u ()
-                | Some s ->
-                    (* The snapshot carries the tick-RNG positions, so the
-                       re-attached churn hook resumes mid-stream. *)
-                    let store = Essa_strategy.State_store.of_snapshot_flat s in
-                    if churn > 0.0 then
-                      Essa_sim.Workload.universe_attach_churn u store ~churn;
-                    store
-              in
-              Essa_sim.Workload.make_flat_engine ~metrics:registry ?cache
-                ~update_every ~pricing ~mechanism u ~store
-            in
-            ( engine_of,
-              Essa_sim.Workload.universe_query_stream u ~seed:(seed + 1),
-              (fun count ->
-                Essa_sim.Workload.universe_queries u ~seed:(seed + 1) ~count),
-              (fun () ->
-                Essa_sim.Workload.make_flat_engine ?cache ~update_every
-                  ~pricing ~mechanism u
-                  ~store:(Essa_sim.Workload.universe_store ~churn u ())),
-              (fun () ->
-                Format.printf
-                  "universe: keywords=%d n=%d zipf=%.2f churn=%.3f slots=%d \
-                   seed=%d@."
-                  ukw un uzs churn slots seed),
-              ukw )
+  let recovered =
+    if recover then
+      Some
+        (Essa_serve.Recovery.restore
+           ~dir:(Option.get wal_dir)
+           ~num_keywords:nkw ~engine_of ())
+    else None
+  in
+  let engine =
+    match recovered with
+    | Some (r : Essa_serve.Recovery.restored) -> r.engine
+    | None -> engine_of None
+  in
+  let wal_writer =
+    Option.map
+      (fun dir -> Essa_serve.Wal.create_writer ~fsync ~dir ())
+      wal_dir
+  in
+  let server =
+    Essa_serve.Server.create ~metrics:registry ~workers ~queue_capacity
+      ~max_batch ~max_restarts ?deadline_budget_ns ~faults ~commit ~balance
+      ~rebalance_every ?wal:wal_writer ~wal_snapshot_every ~engine ()
+  in
+  let resubmitted = ref 0 in
+  let report =
+    match recovered with
+    | Some (r : Essa_serve.Recovery.restored) ->
+        (* Resubmit exactly the trace positions the WAL did not
+           settle, in ascending order; the persisted prefix is
+           already in the restored engine. *)
+        let trace = trace_of auctions in
+        let persisted = Hashtbl.create 1024 in
+        Array.iter (fun s -> Hashtbl.replace persisted s ()) r.persisted;
+        let remaining = ref [] in
+        Array.iteri
+          (fun i kw ->
+            if not (Hashtbl.mem persisted i) then remaining := kw :: !remaining)
+          trace;
+        let remaining = List.rev !remaining in
+        resubmitted := List.length remaining;
+        Essa_serve.Load_gen.closed_loop server
+          ~keywords:(List.to_seq remaining)
+          ~total:!resubmitted ~window ()
+    | None -> (
+        match rate with
+        | Some rate_per_s ->
+            Essa_serve.Load_gen.open_loop server ~keywords:keywords_seq
+              ~offered:auctions ~rate_per_s ()
         | None ->
-            let workload =
-              Essa_sim.Workload.section5 ~seed ~n ~k:slots
-                ~num_keywords:keywords ()
-            in
-            let engine_of snap =
-              let states =
-                Option.map Essa_strategy.State_store.dense_states snap
-              in
-              Essa_sim.Workload.make_engine ~metrics:registry ?pool
-                ?parallel_threshold ~partitioned ?cache ~update_every ~pricing
-                ~mechanism ?states workload ~method_
-            in
-            ( engine_of,
-              Essa_sim.Workload.query_stream workload ~seed:(seed + 1),
-              (fun count ->
-                Essa_sim.Workload.queries workload ~seed:(seed + 1) ~count),
-              (fun () ->
-                Essa_sim.Workload.make_engine ~partitioned ?cache ~update_every
-                  ~pricing ~mechanism workload ~method_),
-              (fun () ->
-                Format.printf "workload: n=%d slots=%d keywords=%d seed=%d@." n
-                  slots keywords seed),
-              keywords )
-      in
-      let recovered =
-        if recover then
-          Some
-            (Essa_serve.Recovery.restore
-               ~dir:(Option.get wal_dir)
-               ~num_keywords:nkw ~engine_of ())
-        else None
-      in
-      let engine =
-        match recovered with
-        | Some (r : Essa_serve.Recovery.restored) -> r.engine
-        | None -> engine_of None
-      in
-      let wal_writer =
-        Option.map
-          (fun dir -> Essa_serve.Wal.create_writer ~fsync ~dir ())
-          wal_dir
-      in
-      let server =
-        Essa_serve.Server.create ~metrics:registry ~workers ~queue_capacity
-          ~max_batch ~max_restarts ?deadline_budget_ns ~faults ~commit ~balance
-          ~rebalance_every ?wal:wal_writer ~wal_snapshot_every ~engine ()
-      in
-      let resubmitted = ref 0 in
-      let report =
-        match recovered with
-        | Some (r : Essa_serve.Recovery.restored) ->
-            (* Resubmit exactly the trace positions the WAL did not
-               settle, in ascending order; the persisted prefix is
-               already in the restored engine. *)
-            let trace = trace_of auctions in
-            let persisted = Hashtbl.create 1024 in
-            Array.iter (fun s -> Hashtbl.replace persisted s ()) r.persisted;
-            let remaining = ref [] in
-            Array.iteri
-              (fun i kw ->
-                if not (Hashtbl.mem persisted i) then remaining := kw :: !remaining)
-              trace;
-            let remaining = List.rev !remaining in
-            resubmitted := List.length remaining;
-            Essa_serve.Load_gen.closed_loop server
-              ~keywords:(List.to_seq remaining)
-              ~total:!resubmitted ~window ()
-        | None -> (
-            match rate with
-            | Some rate_per_s ->
-                Essa_serve.Load_gen.open_loop server ~keywords:keywords_seq
-                  ~offered:auctions ~rate_per_s ()
-            | None ->
-                Essa_serve.Load_gen.closed_loop server ~keywords:keywords_seq
-                  ~total:auctions ~window ())
-      in
-      let stats = Essa_serve.Server.stop server in
-      Option.iter Essa_serve.Wal.close_writer wal_writer;
-      describe ();
-      Format.printf "server:   workers=%d queue=%d batch=%d%s@." workers
-        queue_capacity max_batch
-        (match pool_size with
-        | None -> ""
-        | Some d ->
-            Printf.sprintf " engine-pool=%d (threshold %s)" d
-              (match parallel_threshold with
-              | None -> "default"
-              | Some t -> string_of_int t));
-      Format.printf "engine:   mechanism=%s cache=%s update-every=%d@."
-        (Essa.Engine.mechanism_name engine)
-        (if Essa.Engine.cache_enabled engine then "on" else "off")
-        update_every;
-      Format.printf "client:   %s, %d offered@."
-        (match rate with
-        | Some r -> Printf.sprintf "open loop at %.0f/s" r
-        | None -> Printf.sprintf "closed loop, window %d" window)
-        report.offered;
-      Format.printf "accepted: %d   shed: %d   committed: %d@." report.accepted
-        report.shed stats.committed;
+            Essa_serve.Load_gen.closed_loop server ~keywords:keywords_seq
+              ~total:auctions ~window ())
+  in
+  let stats = Essa_serve.Server.stop server in
+  Option.iter Essa_serve.Wal.close_writer wal_writer;
+  describe ();
+  Format.printf "server:   workers=%d queue=%d batch=%d@." workers
+    queue_capacity max_batch;
+  Format.printf "engine:   mechanism=%s cache=%s update-every=%d@."
+    (Essa.Engine.mechanism_name engine)
+    (if Essa.Engine.cache_enabled engine then "on" else "off")
+    update_every;
+  Format.printf "client:   %s, %d offered@."
+    (match rate with
+    | Some r -> Printf.sprintf "open loop at %.0f/s" r
+    | None -> Printf.sprintf "closed loop, window %d" window)
+    report.offered;
+  Format.printf "accepted: %d   shed: %d   committed: %d@." report.accepted
+    report.shed stats.committed;
+  Format.printf
+    "commit:   %s   turnstile-waits %d   lane-imbalance %.3f%s@."
+    (match stats.commit_mode with
+    | `Global -> "global"
+    | `Per_keyword -> "per-keyword")
+    stats.turnstile_waits stats.lane_imbalance
+    (if balance then Printf.sprintf "   rebalances %d" stats.rebalances
+     else "");
+  (match wal_dir with
+  | Some dir ->
+      Format.printf "wal:      dir=%s fsync=%s snapshot-every=%d@." dir
+        (match fsync with
+        | `Always -> "always"
+        | `Never -> "never"
+        | `Every n -> Printf.sprintf "every:%d" n)
+        wal_snapshot_every
+  | None -> ());
+  (match recovered with
+  | Some (r : Essa_serve.Recovery.restored) ->
       Format.printf
-        "commit:   %s   turnstile-waits %d   lane-imbalance %.3f%s@."
-        (match stats.commit_mode with
-        | `Global -> "global"
-        | `Per_keyword -> "per-keyword")
-        stats.turnstile_waits stats.lane_imbalance
-        (if balance then Printf.sprintf "   rebalances %d" stats.rebalances
-         else "");
-      (match wal_dir with
-      | Some dir ->
-          Format.printf "wal:      dir=%s fsync=%s snapshot-every=%d@." dir
-            (match fsync with
-            | `Always -> "always"
-            | `Never -> "never"
-            | `Every n -> Printf.sprintf "every:%d" n)
-            wal_snapshot_every
-      | None -> ());
-      (match recovered with
-      | Some (r : Essa_serve.Recovery.restored) ->
-          Format.printf
-            "recover:  snapshot=%b persisted=%d trimmed=%b tail-mismatches=%d \
-             resubmitted=%d@."
-            r.snapshot_used (Array.length r.persisted) r.trimmed
-            r.tail_mismatches !resubmitted
-      | None -> ());
-      if stats.killed then
-        Format.printf "killed:   yes (execution stopped; WAL frozen at the \
-                       kill point)@.";
-      (match Essa_serve.Fault.specs faults with
-      | [] -> ()
-      | specs ->
-          Format.printf "faults:   %s@."
-            (String.concat ", "
-               (List.map Essa_serve.Fault.to_string specs)));
-      if
-        stats.failed > 0 || stats.skipped > 0 || stats.degraded > 0
-        || stats.lane_restarts > 0 || stats.rejected_closed > 0
-      then
-        Format.printf
-          "faulted:  failed %d   restarts %d   skipped %d   degraded %d   \
-           rejected-closed %d@."
-          stats.failed stats.lane_restarts stats.skipped stats.degraded
-          stats.rejected_closed;
-      List.iter
-        (fun (e : Essa_serve.Server.error) ->
-          Format.printf "  error: lane %d seq %d keyword %d: %s@." e.lane e.seq
-            e.keyword (Printexc.to_string e.exn))
-        stats.errors;
-      Format.printf "elapsed:  %.3f s   throughput: %.0f auctions/s@."
-        (Int64.to_float report.elapsed_ns /. 1e9)
-        report.throughput_per_s;
-      (match percentiles registry "essa.serve.commit_latency_ns" with
-      | Some (p50, p95, p99) ->
-          Format.printf
-            "enqueue->commit latency: p50 %.1f us   p95 %.1f us   p99 %.1f us@."
-            (p50 /. 1e3) (p95 /. 1e3) (p99 /. 1e3)
-      | None -> ());
-      (match percentiles registry "essa.auction.total_ns" with
-      | Some (p50, p95, p99) ->
-          Format.printf
-            "auction execution:       p50 %.1f us   p95 %.1f us   p99 %.1f us@."
-            (p50 /. 1e3) (p95 /. 1e3) (p99 /. 1e3)
-      | None -> ());
-      Format.printf "revenue:  %d cents@." stats.revenue;
-      if replay_check then begin
-        (* A second partitioned engine over the same workload and seeds,
-           on a private registry so the replay's auctions don't pollute
-           the served run's metrics.  In universe mode this rebuilds the
-           flat store from scratch — same enrollment, same churn seed —
-           so scheduled churn re-fires at the same keyword-local times. *)
-        let fresh = fresh_engine () in
-        let r =
-          match recovered with
-          | None -> Essa_serve.Replay.check_server server ~fresh
-          | Some (rc : Essa_serve.Recovery.restored) ->
-              (* The full served stream of the killed-then-recovered run:
-                 WAL-persisted summaries followed by the restarted
-                 server's commit logs, per keyword.  Checked end to end
-                 against one fresh engine — the recovery contract is
-                 that this combined stream is indistinguishable from an
-                 uninterrupted run's. *)
-              let log =
-                Array.init nkw (fun kw ->
-                    rc.logs.(kw)
-                    @ Essa_serve.Server.commit_log server ~keyword:kw)
-              in
-              Essa_serve.Replay.check ~served:engine ~fresh ~log
-        in
-        Format.printf
-          "replay:   %s   (%d auctions: replay %s, clocks %s, conservation \
-           %s, budgets %s)@."
-          (if Essa_serve.Replay.ok r then "OK" else "FAILED")
-          r.auctions_checked
-          (if r.replay_ok then "ok" else "MISMATCH")
-          (if r.clocks_monotone then "monotone" else "NON-MONOTONE")
-          (if r.spend_conserved then
-             Printf.sprintf "ok (%d = %d = %d cents)" r.log_revenue
-               r.served_revenue r.replayed_revenue
-           else
-             Printf.sprintf "BROKEN (log %d, served %d, replayed %d)"
-               r.log_revenue r.served_revenue r.replayed_revenue)
-          (if r.budgets_respected then "ok" else "VIOLATED");
-        List.iter
-          (fun (m : Essa_serve.Replay.mismatch) ->
-            Format.printf "  mismatch: keyword %d position %d field %s@."
-              m.keyword m.position m.field)
-          r.mismatches;
-        let tail_bad =
-          match recovered with
-          | Some (rc : Essa_serve.Recovery.restored) -> rc.tail_mismatches > 0
-          | None -> false
-        in
-        if (not (Essa_serve.Replay.ok r)) || tail_bad then exit 1
-      end;
-      match metrics_fmt with
-      | None -> ()
-      | Some fmt ->
-          print_newline ();
-          print_string (Essa_obs.Export.render fmt registry))
+        "recover:  snapshot=%b persisted=%d trimmed=%b tail-mismatches=%d \
+         resubmitted=%d@."
+        r.snapshot_used (Array.length r.persisted) r.trimmed
+        r.tail_mismatches !resubmitted
+  | None -> ());
+  if stats.killed then
+    Format.printf "killed:   yes (execution stopped; WAL frozen at the \
+                   kill point)@.";
+  (match Essa_serve.Fault.specs faults with
+  | [] -> ()
+  | specs ->
+      Format.printf "faults:   %s@."
+        (String.concat ", "
+           (List.map Essa_serve.Fault.to_string specs)));
+  if
+    stats.failed > 0 || stats.skipped > 0 || stats.degraded > 0
+    || stats.lane_restarts > 0 || stats.rejected_closed > 0
+  then
+    Format.printf
+      "faulted:  failed %d   restarts %d   skipped %d   degraded %d   \
+       rejected-closed %d@."
+      stats.failed stats.lane_restarts stats.skipped stats.degraded
+      stats.rejected_closed;
+  List.iter
+    (fun (e : Essa_serve.Server.error) ->
+      Format.printf "  error: lane %d seq %d keyword %d: %s@." e.lane e.seq
+        e.keyword (Printexc.to_string e.exn))
+    stats.errors;
+  Format.printf "elapsed:  %.3f s   throughput: %.0f auctions/s@."
+    (Int64.to_float report.elapsed_ns /. 1e9)
+    report.throughput_per_s;
+  (match percentiles registry "essa.serve.commit_latency_ns" with
+  | Some (p50, p95, p99) ->
+      Format.printf
+        "enqueue->commit latency: p50 %.1f us   p95 %.1f us   p99 %.1f us@."
+        (p50 /. 1e3) (p95 /. 1e3) (p99 /. 1e3)
+  | None -> ());
+  (match percentiles registry "essa.auction.total_ns" with
+  | Some (p50, p95, p99) ->
+      Format.printf
+        "auction execution:       p50 %.1f us   p95 %.1f us   p99 %.1f us@."
+        (p50 /. 1e3) (p95 /. 1e3) (p99 /. 1e3)
+  | None -> ());
+  Format.printf "revenue:  %d cents@." stats.revenue;
+  if replay_check then begin
+    (* A second partitioned engine over the same workload and seeds,
+       on a private registry so the replay's auctions don't pollute
+       the served run's metrics.  In universe mode this rebuilds the
+       flat store from scratch — same enrollment, same churn seed —
+       so scheduled churn re-fires at the same keyword-local times. *)
+    let fresh = fresh_engine () in
+    let r =
+      match recovered with
+      | None -> Essa_serve.Replay.check_server server ~fresh
+      | Some (rc : Essa_serve.Recovery.restored) ->
+          (* The full served stream of the killed-then-recovered run:
+             WAL-persisted summaries followed by the restarted
+             server's commit logs, per keyword.  Checked end to end
+             against one fresh engine — the recovery contract is
+             that this combined stream is indistinguishable from an
+             uninterrupted run's. *)
+          let log =
+            Array.init nkw (fun kw ->
+                rc.logs.(kw)
+                @ Essa_serve.Server.commit_log server ~keyword:kw)
+          in
+          Essa_serve.Replay.check ~served:engine ~fresh ~log
+    in
+    Format.printf
+      "replay:   %s   (%d auctions: replay %s, clocks %s, conservation \
+       %s, budgets %s)@."
+      (if Essa_serve.Replay.ok r then "OK" else "FAILED")
+      r.auctions_checked
+      (if r.replay_ok then "ok" else "MISMATCH")
+      (if r.clocks_monotone then "monotone" else "NON-MONOTONE")
+      (if r.spend_conserved then
+         Printf.sprintf "ok (%d = %d = %d cents)" r.log_revenue
+           r.served_revenue r.replayed_revenue
+       else
+         Printf.sprintf "BROKEN (log %d, served %d, replayed %d)"
+           r.log_revenue r.served_revenue r.replayed_revenue)
+      (if r.budgets_respected then "ok" else "VIOLATED");
+    List.iter
+      (fun (m : Essa_serve.Replay.mismatch) ->
+        Format.printf "  mismatch: keyword %d position %d field %s@."
+          m.keyword m.position m.field)
+      r.mismatches;
+    let tail_bad =
+      match recovered with
+      | Some (rc : Essa_serve.Recovery.restored) -> rc.tail_mismatches > 0
+      | None -> false
+    in
+    if (not (Essa_serve.Replay.ok r)) || tail_bad then exit 1
+  end;
+  match metrics_fmt with
+  | None -> ()
+  | Some fmt ->
+      print_newline ();
+      print_string (Essa_obs.Export.render fmt registry)
 
 open Cmdliner
 
@@ -498,16 +472,6 @@ let rate_t =
 let window_t =
   Arg.(value & opt int 32
        & info [ "window" ] ~doc:"Closed-loop in-flight window.")
-
-let pool_t =
-  Arg.(value & opt (some int) None
-       & info [ "engine-pool" ]
-           ~doc:"Engine-internal worker pool size for intra-auction parallel WD.")
-
-let threshold_t =
-  Arg.(value & opt (some int) None
-       & info [ "parallel-threshold" ]
-           ~doc:"Fleet size above which the engine pool engages.")
 
 let metrics_t =
   Arg.(value & opt (some string) None
@@ -644,7 +608,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Serve a query stream through the sharded pipeline")
     Term.(const run $ n_t $ slots_t $ keywords_t $ method_t $ seed_t
           $ workers_t $ queue_t $ batch_t $ auctions_t $ rate_t $ window_t
-          $ pool_t $ threshold_t $ metrics_t $ fault_t $ deadline_t
+          $ metrics_t $ fault_t $ deadline_t
           $ max_restarts_t $ commit_t $ replay_check_t $ universe_t $ churn_t
           $ balance_t $ rebalance_every_t $ cache_t $ update_every_t $ wal_t
           $ fsync_t $ wal_snapshot_every_t $ recover_t $ mechanism_t)

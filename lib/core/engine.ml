@@ -301,10 +301,9 @@ let assemble ?metrics ~clock ~cache ~update_every ~mechanism ~pricing
     m;
   }
 
-let create ?metrics ?pool ?(parallel_threshold = 4096)
-    ?(clock = Essa_util.Timing.now_ns) ?(partitioned = false) ?(cache = true)
-    ?(update_every = 1) ?(mechanism = `Classic) ~reserve ~pricing ~method_ ~ctr
-    ~states ~user_seed () =
+let create ?metrics ?(clock = Essa_util.Timing.now_ns) ?(partitioned = false)
+    ?(cache = true) ?(update_every = 1) ?(mechanism = `Classic) ~reserve
+    ~pricing ~method_ ~ctr ~states ~user_seed () =
   if update_every < 1 then invalid_arg "Engine.create: update_every < 1";
   let n = Array.length ctr in
   if n = 0 then invalid_arg "Engine.create: no advertisers";
@@ -325,16 +324,6 @@ let create ?metrics ?pool ?(parallel_threshold = 4096)
              "Engine.create: state %d has %d keywords where state 0 has %d" i
              nk_i nk))
     states;
-  if partitioned then begin
-    (match method_ with
-    | `Rh | `Rhtalu -> ()
-    | `Lp | `Lp_dense | `H ->
-        invalid_arg "Engine.create: partitioned mode supports `Rh and `Rhtalu only");
-    if pool <> None then
-      invalid_arg
-        "Engine.create: partitioned mode is lane-parallel; an engine pool \
-         cannot be shared across lanes"
-  end;
   let fleet =
     match (method_, partitioned) with
     | (`Lp | `Lp_dense | `H | `Rh), false -> Essa_strategy.Roi_fleet.tabular states
@@ -344,41 +333,32 @@ let create ?metrics ?pool ?(parallel_threshold = 4096)
        boxed-row fleet cannot be keyword-partitioned). *)
     | `Rh, true -> Essa_strategy.Roi_fleet.naive_p states
     | `Rhtalu, true -> Essa_strategy.Roi_fleet.logical_p states
-    | (`Lp | `Lp_dense | `H), true -> assert false
+    | (`Lp | `Lp_dense | `H), true ->
+        invalid_arg
+          "Engine.create: partitioned mode supports `Rh and `Rhtalu only"
   in
-  let desc_sort entries =
-    Array.sort
-      (fun (ia, pa) (ib, pb) ->
-        let c = Float.compare pb pa in
-        if c <> 0 then c else Int.compare ia ib)
-      entries;
-    entries
+  (* The TA's sorted-access lists: ids by value descending (ties to the
+     smaller id, kept by the stable sort), and the values in that order. *)
+  let sorted_desc vals =
+    let ids = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Float.compare vals.(b) vals.(a)) ids;
+    (ids, Array.map (fun i -> vals.(i)) ids)
   in
-  let ctr_sorted =
-    Array.init k (fun j -> desc_sort (Array.init n (fun i -> (i, ctr.(i).(j)))))
-  in
+  let ctr_cols = Array.init k (fun j -> Array.init n (fun i -> ctr.(i).(j))) in
+  let ctr_ids, ctr_vals = Array.split (Array.map sorted_desc ctr_cols) in
   let premiums =
     Array.init nk (fun keyword ->
         Array.init n (fun i -> Essa_strategy.Roi_state.premium states.(i) ~keyword))
   in
-  let premium_sorted =
-    Array.init nk (fun keyword ->
-        desc_sort
-          (Array.init n (fun i -> (i, float_of_int premiums.(keyword).(i)))))
+  let prem_ids, prem_vals =
+    Array.split
+      (Array.map (fun p -> sorted_desc (Array.map float_of_int p)) premiums)
   in
   if reserve < 0 then invalid_arg "Engine.create: negative reserve";
-  if parallel_threshold < 0 then
-    invalid_arg "Engine.create: negative parallel threshold";
-  let split_ids = Array.map (Array.map fst) in
-  let split_vals = Array.map (Array.map snd) in
-  (* The full-matrix buffer is only allocated when the mechanism's
-     winner determination can actually materialize it (naive methods,
-     or pooled `Rh): the sequential `Rh scan and the TA never touch an
-     n × k structure, and partitions never need it (pools are rejected
-     in partitioned mode and flat paths are slot-indexed). *)
+  (* Only the naive methods materialize the n × k matrix; partitions run
+     `Rh or `Rhtalu and never need it. *)
   let scratch =
-    Mechanism.make_scratch ~n ~k ~flat:false
-      ~with_w:(Mechanism.needs_w ~method_ ~pooled:(pool <> None))
+    Mechanism.make_scratch ~n ~k ~flat:false ~with_w:(Mechanism.needs_w method_)
   in
   assemble ?metrics ~clock ~cache ~update_every ~mechanism ~pricing
     ~partitioned ~flat:false ~ctr ~fleet ~scratch ~user_seed (fun m ->
@@ -388,18 +368,14 @@ let create ?metrics ?pool ?(parallel_threshold = 4096)
         x_k = k;
         x_reserve = reserve;
         x_ctr = ctr;
-        x_ctr_sorted = ctr_sorted;
-        x_ctr_ids = split_ids ctr_sorted;
-        x_ctr_vals = split_vals ctr_sorted;
-        x_ctr_cols = Array.init k (fun j -> Array.init n (fun i -> ctr.(i).(j)));
+        x_ctr_ids = ctr_ids;
+        x_ctr_vals = ctr_vals;
+        x_ctr_cols = ctr_cols;
         x_premiums = premiums;
-        x_premium_sorted = premium_sorted;
-        x_prem_ids = split_ids premium_sorted;
-        x_prem_vals = split_vals premium_sorted;
+        x_prem_ids = prem_ids;
+        x_prem_vals = prem_vals;
         x_fleet = fleet;
         x_is_flat = false;
-        x_pool = pool;
-        x_parallel_threshold = parallel_threshold;
         x_c_ta_sorted = m.c_ta_sorted;
         x_c_ta_random = m.c_ta_random;
         x_c_ta_seen = m.c_ta_seen;
@@ -436,18 +412,14 @@ let create_flat ?metrics ?(clock = Essa_util.Timing.now_ns) ?(cache = true)
         (* All n-sized / nk×n side structures stay empty: at 10⁵ keywords
            × 10⁵ advertisers they are exactly what the flat layout
            removes. *)
-        x_ctr_sorted = [||];
         x_ctr_ids = [||];
         x_ctr_vals = [||];
         x_ctr_cols = [||];
         x_premiums = [||];
-        x_premium_sorted = [||];
         x_prem_ids = [||];
         x_prem_vals = [||];
         x_fleet = fleet;
         x_is_flat = true;
-        x_pool = None;
-        x_parallel_threshold = max_int;
         x_c_ta_sorted = m.c_ta_sorted;
         x_c_ta_random = m.c_ta_random;
         x_c_ta_seen = m.c_ta_seen;

@@ -53,8 +53,6 @@ type t
 
 val create :
   ?metrics:Essa_obs.Registry.t ->
-  ?pool:Essa_util.Domain_pool.t ->
-  ?parallel_threshold:int ->
   ?clock:(unit -> int64) ->
   ?partitioned:bool ->
   ?cache:bool ->
@@ -81,16 +79,6 @@ val create :
     private one, readable via {!metrics}); passing a shared registry makes
     several engines aggregate into the same histograms/counters, which is
     how sweep harnesses collect one snapshot per run.
-    [pool] lends the winner-determination step a standing worker pool:
-    when [n >= parallel_threshold] (default 4096) the [`Rh] per-slot
-    top-(k+1) scan runs through {!Essa_matching.Tree_topk.parallel}
-    instead of the sequential heap scan, and the [`Rhtalu] per-slot
-    threshold-algorithm top lists are evaluated concurrently (one worker
-    task per slot; the TA only reads the logical fleet) — same lists,
-    property-tested, so the auction stream is unchanged.  Do {b not} pass
-    a pool that is
-    itself running this engine (e.g. the sweep harness's point pool):
-    nested {!Essa_util.Domain_pool.run} deadlocks.
     [clock] is the monotonic nanosecond clock consulted by the
     {!run_auction} deadline checks (default {!Essa_util.Timing.now_ns});
     injecting a scripted clock lets tests pin exactly which degradation
@@ -105,7 +93,7 @@ val create :
     {!run_partitioned} instead of {!run_auction}.  Different keywords may
     then be auctioned concurrently from different domains, as long as each
     keyword has exactly one owning lane.  Only [`Rh] and [`Rhtalu] support
-    it, and [pool] cannot be combined with it.
+    it.
     [cache] (default true) enables the cross-auction evaluation cache.
     Per keyword, the engine keeps the last completed
     winner-determination + pricing result together with the keyword's
@@ -137,7 +125,7 @@ val create :
     [mechanism] (default [`Classic]) selects the auction mechanism; see
     {!mechanism}.
     @raise Invalid_argument on shape mismatch, probabilities outside
-    [0,1], negative [parallel_threshold], [update_every < 1], advertiser
+    [0,1], [update_every < 1], advertiser
     states that disagree on the number of keywords, an unsupported
     [partitioned] combination, or a malformed [`Reserve (`Fixed _)]
     floor array. *)

@@ -25,26 +25,15 @@ let wd x s ~reserve ~keyword =
     | `H ->
         let w = fill_weights x s ~reserve ~keyword in
         { e_assignment = Essa_matching.Hungarian.solve_classic ~w; e_view = Full w }
-    | `Rh ->
-        let top =
-          match x.x_pool with
-          | Some pool when x.x_n >= x.x_parallel_threshold ->
-              (* The pooled tree scan aggregates over a materialized
-                 matrix; the sequential path scores on the fly. *)
-              let w = fill_weights x s ~reserve ~keyword in
-              Essa_matching.Tree_topk.parallel ~pool ~w ~count:(x.x_k + 1) ()
-          | _ -> rh_top_lists x s ~reserve ~keyword ~count:(x.x_k + 1)
-        in
-        let advertisers, reduced_w = reduced_from_top x s ~reserve ~keyword top in
-        let reduced = Essa_matching.Hungarian.solve ~w:reduced_w in
-        let assignment =
-          Array.map (Option.map (fun local -> advertisers.(local))) reduced
-        in
-        { e_assignment = assignment; e_view = Reduced { advertisers; w = reduced_w; top } }
-    | `Rhtalu ->
-        let top = ta_top_lists x s ~reserve ~keyword ~count:(x.x_k + 1) in
+    | (`Rh | `Rhtalu) as m ->
+        let count = x.x_k + 1 in
         (* The full matrix is never materialized: weights travel inside
            the top lists and the reduced view. *)
+        let top =
+          match m with
+          | `Rh -> rh_top_lists x s ~reserve ~keyword ~count
+          | `Rhtalu -> ta_top_lists x s ~reserve ~keyword ~count
+        in
         let advertisers, reduced_w = reduced_from_top x s ~reserve ~keyword top in
         let reduced = Essa_matching.Hungarian.solve ~w:reduced_w in
         let assignment =

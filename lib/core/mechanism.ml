@@ -4,9 +4,9 @@ type method_ = [ `Lp | `Lp_dense | `H | `Rh | `Rhtalu ]
 type pricing = [ `Gsp | `Vcg | `Pay_as_bid ]
 
 (* Per-auction mutable workspace: the full weight matrix buffer (naive
-   methods and the pooled `Rh scan) and the reduced-pricing-view scratch,
-   owned by whoever runs the auction so the drivers allocate O(k²) small
-   views instead of a fresh Set/Hashtbl/list chain per auction.
+   methods) and the reduced-pricing-view scratch, owned by whoever runs
+   the auction so the drivers allocate O(k²) small views instead of a
+   fresh Set/Hashtbl/list chain per auction.
    [stamp.(i) = stamp_token] marks advertiser i as a member of the
    current auction's reduced set, and [local_of.(i)] is then its row in
    the reduced matrix.  The serial engine owns one; the partitioned
@@ -67,14 +67,9 @@ let make_scratch ~n ~k ~with_w ~flat =
   }
 
 (* The naive methods score every advertiser on every slot through the
-   materialized matrix; `Rh only needs it for the pooled tree-top-k scan
-   (its sequential scan computes scores on the fly, see [rh_top_lists]);
-   `Rhtalu never materializes it. *)
-let needs_w ~method_ ~pooled =
-  match method_ with
-  | `Lp | `Lp_dense | `H -> true
-  | `Rh -> pooled
-  | `Rhtalu -> false
+   materialized matrix; `Rh computes scores on the fly (see
+   [rh_top_lists]) and `Rhtalu never materializes them. *)
+let needs_w = function `Lp | `Lp_dense | `H -> true | `Rh | `Rhtalu -> false
 
 type ctx = {
   x_method : method_;
@@ -82,18 +77,14 @@ type ctx = {
   x_k : int;
   x_reserve : int;
   x_ctr : float array array;
-  x_ctr_sorted : (int * float) array array;
   x_ctr_ids : int array array;
   x_ctr_vals : float array array;
   x_ctr_cols : float array array;
   x_premiums : int array array;
-  x_premium_sorted : (int * float) array array;
   x_prem_ids : int array array;
   x_prem_vals : float array array;
   x_fleet : Essa_strategy.Roi_fleet.t;
   x_is_flat : bool;
-  x_pool : Essa_util.Domain_pool.t option;
-  x_parallel_threshold : int;
   x_c_ta_sorted : Essa_obs.Counter.t;
   x_c_ta_random : Essa_obs.Counter.t;
   x_c_ta_seen : Essa_obs.Counter.t;
@@ -189,7 +180,8 @@ let rh_top_lists x s ~reserve ~keyword ~count =
    stop rule [min top-k score > τ], canonical ties (higher score, then
    smaller id) — and the access statistics are counted identically, so
    the result lists *and* the essa.ta.* counters are bit-identical to the
-   generic path (property-tested).
+   generic TA over closure sources.  That generic TA is kept as the test
+   oracle of this path ("SoA fast TA = generic TA" in test_mechanism).
 
    Sorted access on the maintained bid lists is an inline merge of the
    fleet's persistent sorted views ({!Essa_strategy.Roi_fleet.sorted_views}):
@@ -198,7 +190,7 @@ let rh_top_lists x s ~reserve ~keyword ~count =
    top-(k+1) buffer an insertion-sorted pair of parallel arrays, both in
    the per-auction scratch, so a TA open allocates nothing but the k
    result lists. *)
-let ta_top_lists_fast x s ~reserve ~keyword ~count =
+let ta_top_lists x s ~reserve ~keyword ~count =
   let views = Essa_strategy.Roi_fleet.sorted_views x.x_fleet ~keyword in
   let nv = Array.length views in
   (* Hoist the view fields and the random-access closure out of the
@@ -404,85 +396,6 @@ let ta_top_lists_fast x s ~reserve ~keyword ~count =
     s.wd_ta_seen <- s.wd_ta_seen + !seen_objects
   done;
   tops
-
-(* Per-slot top lists via the threshold algorithm: sorted access on the
-   static ctr list and on the maintained bid lists; the product is the
-   same float expression as [fill_weights], so the lists are identical to
-   a heap scan of the full matrix. *)
-let ta_top_lists_generic x s ~reserve ~keyword ~count =
-  let bids_source =
-    {
-      Essa_ta.Threshold.sorted =
-        (fun () ->
-          Seq.map
-            (fun (adv, b) -> (adv, float_of_int b))
-            (Essa_strategy.Roi_fleet.bids_desc x.x_fleet ~keyword));
-      lookup =
-        (fun adv ->
-          float_of_int (Essa_strategy.Roi_fleet.bid x.x_fleet ~adv ~keyword));
-    }
-  in
-  let premium_source =
-    {
-      Essa_ta.Threshold.sorted =
-        (fun () -> Array.to_seq x.x_premium_sorted.(keyword));
-      lookup = (fun adv -> float_of_int x.x_premiums.(keyword).(adv));
-    }
-  in
-  let slot_top j =
-    let ctr_source =
-      {
-        Essa_ta.Threshold.sorted = (fun () -> Array.to_seq x.x_ctr_sorted.(j));
-        lookup = (fun adv -> x.x_ctr.(adv).(j));
-      }
-    in
-    let reserve = float_of_int reserve in
-    (* Sub-reserve bids score 0, exactly like the matrix paths; the
-       step form keeps f monotone in every attribute. *)
-    if j = 0 then
-      Essa_ta.Threshold.top_k ~k:count
-        ~f:(fun attrs ->
-          if attrs.(1) < reserve then 0.0
-          else attrs.(0) *. (attrs.(1) +. attrs.(2)))
-        [| ctr_source; bids_source; premium_source |]
-    else
-      Essa_ta.Threshold.top_k ~k:count
-        ~f:(fun attrs ->
-          if attrs.(1) < reserve then 0.0 else attrs.(0) *. attrs.(1))
-        [| ctr_source; bids_source |]
-  in
-  (* The k slot TAs only read the fleet (the RHTALU fleet is logical:
-     [bids_desc] is a pure 3-way merge and [bid] two array reads), so
-     with a pool they fan out across worker domains — the per-slot lists
-     and access statistics are computed independently either way, and the
-     stats are folded into the counters in slot order below, keeping the
-     metrics bit-identical to the sequential scan. *)
-  let tops =
-    match x.x_pool with
-    | Some pool when x.x_n >= x.x_parallel_threshold && x.x_k > 1 ->
-        Essa_util.Domain_pool.run_array pool
-          (Array.init x.x_k (fun j () -> slot_top j))
-    | _ -> Array.init x.x_k slot_top
-  in
-  Array.map
-    (fun ((top, stats) : _ * Essa_ta.Threshold.stats) ->
-      Essa_obs.Counter.add x.x_c_ta_sorted stats.sorted_accesses;
-      Essa_obs.Counter.add x.x_c_ta_random stats.random_accesses;
-      Essa_obs.Counter.add x.x_c_ta_seen stats.seen_objects;
-      s.wd_ta_sorted <- s.wd_ta_sorted + stats.sorted_accesses;
-      s.wd_ta_random <- s.wd_ta_random + stats.random_accesses;
-      s.wd_ta_seen <- s.wd_ta_seen + stats.seen_objects;
-      top)
-    tops
-
-(* The pooled fan-out keeps the generic closure-based TA (worker domains
-   evaluate whole slots concurrently); everything else takes the SoA fast
-   path.  Same lists, same counters, property-tested against each other. *)
-let ta_top_lists x s ~reserve ~keyword ~count =
-  match x.x_pool with
-  | Some _ when x.x_n >= x.x_parallel_threshold && x.x_k > 1 ->
-      ta_top_lists_generic x s ~reserve ~keyword ~count
-  | _ -> ta_top_lists_fast x s ~reserve ~keyword ~count
 
 (* Degraded winner determination: one pass over the fleet taking the top-k
    advertisers by slot-1 expected revenue (same float expression as the

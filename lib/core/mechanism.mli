@@ -78,36 +78,31 @@ val make_scratch : n:int -> k:int -> with_w:bool -> flat:bool -> scratch
     Hungarian solve and {!gsp_from_top_flat}.  The two sizes agree
     whenever [n <= k·(k+1)]. *)
 
-val needs_w : method_:method_ -> pooled:bool -> bool
+val needs_w : method_ -> bool
 (** Whether the classic mechanism's winner determination materializes the
-    full n × k weight matrix for [method_]: the naive methods ([`Lp],
-    [`Lp_dense], [`H]) always do; [`Rh] only on the pooled tree-top-k
-    path ([pooled] = an engine worker pool is present) — its sequential
-    scan computes slot scores on the fly ({!rh_top_lists}), so cache
-    misses never leave the reduced lists; [`Rhtalu] never does. *)
+    full n × k weight matrix for the method: the naive methods ([`Lp],
+    [`Lp_dense], [`H]) do; [`Rh] computes slot scores on the fly
+    ({!rh_top_lists}), so cache misses never leave the reduced lists, and
+    [`Rhtalu] never does. *)
 
 (** The mechanism-visible view of an engine: static instance data, the
     fleet, and the shared access-statistic counters.  Built once at
     engine construction; flat engines leave the dense side structures
-    ([ctr_sorted] .. [prem_vals]) empty. *)
+    ([ctr_ids] .. [prem_vals]) empty. *)
 type ctx = {
   x_method : method_;
   x_n : int;
   x_k : int;
   x_reserve : int;  (** the engine-wide per-click floor, cents *)
   x_ctr : float array array;
-  x_ctr_sorted : (int * float) array array;
   x_ctr_ids : int array array;
   x_ctr_vals : float array array;
   x_ctr_cols : float array array;
   x_premiums : int array array;
-  x_premium_sorted : (int * float) array array;
   x_prem_ids : int array array;
   x_prem_vals : float array array;
   x_fleet : Essa_strategy.Roi_fleet.t;
   x_is_flat : bool;
-  x_pool : Essa_util.Domain_pool.t option;
-  x_parallel_threshold : int;
   x_c_ta_sorted : Essa_obs.Counter.t;
   x_c_ta_random : Essa_obs.Counter.t;
   x_c_ta_seen : Essa_obs.Counter.t;

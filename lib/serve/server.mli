@@ -20,9 +20,7 @@
     clock, one shared click stream) makes auction execution a serial
     dependency chain, so the turnstile serializes exactly those commits
     rather than relax the contract; concurrency lives around that chain —
-    lanes overlap dequeue/dispatch with execution, and the engine's own
-    worker pool (if configured) fans each auction's winner determination
-    out across domains ([`Rh] tree top-k, [`Rhtalu] per-slot TA).
+    lanes overlap dequeue/dispatch with execution.
 
     {b Fault tolerance}: a lane whose execution raises (engine or
     [on_commit] exception) no longer poisons the fleet.  The supervisor
@@ -112,8 +110,8 @@ val create :
   t
 (** Spawn the serving fleet over [engine] (ownership transferred: do not
     touch the engine until after {!stop}).  [workers] is the lane count
-    (>= 1; keep it below the core count in production — the batcher and
-    any engine-internal pool are additional domains).  [queue_capacity]
+    (>= 1; keep it below the core count in production — the batcher is
+    an additional domain).  [queue_capacity]
     (default 1024) bounds the ingress queue; [max_batch] (default 64)
     bounds one batch.  [on_commit] is invoked for every {e executed}
     auction (deadline-degraded ones included; failed and skipped queries

@@ -57,9 +57,7 @@ val run_series :
     records into a private registry; the registries are merged into
     [metrics] in point order after each wave, and the give-up rule is
     applied to the ordered wave results — so labels, points (including
-    [revenue]) and merged metrics are identical to a serial sweep's.
-    Engines created inside a pooled sweep must not reuse the same pool
-    (nested {!Essa_util.Domain_pool.run} self-deadlocks). *)
+    [revenue]) and merged metrics are identical to a serial sweep's. *)
 
 val fig12 :
   ?metrics:Essa_obs.Registry.t ->

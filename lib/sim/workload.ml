@@ -101,13 +101,12 @@ let default_mechanism mechanism =
   | Some m -> m
   | None -> ( match env_mechanism () with Some m -> m | None -> `Classic)
 
-let make_engine ?metrics ?pool ?parallel_threshold ?partitioned ?cache
-    ?update_every ?(pricing = `Gsp) ?(reserve = 0) ?mechanism ?states t
-    ~method_ =
+let make_engine ?metrics ?partitioned ?cache ?update_every ?(pricing = `Gsp)
+    ?(reserve = 0) ?mechanism ?states t ~method_ =
   let states = match states with Some s -> s | None -> fresh_states t in
   let mechanism = default_mechanism mechanism in
-  Essa.Engine.create ?metrics ?pool ?parallel_threshold ?partitioned ?cache
-    ?update_every ~reserve ~pricing ~mechanism ~method_ ~ctr:t.ctr ~states
+  Essa.Engine.create ?metrics ?partitioned ?cache ?update_every ~reserve
+    ~pricing ~mechanism ~method_ ~ctr:t.ctr ~states
     ~user_seed:(t.seed lxor 0x5eed) ()
 
 let query_stream t ~seed =

@@ -44,8 +44,6 @@ val fresh_states : t -> Essa_strategy.Roi_state.t array
 
 val make_engine :
   ?metrics:Essa_obs.Registry.t ->
-  ?pool:Essa_util.Domain_pool.t ->
-  ?parallel_threshold:int ->
   ?partitioned:bool ->
   ?cache:bool ->
   ?update_every:int ->
@@ -67,11 +65,9 @@ val make_engine :
     [states] substitutes restored mid-run advertiser states for the fresh
     ones — the crash-recovery path rebuilds an engine over a decoded
     snapshot while keeping the workload's CTRs and user-seed derivation.
-    [metrics], [pool], [parallel_threshold], [partitioned], [cache] and
-    [update_every] are forwarded to {!Essa.Engine.create} — a shared
-    registry lets every engine of a sweep record into one snapshot, a
-    pool parallelizes the [`Rh] top-list scan on large fleets,
-    [partitioned] builds the keyword-partitioned engine the serving
+    [metrics], [partitioned], [cache] and [update_every] are forwarded
+    to {!Essa.Engine.create} — a shared registry lets every engine of a
+    sweep record into one snapshot, [partitioned] builds the keyword-partitioned engine the serving
     layer's [`Per_keyword] commit mode drives, and [cache] /
     [update_every] control the cross-auction evaluation cache and
     bid-update decimation (see {!Essa.Engine.create}). *)

@@ -844,20 +844,30 @@ let keyword_time t ~keyword =
   check_kw t keyword;
   State_store.time (store_of t) ~keyword
 
+let pending_time_triggers t ~keyword =
+  check_kw t keyword;
+  match t.strategy with
+  | Logical_p lp -> Essa_util.Min_heap.size lp.lp_time_triggers.(keyword)
+  | _ -> invalid_arg "Roi_fleet.pending_time_triggers: not a logical_p fleet"
+
 let tick_p t ~keyword =
   check_kw t keyword;
   State_store.tick (store_of t) ~keyword
 
 (* A keyword-local re-seat + trigger re-arm for one advertiser, driven by
-   a snapshot spend reading. *)
+   a snapshot spend reading.  At most one entry per advertiser is
+   current, so a heap past 2n entries drops its stale ones at once. *)
 let lp_reseat lp states ~adv ~keyword ~time ~amt =
   reseat lp.lp_base states ~adv ~keyword ~time ~amt;
   match critical_time states.(adv) ~amt ~time with
   | None -> ()
   | Some when_ ->
-      Essa_util.Min_heap.push lp.lp_time_triggers.(keyword)
-        ~priority:(float_of_int when_)
-        (adv, lp.lp_version.(keyword).(adv))
+      let heap = lp.lp_time_triggers.(keyword) in
+      let version = lp.lp_version.(keyword) in
+      Essa_util.Min_heap.push heap ~priority:(float_of_int when_)
+        (adv, version.(adv));
+      if Essa_util.Min_heap.size heap > 2 * Array.length version then
+        Essa_util.Min_heap.retain heap (fun (a, v) -> v = version.(a))
 
 let begin_auction_p t ~keyword ?snapshot ?adopt () =
   check_kw t keyword;

@@ -188,6 +188,11 @@ val store_of : t -> State_store.t
 val keyword_time : t -> keyword:int -> int
 (** The keyword's local auction clock (0 before its first auction). *)
 
+val pending_time_triggers : t -> keyword:int -> int
+(** Entries in a {!logical_p} fleet's spend-rate trigger heap for the
+    keyword, stale ones included; never more than [2n].
+    @raise Invalid_argument on any other strategy. *)
+
 val tick_p : t -> keyword:int -> int
 (** Advance the keyword's clock without running bid adjustments — the
     [Unfilled]-degrade path, which sheds program updates but keeps the

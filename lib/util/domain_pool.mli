@@ -19,14 +19,15 @@ val run_array : t -> (unit -> 'a) array -> 'a array
 (** [run_array t tasks] executes the tasks on the pool's workers and
     returns their results in order.  Blocks until all complete.  If a task
     raises, the first exception (in task order) is re-raised after all
-    tasks have settled.  The array form is the hot-path submission
-    interface (per-auction fan-out in the engine and the serving layer):
+    tasks have settled.  The array form is the allocation-lean
+    submission interface (the chunks of [Essa_matching.Tree_topk.parallel]):
     no per-call list is built or traversed.  Tasks must not themselves
     call [run_array] on the same pool: the inner call would block a worker
     waiting for tasks that can only run on the workers it is occupying —
     self-deadlock, not detected.  Thread-safety against concurrent
     submissions is NOT provided — one orchestrator at a time, which is how
-    the auction engine and the serve commit protocol use it. *)
+    the tree top-k, the heavyweight enumeration and the experiment sweeps
+    use it. *)
 
 val run : t -> (unit -> 'a) list -> 'a list
 (** List-flavoured wrapper over {!run_array}; same contract. *)

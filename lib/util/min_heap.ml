@@ -52,6 +52,18 @@ let push t ~priority payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
+let retain t keep =
+  let n = t.size in
+  t.size <- 0;
+  for i = 0 to n - 1 do
+    if keep t.payloads.(i) then begin
+      t.priorities.(t.size) <- t.priorities.(i);
+      t.payloads.(t.size) <- t.payloads.(i);
+      t.size <- t.size + 1
+    end
+  done;
+  for i = (t.size / 2) - 1 downto 0 do sift_down t i done
+
 let min_priority t = if t.size = 0 then None else Some t.priorities.(0)
 
 let pop t =

@@ -11,6 +11,10 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> priority:float -> 'a -> unit
 
+val retain : 'a t -> ('a -> bool) -> unit
+(** Drop, in place, every entry whose payload fails the predicate, in
+    O(size); surviving equal-priority entries may pop in a new order. *)
+
 val min_priority : 'a t -> float option
 
 val pop : 'a t -> (float * 'a) option

@@ -453,33 +453,6 @@ let test_engine_rh_equals_rhtalu () =
     done
   done
 
-let test_engine_rh_pooled_equals_unpooled () =
-  (* A pool behind the `Rh top-list scan (forced on by a threshold of 1)
-     must leave the auction stream bit-identical — Tree_topk.parallel
-     returns exactly the heap scan's lists. *)
-  let wl = Essa_sim.Workload.section5 ~seed:23 ~n:90 ~k:6 () in
-  Essa_util.Domain_pool.with_pool 3 (fun pool ->
-      let plain = Essa_sim.Workload.make_engine wl ~method_:`Rh in
-      let pooled =
-        Essa_sim.Workload.make_engine ~pool ~parallel_threshold:1 wl
-          ~method_:`Rh
-      in
-      let q = ref (Essa_sim.Workload.query_stream wl ~seed:9) in
-      let next () =
-        match !q () with
-        | Seq.Cons (kw, rest) -> q := rest; kw
-        | Seq.Nil -> 0
-      in
-      for _ = 1 to 300 do
-        let kw = next () in
-        let s1 = Essa.Engine.run_auction plain ~keyword:kw in
-        let s2 = Essa.Engine.run_auction pooled ~keyword:kw in
-        if s1 <> s2 then Alcotest.fail "pooled RH diverged"
-      done;
-      Alcotest.(check int) "revenues equal"
-        (Essa.Engine.total_revenue plain)
-        (Essa.Engine.total_revenue pooled))
-
 let test_engine_all_methods_same_expected_value_one_auction () =
   (* On the first auction (same bids everywhere) every method must select
      an allocation of the same expected revenue. *)
@@ -1129,8 +1102,6 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "RH = RHTALU (800 auctions)" `Slow test_engine_rh_equals_rhtalu;
-          Alcotest.test_case "pooled RH = unpooled RH" `Quick
-            test_engine_rh_pooled_equals_unpooled;
           Alcotest.test_case "methods agree on value" `Quick
             test_engine_all_methods_same_expected_value_one_auction;
           Alcotest.test_case "accounting" `Quick test_engine_accounting;

@@ -93,6 +93,37 @@ let test_stream s () =
     Alcotest.failf "%s: %.3f minor words per auction, ceiling %.3f" s.name
       words ceiling
 
+(* The per-keyword spend-rate trigger heaps of a logical_p fleet hold
+   superseded entries until popped; past 2n entries a heap drops them.
+   On this stream several keywords pass 2n, so the drop runs; the digest
+   of every summary, computed before the bound existed, pins that it
+   changes no auction. *)
+let test_trigger_heap_bound () =
+  let n = 1000 and num_keywords = 10 in
+  let w = Workload.section5 ~k:15 ~num_keywords ~seed:1 ~n () in
+  let e =
+    Workload.make_engine ~partitioned:true ~cache:false ~mechanism:`Classic w
+      ~method_:`Rhtalu
+  in
+  let fleet = Engine.fleet e in
+  let summaries =
+    Array.map
+      (fun keyword ->
+        let s = Engine.run_partitioned e ~keyword in
+        for kw = 0 to num_keywords - 1 do
+          let pending =
+            Essa_strategy.Roi_fleet.pending_time_triggers fleet ~keyword:kw
+          in
+          if pending > 2 * n then
+            Alcotest.failf "keyword %d: %d pending triggers after auction %d"
+              kw pending s.Engine.auction_time
+        done;
+        s)
+      (Workload.queries w ~seed:2 ~count:12_000)
+  in
+  Alcotest.(check string) "summary digest" "5fa425353781d48c0f98532bec71b9c0"
+    (Digest.to_hex (Digest.string (Marshal.to_string summaries [])))
+
 let () =
   Alcotest.run "essa_cost"
     [
@@ -100,4 +131,9 @@ let () =
         List.map
           (fun s -> Alcotest.test_case s.name `Quick (test_stream s))
           (streams ()) );
+      ( "trigger_heaps",
+        [
+          Alcotest.test_case "section5 rhtalu, partitioned: pending <= 2n"
+            `Quick test_trigger_heap_bound;
+        ] );
     ]

@@ -333,18 +333,14 @@ let flat_ctx ~ctr ~k store : Mechanism.ctx =
     x_k = k;
     x_reserve = 0;
     x_ctr = ctr;
-    x_ctr_sorted = [||];
     x_ctr_ids = [||];
     x_ctr_vals = [||];
     x_ctr_cols = [||];
     x_premiums = [||];
-    x_premium_sorted = [||];
     x_prem_ids = [||];
     x_prem_vals = [||];
     x_fleet = Essa_strategy.Roi_fleet.flat_p store;
     x_is_flat = true;
-    x_pool = None;
-    x_parallel_threshold = max_int;
     x_c_ta_sorted = c ();
     x_c_ta_random = c ();
     x_c_ta_seen = c ();
@@ -486,6 +482,158 @@ let test_served_stream_pin () =
     [| 88; 3692; 220 |] regimes;
   Alcotest.(check string) "summary digest" "942d5f0691f500cf370de0d2fe6476f2"
     (Digest.to_hex (Digest.string (Marshal.to_string outcomes [])))
+
+(* ------------------------------------------------------------------ *)
+(* The SoA threshold algorithm against the generic one it replicates:
+   [Essa_ta.Threshold.top_k] over closure sources (ctr, bids, slot-1
+   premium), kept here as the oracle.  A dense `Rhtalu ctx over a logical
+   fleet runs whole auctions — begin pass, both TAs, winner determination,
+   pricing, billing under random clicks — so the bid lists the TAs read
+   move between auctions; every auction must yield the same per-slot
+   lists and the same sorted / random / seen tallies. *)
+
+module Roi_fleet = Essa_strategy.Roi_fleet
+module Threshold = Essa_ta.Threshold
+
+let generic_ta_top_lists (x : Mechanism.ctx) ~reserve ~keyword ~count =
+  let seq_of ids vals () = Seq.zip (Array.to_seq ids) (Array.to_seq vals) in
+  let bids =
+    {
+      Threshold.sorted =
+        (fun () ->
+          Seq.map
+            (fun (adv, b) -> (adv, float_of_int b))
+            (Roi_fleet.bids_desc x.x_fleet ~keyword));
+      lookup =
+        (fun adv -> float_of_int (Roi_fleet.bid x.x_fleet ~adv ~keyword));
+    }
+  in
+  let premium =
+    {
+      Threshold.sorted = seq_of x.x_prem_ids.(keyword) x.x_prem_vals.(keyword);
+      lookup = (fun adv -> float_of_int x.x_premiums.(keyword).(adv));
+    }
+  in
+  let reserve = float_of_int reserve in
+  let tallies = ref (0, 0, 0) in
+  let slot_top j =
+    let ctr =
+      {
+        Threshold.sorted = seq_of x.x_ctr_ids.(j) x.x_ctr_vals.(j);
+        lookup = (fun adv -> x.x_ctr.(adv).(j));
+      }
+    in
+    (* Sub-reserve bids score 0, like the engine's scans; the step form
+       keeps f monotone in every attribute, as TA requires. *)
+    let top, (st : Threshold.stats) =
+      if j = 0 then
+        Threshold.top_k ~k:count
+          ~f:(fun a ->
+            if a.(1) < reserve then 0.0 else a.(0) *. (a.(1) +. a.(2)))
+          [| ctr; bids; premium |]
+      else
+        Threshold.top_k ~k:count
+          ~f:(fun a -> if a.(1) < reserve then 0.0 else a.(0) *. a.(1))
+          [| ctr; bids |]
+    in
+    let sorted, random, seen = !tallies in
+    tallies :=
+      ( sorted + st.sorted_accesses,
+        random + st.random_accesses,
+        seen + st.seen_objects );
+    top
+  in
+  let tops = Array.init x.x_k slot_top in
+  (tops, !tallies)
+
+(* The sorted-access lists are built from (id, value) pairs under the
+   canonical order, independently of the engine's construction. *)
+let dense_rhtalu_ctx ~ctr ~states ~reserve : Mechanism.ctx =
+  let n = Array.length ctr and k = Array.length ctr.(0) in
+  let desc values =
+    let entries = Array.mapi (fun i v -> (i, v)) values in
+    Array.sort
+      (fun (ia, pa) (ib, pb) ->
+        let c = Float.compare pb pa in
+        if c <> 0 then c else Int.compare ia ib)
+      entries;
+    (Array.map fst entries, Array.map snd entries)
+  in
+  let ctr_cols = Array.init k (fun j -> Array.init n (fun i -> ctr.(i).(j))) in
+  let ctr_ids, ctr_vals = Array.split (Array.map desc ctr_cols) in
+  let premiums =
+    Array.init (Essa_strategy.Roi_state.num_keywords states.(0)) (fun keyword ->
+        Array.map (fun st -> Essa_strategy.Roi_state.premium st ~keyword) states)
+  in
+  let prem_ids, prem_vals =
+    Array.split (Array.map (fun p -> desc (Array.map float_of_int p)) premiums)
+  in
+  let c () = Essa_obs.Counter.create () in
+  {
+    x_method = `Rhtalu;
+    x_n = n;
+    x_k = k;
+    x_reserve = reserve;
+    x_ctr = ctr;
+    x_ctr_ids = ctr_ids;
+    x_ctr_vals = ctr_vals;
+    x_ctr_cols = ctr_cols;
+    x_premiums = premiums;
+    x_prem_ids = prem_ids;
+    x_prem_vals = prem_vals;
+    x_fleet = Roi_fleet.logical states;
+    x_is_flat = false;
+    x_c_ta_sorted = c ();
+    x_c_ta_random = c ();
+    x_c_ta_seen = c ();
+    x_c_reduced = c ();
+  }
+
+let prop_fast_ta_equals_generic =
+  qtest ~count:4 "SoA fast TA = generic TA"
+    QCheck2.Gen.(
+      quad (int_range 1 1000) (int_range 8 60) (int_range 2 6) (int_range 0 6))
+    (fun (seed, n, k, reserve) ->
+      let wl =
+        Workload.section5 ~seed ~n ~k ~num_keywords:4 ~budgeted_fraction:0.3
+          ~brand_fraction:0.3 ()
+      in
+      let x =
+        dense_rhtalu_ctx ~ctr:(Workload.ctr wl) ~states:(Workload.fresh_states wl)
+          ~reserve
+      in
+      let s = Mechanism.make_scratch ~n ~k ~with_w:false ~flat:false in
+      let clicks = Essa_util.Rng.create (seed + 11) in
+      let count = k + 1 in
+      let agree = ref true in
+      Array.iteri
+        (fun i keyword ->
+          let time = i + 1 in
+          Roi_fleet.on_auction x.x_fleet ~time ~keyword;
+          Mechanism.reset_wd_stats s;
+          let fast = Mechanism.ta_top_lists x s ~reserve ~keyword ~count in
+          let generic, tallies =
+            generic_ta_top_lists x ~reserve ~keyword ~count
+          in
+          if
+            fast <> generic
+            || (s.wd_ta_sorted, s.wd_ta_random, s.wd_ta_seen) <> tallies
+          then agree := false;
+          let ev = Essa.Mech_classic.wd x s ~reserve ~keyword in
+          let prices =
+            Essa.Mech_classic.price_eval ~pricing:`Gsp x s ~reserve ~keyword ev
+          in
+          Array.iteri
+            (fun j0 cell ->
+              Option.iter
+                (fun adv ->
+                  Roi_fleet.record_win x.x_fleet ~time ~adv ~keyword
+                    ~price:prices.(j0)
+                    ~clicked:(Essa_util.Rng.bernoulli clicks x.x_ctr.(adv).(j0)))
+                cell)
+            ev.e_assignment)
+        (Workload.queries wl ~seed:(seed + 7) ~count:120);
+      !agree)
 
 (* ------------------------------------------------------------------ *)
 (* Stable matching: the solver's fixed point has no blocking pair.  A
@@ -670,6 +818,7 @@ let () =
           Alcotest.test_case "default construction is classic GSP" `Quick
             test_default_is_classic;
           Alcotest.test_case "mechanism names" `Quick test_mechanism_names;
+          prop_fast_ta_equals_generic;
         ] );
       ( "cache",
         [

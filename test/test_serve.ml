@@ -139,72 +139,6 @@ let prop_equivalence =
             worker_counts)
         [ `Rh; `Rhtalu ])
 
-(* Run every query through an `Rhtalu engine and return everything the TA
-   implementation determines: the summary stream, the final state
-   fingerprint and the essa.ta.* access counters.  Without a pool the
-   engine takes the SoA fast path; with [?pool ~parallel_threshold:1] it
-   takes the generic closure-based TA — the two must agree bit-for-bit,
-   counters included. *)
-let run_rhtalu_with_counters ?pool ?parallel_threshold workload ~queries () =
-  let engine =
-    Essa_sim.Workload.make_engine ?pool ?parallel_threshold workload
-      ~method_:`Rhtalu
-  in
-  let summaries =
-    Array.to_list
-      (Array.map
-         (fun kw -> strip (Essa.Engine.run_auction engine ~keyword:kw))
-         queries)
-  in
-  let counter name =
-    match Essa_obs.Registry.find (Essa.Engine.metrics engine) name with
-    | Some (Essa_obs.Registry.Counter c) -> Essa_obs.Counter.value c
-    | _ -> Alcotest.failf "missing counter %s" name
-  in
-  ( summaries,
-    fingerprint engine,
-    ( counter "essa.ta.sorted_accesses",
-      counter "essa.ta.random_accesses",
-      counter "essa.ta.seen_objects" ) )
-
-let test_engine_parallel_ta_identical () =
-  (* The `Rhtalu per-slot TA fan-out (engine + pool) is bit-identical to
-     the SoA fast path, auction stream and TA counters included. *)
-  let workload =
-    Essa_sim.Workload.section5 ~seed:21 ~n:60 ~k:5 ~num_keywords:5 ()
-  in
-  let queries = Essa_sim.Workload.queries workload ~seed:22 ~count:150 in
-  let serial = run_rhtalu_with_counters workload ~queries () in
-  let parallel =
-    Essa_util.Domain_pool.with_pool 3 (fun pool ->
-        (* threshold 1 forces the fan-out even at this small n *)
-        run_rhtalu_with_counters ~pool ~parallel_threshold:1 workload ~queries
-          ())
-  in
-  Alcotest.(check bool) "pooled TA = serial TA" true (parallel = serial)
-
-let prop_fast_ta_identical =
-  (* Random instance shapes: the SoA fast path (flat arrays, inline
-     merge, stamp seen-set) and the generic threshold algorithm remain
-     interchangeable everywhere, not just on the hand-picked shape. *)
-  qtest "SoA fast TA = generic TA" ~count:4
-    QCheck2.Gen.(tup3 (int_range 1 1000) (int_range 8 60) (int_range 2 6))
-    (fun (seed, n, k) ->
-      let workload =
-        Essa_sim.Workload.section5 ~seed ~n ~k ~num_keywords:4
-          ~budgeted_fraction:0.3 ()
-      in
-      let queries =
-        Essa_sim.Workload.queries workload ~seed:(seed + 7) ~count:120
-      in
-      let fast = run_rhtalu_with_counters workload ~queries () in
-      let generic =
-        Essa_util.Domain_pool.with_pool 2 (fun pool ->
-            run_rhtalu_with_counters ~pool ~parallel_threshold:1 workload
-              ~queries ())
-      in
-      fast = generic)
-
 (* ------------------------------------------------------------------ *)
 (* Commit protocol *)
 
@@ -996,9 +930,6 @@ let () =
           Alcotest.test_case "RHTALU: served = serial" `Quick
             test_equivalence_rhtalu;
           prop_equivalence;
-          Alcotest.test_case "parallel TA bit-identical" `Quick
-            test_engine_parallel_ta_identical;
-          prop_fast_ta_identical;
         ] );
       ( "commit",
         [

@@ -319,6 +319,29 @@ let prop_min_heap_pop_le_exact =
             | Some m -> m > v
             | None -> false))
 
+let prop_min_heap_retain =
+  (* retain keeps exactly the entries whose payload passes, still popping
+     in ascending priority order. *)
+  qtest "retain = filter; pop order still ascending"
+    QCheck2.Gen.(
+      pair (int_range 1 4) (list_size (int_bound 100) (int_range 0 6)))
+    (fun (m, l) ->
+      let h = Min_heap.create () in
+      List.iteri (fun i p -> Min_heap.push h ~priority:(float_of_int p) i) l;
+      Min_heap.retain h (fun i -> i mod m = 0);
+      let rec drain acc =
+        match Min_heap.pop h with
+        | None -> List.rev acc
+        | Some (pri, i) -> drain ((pri, i) :: acc)
+      in
+      let popped = drain [] in
+      let pris = List.map fst popped in
+      pris = List.sort compare pris
+      && List.sort compare popped
+         = List.sort compare
+             (List.filteri (fun i _ -> i mod m = 0)
+                (List.mapi (fun i p -> (float_of_int p, i)) l)))
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -529,6 +552,7 @@ let () =
           prop_min_heap_sorts;
           prop_min_heap_multiset;
           prop_min_heap_pop_le_exact;
+          prop_min_heap_retain;
           Alcotest.test_case "pop_le" `Quick test_min_heap_pop_le;
           Alcotest.test_case "empty" `Quick test_min_heap_empty;
         ] );
