@@ -466,10 +466,9 @@ let partition_of t ~keyword =
              bigger if churn grows the partition). *)
           let scratch_n =
             if t.is_flat then
-              (Sstore.flat_stats
-                 (Essa_strategy.Roi_fleet.store_of t.fleet)
-                 ~keyword)
-                .Sstore.fs_capacity
+              Sstore.flat_capacity
+                (Essa_strategy.Roi_fleet.store_of t.fleet)
+                ~keyword
             else t.n
           in
           ( Essa_util.Rng.split t.user_rng ~key:keyword,
@@ -700,10 +699,8 @@ let drive ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
       if not t.is_flat then p.p_scratch
       else begin
         let cap =
-          (Sstore.flat_stats
-             (Essa_strategy.Roi_fleet.store_of t.fleet)
-             ~keyword)
-            .Sstore.fs_capacity
+          Sstore.flat_capacity (Essa_strategy.Roi_fleet.store_of t.fleet)
+            ~keyword
         in
         if Array.length p.p_scratch.Mechanism.stamp < cap then
           p.p_scratch <-

@@ -429,28 +429,33 @@ let cheap_allocation x ~reserve ~keyword =
   (assignment, prices)
 
 (* Reduced pricing view out of the scratch buffers: a stamp pass dedupes
-   the top lists (no Set), the candidate ids are sorted in place
-   (ascending, as before — ≤ k·(k+1) ints), and the weight rows are
-   refilled rather than reallocated.  The two [Array.sub] views are the
-   only per-auction allocation left, and they are O(k²) pointers,
+   the top lists (no Set) and insertion-sorts the candidate ids in place
+   (ascending, as before — ≤ k·(k+1) distinct ints), and the weight rows
+   are refilled rather than reallocated.  The two [Array.sub] views are
+   the only per-auction allocation left, and they are O(k²) pointers,
    independent of n. *)
 let reduced_from_top x s ~reserve ~keyword top =
   s.stamp_token <- s.stamp_token + 1;
   let token = s.stamp_token in
+  let ids = s.reduced_advs in
   let count = ref 0 in
-  Array.iter
-    (fun lst ->
-      List.iter
-        (fun (i, _) ->
-          if s.stamp.(i) <> token then begin
-            s.stamp.(i) <- token;
-            s.reduced_advs.(!count) <- i;
-            incr count
-          end)
-        lst)
-    top;
-  let advertisers = Array.sub s.reduced_advs 0 !count in
-  Array.sort Int.compare advertisers;
+  let rec add = function
+    | [] -> ()
+    | (i, _) :: rest ->
+        if s.stamp.(i) <> token then begin
+          s.stamp.(i) <- token;
+          let p = ref !count in
+          while !p > 0 && ids.(!p - 1) > i do
+            ids.(!p) <- ids.(!p - 1);
+            decr p
+          done;
+          ids.(!p) <- i;
+          incr count
+        end;
+        add rest
+  in
+  Array.iter add top;
+  let advertisers = Array.sub ids 0 !count in
   let prem = x.x_premiums.(keyword) in
   for r = 0 to !count - 1 do
     let i = advertisers.(r) in
@@ -607,32 +612,40 @@ let flat_winner_determination x s ~reserve ~keyword =
         stamp.(s.tk_slots.(i)) <- s.stamp_token
       done
     done;
-  let token = s.stamp_token and ncand = ref 0 in
+  (* Reduced view in ascending global-id order, exactly like the dense
+     [reduced_from_top]: the candidates' slots are insertion-sorted by
+     global id in place (at most k·(k+1) of them; live ids are distinct),
+     and their rows are the score rows themselves. *)
+  let token = s.stamp_token and slots = s.reduced_advs and ncand = ref 0 in
   for slot = 0 to len - 1 do
-    if members.(slot) >= 0 && (stamp.(slot) = token) <> complement then begin
-      s.reduced_advs.(!ncand) <- slot;
+    let gid = members.(slot) in
+    if gid >= 0 && (stamp.(slot) = token) <> complement then begin
+      let p = ref !ncand in
+      while !p > 0 && members.(slots.(!p - 1)) > gid do
+        slots.(!p) <- slots.(!p - 1);
+        decr p
+      done;
+      slots.(!p) <- slot;
       incr ncand
     end
   done;
-  (* Reduced view in ascending global-id order, exactly like the dense
-     [reduced_from_top]; its rows are the score rows themselves. *)
-  let slots = Array.sub s.reduced_advs 0 !ncand in
-  Array.sort (fun a b -> Int.compare members.(a) members.(b)) slots;
-  Essa_obs.Counter.add x.x_c_reduced !ncand;
-  s.wd_reduced <- s.wd_reduced + !ncand;
-  let assignment =
-    Essa_matching.Hungarian.solve ~w:(Array.map (fun slot -> rows.(slot)) slots)
-  in
+  let ncand = !ncand in
+  Essa_obs.Counter.add x.x_c_reduced ncand;
+  s.wd_reduced <- s.wd_reduced + ncand;
+  let w = Array.make ncand [||] in
+  for r = 0 to ncand - 1 do
+    w.(r) <- rows.(slots.(r))
+  done;
   (* [solve] answers an empty candidate set with an empty assignment. *)
+  let assignment = Essa_matching.Hungarian.solve ~w in
   let winners = Array.make (Array.length assignment) (-1) in
-  Array.iteri
-    (fun j cell ->
-      match cell with
-      | None -> ()
-      | Some local ->
-          winners.(j) <- slots.(local);
-          assignment.(j) <- Some members.(slots.(local)))
-    assignment;
+  for j = 0 to Array.length assignment - 1 do
+    match assignment.(j) with
+    | None -> ()
+    | Some local ->
+        winners.(j) <- slots.(local);
+        assignment.(j) <- Some members.(slots.(local))
+  done;
   (assignment, winners)
 
 (* GSP runner-up by scan: the best live non-winner on the slot's column
@@ -648,27 +661,30 @@ let gsp_from_top_flat x s ~reserve ~keyword ~assignment ~winners =
   let rows = s.reduced_w_rows in
   s.stamp_token <- s.stamp_token + 1;
   let token = s.stamp_token in
-  Array.iter (fun slot -> if slot >= 0 then s.stamp.(slot) <- token) winners;
-  Array.mapi
-    (fun j0 cell ->
-      match cell with
-      | None -> 0
-      | Some winner ->
-          (* No non-winner leaves [neg_infinity]: no runner-up, price 0. *)
-          let weight = ref neg_infinity in
-          for slot = 0 to len - 1 do
-            if members.(slot) >= 0 && s.stamp.(slot) <> token then begin
-              let sc = rows.(slot).(j0) in
-              if sc > !weight then weight := sc
-            end
-          done;
-          let p = x.x_ctr.(winner).(j0) in
-          let runner =
-            if p <= 0.0 || !weight <= 0.0 then 0
-            else int_of_float (Float.ceil ((!weight /. p) -. 1e-9))
-          in
-          max runner reserve)
-    assignment
+  for j = 0 to Array.length winners - 1 do
+    if winners.(j) >= 0 then s.stamp.(winners.(j)) <- token
+  done;
+  let prices = Array.make (Array.length assignment) 0 in
+  for j0 = 0 to Array.length assignment - 1 do
+    match assignment.(j0) with
+    | None -> ()
+    | Some winner ->
+        (* No non-winner leaves [neg_infinity]: no runner-up, price 0. *)
+        let weight = ref neg_infinity in
+        for slot = 0 to len - 1 do
+          if members.(slot) >= 0 && s.stamp.(slot) <> token then begin
+            let sc = rows.(slot).(j0) in
+            if sc > !weight then weight := sc
+          end
+        done;
+        let p = x.x_ctr.(winner).(j0) in
+        let runner =
+          if p <= 0.0 || !weight <= 0.0 then 0
+          else int_of_float (Float.ceil ((!weight /. p) -. 1e-9))
+        in
+        prices.(j0) <- max runner reserve
+  done;
+  prices
 
 (* The deadline-degraded single-pass fallback, flat form: top-k of the
    live slots by slot-1 expected revenue, pay-as-bid prices floored at the

@@ -56,17 +56,80 @@ let lap ~nrows ~ncols ~cost =
   done;
   p
 
+(* Per-domain workspace of [lap_reduced]: the slot-major cost array, the
+   potentials [u]/[v], the matching [p], the path links [way], the
+   Dijkstra distances [minv], the [used] marks, and the phase's log: the
+   columns [fin]alized and the step [deltas], in step order.  It grows on
+   demand and is never shared across domains, so a solve allocates
+   nothing once the domain has seen its largest shape.  (One per keyword
+   scratch instead would multiply it by the thousands of keywords a flat
+   engine serves, for no gain.) *)
+type workspace = {
+  mutable cost : float array;
+  mutable u : float array;
+  mutable v : float array;
+  mutable p : int array;
+  mutable way : int array;
+  mutable minv : float array;
+  mutable used : bool array;
+  mutable fin : int array;
+  mutable deltas : float array;
+}
+
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        cost = [||];
+        u = [||];
+        v = [||];
+        p = [||];
+        way = [||];
+        minv = [||];
+        used = [||];
+        fin = [||];
+        deltas = [||];
+      })
+
+let grown a need fill = Array.make (max need (2 * Array.length a)) fill
+
+let workspace ~nrows ~n =
+  let ws = Domain.DLS.get workspace_key in
+  let cols = n + nrows + 1 in
+  if Array.length ws.cost < nrows * n then
+    ws.cost <- grown ws.cost (nrows * n) 0.0;
+  if Array.length ws.u < nrows + 1 then ws.u <- grown ws.u (nrows + 1) 0.0;
+  if Array.length ws.p < cols then begin
+    ws.v <- grown ws.v cols 0.0;
+    ws.p <- grown ws.p cols 0;
+    ws.way <- grown ws.way cols 0;
+    ws.minv <- grown ws.minv cols 0.0;
+    ws.used <- grown ws.used cols false;
+    ws.fin <- grown ws.fin cols 0;
+    ws.deltas <- grown ws.deltas cols 0.0
+  end;
+  ws
+
 (* [lap] specialized to the reduced-auction orientation of [solve] (rows =
    slots, columns = the n candidates then k null columns, cost =
-   -weight / infinity / 0).  The arithmetic and the ascending strict-<
-   scans are those of [lap], so the assignment (and every tie-break) is
-   unchanged; three things make it cheaper on the auction hot path:
+   -weight / infinity / 0), in the workspace.  Every float that [lap]
+   computes is computed here by the same operations in the same order,
+   and the scans are [lap]'s ascending strict-< scans, so the assignment
+   (and every tie-break) is [lap]'s bit for bit.  What makes it cheaper:
 
+   - one pass per Dijkstra step.  [lap] ends a step with a second pass
+     over every column: [minv -= delta] on the unused ones, the u/v
+     shift on the used ones.  Here the subtraction is fused into the next
+     step's scan, which visits every unused column anyway (the pending
+     delta starts at 0, and x - 0 = x), and the shifts are deferred to
+     the end of the phase: each column finalized at step s, and the row
+     matched to it, take the deltas of steps s, s+1, ... from the
+     phase's log in step order — the very sequence of roundings [lap]
+     applies one step at a time, at the cost of the finalized columns
+     only;
    - the candidate costs are laid out once per solve in one contiguous
-     slot-major array, so a scan is a sequential read, not a row-pointer
-     chase plus a sign test per visit;
+     slot-major array, so a scan is a sequential read;
    - only the matched null columns and the first free one are scanned.
-     A free column is never marked used (reaching it ends the phase), so
+     A free column is never finalized (reaching it ends the phase), so
      every free null keeps v = 0 and, within a phase, receives the same
      [cur] and hence the same [minv] as every other free null.  The
      strict-< scan therefore never picks a free null above the lowest
@@ -74,79 +137,95 @@ let lap ~nrows ~ncols ~cost =
      always the prefix n+1..n+[nulls] and the remaining free nulls are
      dead work;
    - the proven-in-range inner loops use unsafe reads. *)
-let lap_reduced ~nrows ~n ~w =
+let lap_reduced ws ~nrows ~n ~w =
   let ncols = n + nrows in
-  let cost = Array.make (nrows * n) infinity in
+  let cost = ws.cost in
   for c = 0 to n - 1 do
     let row = w.(c) in
     for r = 0 to nrows - 1 do
       let x = row.(r) in
-      if x > 0.0 then Array.unsafe_set cost ((r * n) + c) (-.x)
+      Array.unsafe_set cost ((r * n) + c) (if x > 0.0 then -.x else infinity)
     done
   done;
-  let u = Array.make (nrows + 1) 0.0 in
-  let v = Array.make (ncols + 1) 0.0 in
-  let p = Array.make (ncols + 1) 0 in
-  let way = Array.make (ncols + 1) 0 in
-  (* Dijkstra scratch, reused across the row phases (reset by fill). *)
-  let minv = Array.make (ncols + 1) infinity in
-  let used = Array.make (ncols + 1) false in
+  let u = ws.u and v = ws.v and p = ws.p and way = ws.way in
+  let minv = ws.minv and used = ws.used in
+  let fin = ws.fin and deltas = ws.deltas in
+  Array.fill u 0 (nrows + 1) 0.0;
+  Array.fill v 0 (ncols + 1) 0.0;
+  Array.fill p 0 (ncols + 1) 0;
   let nulls = ref 0 in
   for i = 1 to nrows do
     p.(0) <- i;
     let j0 = ref 0 in
     (* Columns 1..n, the matched nulls, then the first free null; at most
-       i-1 nulls are matched before phase i, so [last] <= ncols. *)
+       i-1 nulls are matched before phase i, so [last] <= ncols.  [way] is
+       written whenever [minv] first turns finite, so it needs no reset. *)
     let last = n + !nulls + 1 in
     Array.fill minv 0 (last + 1) infinity;
     Array.fill used 0 (last + 1) false;
+    let steps = ref 0 and pending = ref 0.0 in
     let augmenting = ref true in
     while !augmenting do
-      Array.unsafe_set used !j0 true;
-      let i0 = Array.unsafe_get p !j0 in
+      let jf = !j0 in
+      Array.unsafe_set used jf true;
+      Array.unsafe_set fin !steps jf;
+      let i0 = Array.unsafe_get p jf in
       let delta = ref infinity and j1 = ref 0 in
       let base = (i0 - 1) * n - 1 in
-      let ui0 = Array.unsafe_get u i0 in
+      let ui0 = Array.unsafe_get u i0 and prev = !pending in
       for j = 1 to n do
         if not (Array.unsafe_get used j) then begin
+          let m = Array.unsafe_get minv j -. prev in
           let cur =
             Array.unsafe_get cost (base + j) -. ui0 -. Array.unsafe_get v j
           in
-          if cur < Array.unsafe_get minv j then begin
-            Array.unsafe_set minv j cur;
-            Array.unsafe_set way j !j0
-          end;
-          if Array.unsafe_get minv j < !delta then begin
-            delta := Array.unsafe_get minv j;
+          let m =
+            if cur < m then begin
+              Array.unsafe_set way j jf;
+              cur
+            end
+            else m
+          in
+          Array.unsafe_set minv j m;
+          if m < !delta then begin
+            delta := m;
             j1 := j
           end
         end
       done;
       for j = n + 1 to last do
         if not (Array.unsafe_get used j) then begin
+          let m = Array.unsafe_get minv j -. prev in
           let cur = -.ui0 -. Array.unsafe_get v j in
-          if cur < Array.unsafe_get minv j then begin
-            Array.unsafe_set minv j cur;
-            Array.unsafe_set way j !j0
-          end;
-          if Array.unsafe_get minv j < !delta then begin
-            delta := Array.unsafe_get minv j;
+          let m =
+            if cur < m then begin
+              Array.unsafe_set way j jf;
+              cur
+            end
+            else m
+          in
+          Array.unsafe_set minv j m;
+          if m < !delta then begin
+            delta := m;
             j1 := j
           end
         end
       done;
       assert (!delta < infinity);
-      let delta = !delta in
-      for j = 0 to last do
-        if Array.unsafe_get used j then begin
-          let pj = Array.unsafe_get p j in
-          Array.unsafe_set u pj (Array.unsafe_get u pj +. delta);
-          Array.unsafe_set v j (Array.unsafe_get v j -. delta)
-        end
-        else Array.unsafe_set minv j (Array.unsafe_get minv j -. delta)
-      done;
+      Array.unsafe_set deltas !steps !delta;
+      incr steps;
+      pending := !delta;
       j0 := !j1;
       if p.(!j0) = 0 then augmenting := false
+    done;
+    for f = 0 to !steps - 1 do
+      let j = Array.unsafe_get fin f in
+      let pj = Array.unsafe_get p j in
+      for s = f to !steps - 1 do
+        let delta = Array.unsafe_get deltas s in
+        Array.unsafe_set u pj (Array.unsafe_get u pj +. delta);
+        Array.unsafe_set v j (Array.unsafe_get v j -. delta)
+      done
     done;
     if !j0 > n then incr nulls;
     let j = ref !j0 in
@@ -180,7 +259,7 @@ let solve ~w =
        Non-positive edges are excluded outright, so a slot is left empty
        rather than given to an advertiser with nothing to gain from it
        (matches Brute.best's preference for the empty allocation). *)
-    let p = lap_reduced ~nrows:k ~n ~w in
+    let p = lap_reduced (workspace ~nrows:k ~n) ~nrows:k ~n ~w in
     for j = 1 to n do
       if p.(j) <> 0 then assignment.(p.(j) - 1) <- Some (j - 1)
     done;

@@ -23,8 +23,17 @@
 val solve : w:float array array -> Assignment.t
 (** [solve ~w] for [w] an [n × k] weight matrix ([w.(i).(j)] = value of
     giving slot [j+1] to advertiser [i]).  Returns the optimal assignment.
-    Weights may be negative (such edges are never used).
-    @raise Invalid_argument on a ragged or empty matrix. *)
+    Weights may be negative (such edges are never used).  An empty matrix
+    ([n = 0]) gives the empty assignment [[||]]; flat winner determination
+    relies on this for a keyword with no candidates.
+
+    The solve runs in a workspace private to the calling domain: the cost
+    array, potentials, matching and Dijkstra buffers are kept between
+    calls and grown when a larger shape arrives, so once a domain has seen
+    its largest shape a solve allocates only the returned assignment.  It
+    is safe to call from several domains at once; it is not reentrant
+    within one domain (nothing in it calls back out).
+    @raise Invalid_argument on a ragged matrix. *)
 
 val solve_classic : w:float array array -> Assignment.t
 (** Same contract as {!solve}, with the paper's H-method cost profile. *)

@@ -362,6 +362,10 @@ let flat_stats t ~keyword =
     fs_free = p.free_len;
   }
 
+let flat_capacity t ~keyword =
+  check_kw t keyword;
+  Array.length (flat_of t "flat_capacity").parts.(keyword).members
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots *)
 

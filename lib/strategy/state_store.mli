@@ -176,6 +176,11 @@ val flat_stats : t -> keyword:int -> flat_stats
 (** Allocation counters for the free-list invariant tests:
     [fs_len = fs_live + fs_free] and [fs_capacity >= fs_len] always. *)
 
+val flat_capacity : t -> keyword:int -> int
+(** [(flat_stats t ~keyword).fs_capacity] without the record: the
+    engine sizes a keyword's slot-indexed scratch by it on every
+    auction. *)
+
 val flat_begin_auction :
   t ->
   keyword:int ->

@@ -8,7 +8,11 @@
     advertisers. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix64 state, kept unboxed
+    and updated in place.  Draws allocate nothing: {!int}, {!bool} and
+    {!bernoulli} return immediates.  Only boxing at a call boundary
+    allocates, as for any [int64] or float: {!bits64}'s result, and a
+    float argument or result of a call the compiler does not inline. *)
 
 val create : int -> t
 (** [create seed] returns a fresh generator seeded deterministically from

@@ -204,6 +204,78 @@ let prop_lap_equals_reference =
   qtest ~count:600 "solve = reference LAP (assignment, ties, nulls)"
     gen_lap_instance (fun w -> Hungarian.solve ~w = reference_solve ~w)
 
+(* Auction-shaped weights, the expressions the engines score with: a
+   slot's CTR is a band value times the advertiser's quality (both from
+   small sets, so equal rows and exact ties are common), a bid is an
+   integer (0 = below the reserve), and slot 1 carries a premium. *)
+let gen_auction_weights ~max_n =
+  let open QCheck2.Gen in
+  let* n = int_range 0 max_n in
+  let* k = int_range 1 16 in
+  let* bands =
+    array_size (return k) (oneofl [ 0.05; 0.1; 0.125; 0.2; 0.25; 0.3 ])
+  in
+  let row =
+    let* quality = oneofl [ 0.5; 0.75; 1.0 ] in
+    let* bid = oneof [ return 0; int_range 1 12; int_range 1 500 ] in
+    let* prem = oneof [ return 0; return 0; int_range 1 20 ] in
+    let b = float_of_int bid in
+    return
+      (Array.init k (fun j ->
+           let ctr = quality *. bands.(j) in
+           if bid = 0 then 0.0
+           else if j = 0 then ctr *. (b +. float_of_int prem)
+           else ctr *. b))
+  in
+  array_size (return n) row
+
+(* A counterexample prints each weight exactly, one row per line. *)
+let print_w w =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map
+          (fun r ->
+            String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") r)))
+          w))
+
+let prop_lap_auction_weights =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~print:print_w ~count:400
+       ~name:"solve = reference LAP (auction weights, n <= 48)"
+       (gen_auction_weights ~max_n:48) (fun w ->
+         Hungarian.solve ~w = reference_solve ~w))
+
+(* Up to the reduced capacity k·(k+1) = 240 of a 15-slot auction. *)
+let prop_lap_reduced_capacity =
+  QCheck_alcotest.to_alcotest ~speed_level:`Slow
+    (QCheck2.Test.make ~print:print_w ~count:120
+       ~name:"solve = reference LAP (n <= 240, both weight shapes)"
+       QCheck2.Gen.(
+         oneof
+           [
+             gen_auction_weights ~max_n:240;
+             (let* n = int_range 0 240 in
+              let* k = int_range 1 16 in
+              array_size (return n)
+                (array_size (return k)
+                   (map float_of_int (oneofl [ -1; 0; 1; 1; 2; 3 ]))));
+           ])
+       (fun w -> Hungarian.solve ~w = reference_solve ~w))
+
+(* [solve] keeps its buffers in a per-domain workspace that grows on
+   demand and is reused by every later solve on the domain.  A run of
+   shapes that grows and shrinks in both n and k, solved back to back on
+   one domain, would show any state a solve leaves behind for the next. *)
+let prop_lap_workspace_reuse =
+  qtest ~count:60 "solve = reference LAP over a run of shapes on one domain"
+    QCheck2.Gen.(
+      list_size (int_range 2 12)
+        (oneof [ gen_auction_weights ~max_n:240; gen_lap_instance ]))
+    (fun ws ->
+      Domain.join
+        (Domain.spawn (fun () ->
+             List.for_all (fun w -> Hungarian.solve ~w = reference_solve ~w) ws)))
+
 (* ------------------------------------------------------------------ *)
 (* Reduction (RH) *)
 
@@ -395,6 +467,9 @@ let () =
           prop_hungarian_optimal;
           prop_classic_equals_fast;
           prop_lap_equals_reference;
+          prop_lap_auction_weights;
+          prop_lap_reduced_capacity;
+          prop_lap_workspace_reuse;
           Alcotest.test_case "negative weights" `Quick test_hungarian_negative_weights_unused;
           Alcotest.test_case "zero weights unassigned" `Quick
             test_hungarian_zero_weights_leave_slots_empty;

@@ -131,6 +131,108 @@ let test_rng_pick_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick rng ([||] : int array)))
 
+(* The streams themselves are pinned: the first 1,000 draws of each kind,
+   for three seeds, rendered exactly ([%h] is the float's bits) and
+   digested.  The pins were computed on the boxed-state generator, so a
+   change of representation that moves one draw fails here.  The bounds
+   and probabilities cycle, so rejection sampling in [int] and both
+   clamps of [bernoulli] are on the stream. *)
+let rng_stream_digest seed kind =
+  let t = Rng.create seed in
+  let b = Buffer.create 16_384 in
+  for i = 0 to 999 do
+    (match kind with
+    | `Bits64 -> Buffer.add_string b (Int64.to_string (Rng.bits64 t))
+    | `Int ->
+        let bound = [| 1; 7; 1000; (1 lsl 61) + 1 |].(i mod 4) in
+        Buffer.add_string b (string_of_int (Rng.int t bound))
+    | `Float -> Buffer.add_string b (Printf.sprintf "%h" (Rng.float t 3.5))
+    | `Bernoulli ->
+        let p = float_of_int ((i mod 13) - 1) /. 10.0 in
+        Buffer.add_char b (if Rng.bernoulli t p then '1' else '0')
+    | `Bool -> Buffer.add_char b (if Rng.bool t then '1' else '0'));
+    Buffer.add_char b ' '
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let rng_stream_pins =
+  [
+    (`Bits64, "bits64", [ "b3b64719e11b8ffa0f48c26fdb80fb61";
+                          "14592a6b13851b3d808c3f687a3c8f74";
+                          "83ae17e7feacf89d957af5e3e2d29f67" ]);
+    (`Int, "int", [ "c248fcc850857abfa732847a56cd19c2";
+                    "383b523a672378b33cb5bb63c9ac40f5";
+                    "392650dda3de5bcf12fb046bfc67d158" ]);
+    (`Float, "float", [ "398e64e124e0fb29f8550a807c02a774";
+                        "28e9b8b4c77b01ca745dad8980e48e9a";
+                        "562970f5392e39e4259d78a413c0dd67" ]);
+    (`Bernoulli, "bernoulli", [ "11fa13793431253b7be2e1bf6f654100";
+                                "91c2657c8437d72ad0c0a5d2a88531b6";
+                                "fe59d371361e1cbee9dc6ad593554027" ]);
+    (`Bool, "bool", [ "f9fb377fbd59198e79ddc1191eb5f497";
+                      "a8bdf9ca70e70c8a572672137b58f5fe";
+                      "d4767b078c5043a6251b8ec2dd2febfc" ]);
+  ]
+
+let test_rng_stream_pins () =
+  List.iter
+    (fun (kind, name, digests) ->
+      List.iter2
+        (fun seed digest ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s, seed %d" name seed)
+            digest (rng_stream_digest seed kind))
+        [ 0; 42; -7 ] digests)
+    rng_stream_pins
+
+(* The raw state is the generator: [state] / [of_state] / [set_state]
+   resume the exact stream (the snapshot images store it), [copy] forks
+   it, and [split] is a pure function of it.  The three states below were
+   computed on the boxed-state generator. *)
+let test_rng_state_round_trips () =
+  let t = Rng.create 5 in
+  ignore (Rng.bits64 t);
+  Alcotest.(check int64) "state" 6122321498889110001L (Rng.state t);
+  Alcotest.(check int64) "split state" (-2861105488852967667L)
+    (Rng.state (Rng.split t ~key:3));
+  Alcotest.(check int64) "seeded state" (-2622165800321222925L)
+    (Rng.state (Rng.create (-7)));
+  let next t = List.init 8 (fun _ -> Rng.bits64 t) in
+  let resumed = Rng.of_state (Rng.state t) in
+  let copied = Rng.copy t in
+  let child = Rng.split t ~key:3 in
+  let child_again = Rng.of_state (Rng.state (Rng.split t ~key:3)) in
+  let expect = next t in
+  Alcotest.(check (list int64)) "of_state resumes" expect (next resumed);
+  Alcotest.(check (list int64)) "copy resumes" expect (next copied);
+  Alcotest.(check (list int64)) "split child reproducible" (next child)
+    (next child_again);
+  let rewound = Rng.create 1 in
+  Rng.set_state rewound (Rng.state resumed);
+  Alcotest.(check (list int64)) "set_state resumes" (next resumed)
+    (next rewound);
+  Alcotest.(check int64) "copies are independent" (Rng.state resumed)
+    (Rng.state rewound)
+
+(* Click sampling draws once per filled slot of every auction: a draw
+   allocates nothing.  Same idiom as test_obs's histogram record path.
+   [p] is a constant: a float computed at the call site would be boxed
+   to cross the call in the dev profile, which compiles each module
+   opaquely, and that word would be the caller's, not the generator's. *)
+let test_rng_draws_no_alloc () =
+  let t = Rng.create 3 in
+  let hits = ref 0 in
+  ignore (Rng.bernoulli t 0.3);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Rng.bernoulli t 0.3 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocation-free bernoulli (%.0f words, %d hits)" words
+       !hits)
+    true (words = 0.0)
+
 (* ------------------------------------------------------------------ *)
 (* Topk *)
 
@@ -528,6 +630,11 @@ let () =
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick empty" `Quick test_rng_pick_empty;
+          Alcotest.test_case "stream pins" `Quick test_rng_stream_pins;
+          Alcotest.test_case "state round trips" `Quick
+            test_rng_state_round_trips;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_no_alloc;
         ] );
       ( "topk",
         [
