@@ -79,34 +79,11 @@ let fresh_states t =
         ~initial_bids:t.initial_bids.(i) ~premiums:t.premiums.(i)
         ?budget:t.budgets.(i) ~target_rate:t.targets.(i) ())
 
-(* The ESSA_MECHANISM environment variable swaps the auction mechanism
-   under every engine built through these factories without touching the
-   call sites — how CI re-runs the serving suites per mechanism.  An
-   explicit [?mechanism] argument always wins over the environment. *)
-let env_mechanism () : Essa.Engine.mechanism option =
-  match Sys.getenv_opt "ESSA_MECHANISM" with
-  | None | Some "" -> None
-  | Some ("gsp" | "vcg" | "classic") -> Some `Classic
-  | Some "stable" -> Some `Stable
-  | Some "reserve" -> Some (`Reserve `Monopoly)
-  | Some other ->
-      invalid_arg
-        (Printf.sprintf
-           "Workload: ESSA_MECHANISM=%s (expected gsp | vcg | classic | \
-            stable | reserve)"
-           other)
-
-let default_mechanism mechanism =
-  match mechanism with
-  | Some m -> m
-  | None -> ( match env_mechanism () with Some m -> m | None -> `Classic)
-
 let make_engine ?metrics ?partitioned ?cache ?update_every ?(pricing = `Gsp)
     ?(reserve = 0) ?mechanism ?states t ~method_ =
   let states = match states with Some s -> s | None -> fresh_states t in
-  let mechanism = default_mechanism mechanism in
   Essa.Engine.create ?metrics ?partitioned ?cache ?update_every ~reserve
-    ~pricing ~mechanism ~method_ ~ctr:t.ctr ~states
+    ~pricing ?mechanism ~method_ ~ctr:t.ctr ~states
     ~user_seed:(t.seed lxor 0x5eed) ()
 
 let query_stream t ~seed =
@@ -323,9 +300,8 @@ let universe_attach_churn ?churn_seed u store ~churn =
 
 let make_flat_engine ?metrics ?cache ?update_every ?(pricing = `Gsp)
     ?(reserve = 0) ?mechanism u ~store =
-  let mechanism = default_mechanism mechanism in
   Essa.Engine.create_flat ?metrics ?cache ?update_every ~reserve ~pricing
-    ~mechanism ~ctr:u.u_ctr ~store
+    ?mechanism ~ctr:u.u_ctr ~store
     ~user_seed:(u.u_seed lxor 0x5eed) ()
 
 (* Zipf(s) keyword sampling: binary search of the cumulative weights. *)

@@ -55,13 +55,8 @@ val make_engine :
 (** Convenience: engine over fresh states ([pricing] defaults to GSP as
     in Section V); the user-click seed is derived from the workload seed,
     so engines created from the same workload see identical users.
-    [mechanism] picks the auction mechanism; when omitted it defaults
-    from the [ESSA_MECHANISM] environment variable ([gsp] / [vcg] /
-    [classic] → [`Classic], [stable] → [`Stable], [reserve] →
-    [`Reserve `Monopoly]; unset or empty → [`Classic]) — which is how CI
-    re-runs the serving suites under each mechanism without touching any
-    call site.  @raise Invalid_argument on an unrecognized
-    [ESSA_MECHANISM] value.
+    [mechanism] (default [`Classic], as in {!Essa.Engine.create}) picks
+    the auction mechanism.
     [states] substitutes restored mid-run advertiser states for the fresh
     ones — the crash-recovery path rebuilds an engine over a decoded
     snapshot while keeping the workload's CTRs and user-seed derivation.
@@ -153,8 +148,7 @@ val make_flat_engine :
 (** Convenience: {!Essa.Engine.create_flat} over the universe's CTRs with
     the same user-click seed derivation as {!make_engine}, so serving and
     replay engines built from the same universe see identical users.
-    [mechanism] defaults from [ESSA_MECHANISM] exactly as in
-    {!make_engine}. *)
+    [mechanism] defaults to [`Classic], as in {!Essa.Engine.create_flat}. *)
 
 val universe_query_stream : universe -> seed:int -> int Seq.t
 (** Infinite Zipf([s]) keyword stream (binary search over cumulative

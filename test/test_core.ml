@@ -826,16 +826,7 @@ let test_engine_accounting () =
    values a hit re-adds) over clicks, budget retirements and churn, at
    any bid-update decimation. *)
 
-let counters_except_cache reg =
-  List.filter_map
-    (fun (e : Essa_obs.Registry.entry) ->
-      match e.metric with
-      | Essa_obs.Registry.Counter c
-        when not (String.starts_with ~prefix:"essa.engine.cache" e.name) ->
-          Some (e.name, Essa_obs.Counter.value c)
-      | _ -> None)
-    (Essa_obs.Registry.entries reg)
-  |> List.sort compare
+let counters_except_cache = Test_harness.counters ~except_cache:true
 
 let prop_cache_bit_identity_serial =
   qtest ~count:12 "cache on = cache off (serial, Rh + Rhtalu)"

@@ -1,54 +1,14 @@
 (* Fault-tolerance tests for the serving pipeline: the Fault switchboard
-   itself, the lane supervisor (restart, then degrade), and the deadline
-   degradation ladder — at the engine level with a scripted clock (no
-   sleeps, fully deterministic) and at the server level with injected
-   slow auctions.
-
-   The sleep-based scenarios (lane stall recovery, server-level deadline
-   trips) are gated behind ESSA_TEST_FAULTS=1 — CI runs them; the default
-   suite stays sleep-free. *)
+   itself, the lane supervisor (degrade after exhausted restarts), and the
+   deadline degradation ladder — at the engine level with a scripted
+   clock (no sleeps, fully deterministic) and at the server level with
+   injected slow auctions (the `Slow "injected-timing" group, about
+   0.3 s of sleeps).  The restart and armed-but-unfired cells, served =
+   serial across worker counts, are rows of the scenario table
+   (test_scenarios.ml). *)
 
 open Essa_serve
-
-let extended = Sys.getenv_opt "ESSA_TEST_FAULTS" <> None
-
-let worker_counts =
-  let extra =
-    match Option.map int_of_string_opt (Sys.getenv_opt "ESSA_TEST_DOMAINS") with
-    | Some (Some d) when d >= 1 -> d
-    | _ -> 3
-  in
-  List.sort_uniq compare [ 1; 2; extra ]
-
-let counter registry name =
-  match Essa_obs.Registry.find registry name with
-  | Some (Essa_obs.Registry.Counter c) -> Essa_obs.Counter.value c
-  | _ -> Alcotest.failf "missing counter %s" name
-
-(* Same observable state the equivalence suite compares. *)
-let fingerprint engine =
-  let n = Essa.Engine.n engine and nk = Essa.Engine.num_keywords engine in
-  let fleet = Essa.Engine.fleet engine in
-  let advs =
-    List.init n (fun adv ->
-        let st = Essa_strategy.Roi_fleet.state fleet ~adv in
-        let per_kw =
-          List.init nk (fun kw ->
-              ( Essa.Engine.bid engine ~adv ~keyword:kw,
-                Essa_strategy.Roi_state.gained st ~keyword:kw,
-                Essa_strategy.Roi_state.spent st ~keyword:kw ))
-        in
-        (Essa_strategy.Roi_state.amt_spent st, per_kw))
-  in
-  (Essa.Engine.total_revenue engine, Essa.Engine.auctions_run engine, advs)
-
-let strip (s : Essa.Engine.summary) =
-  ( s.keyword,
-    Array.to_list s.assignment,
-    Array.to_list s.prices,
-    Array.to_list s.clicks,
-    s.revenue,
-    s.degraded )
+open Test_harness
 
 let run_serial workload ~method_ ~queries =
   let engine = Essa_sim.Workload.make_engine workload ~method_ in
@@ -63,23 +23,11 @@ let run_serial workload ~method_ ~queries =
 let run_served ?deadline_budget_ns ?max_restarts ~faults workload ~method_
     ~workers ~queries () =
   let engine = Essa_sim.Workload.make_engine workload ~method_ in
-  let acc = ref [] in
-  let server =
-    Server.create ~workers ~max_batch:5
-      ~queue_capacity:(max 1 (Array.length queries))
-      ?deadline_budget_ns ?max_restarts ~faults
-      ~on_commit:(fun s -> acc := strip s :: !acc)
-      ~engine ()
+  let server, stats, summaries =
+    serve ~faults ?deadline_budget_ns ?max_restarts ~workers ~max_batch:5
+      ~engine queries
   in
-  Array.iter
-    (fun kw ->
-      match Server.submit server ~keyword:kw with
-      | Ingress.Accepted _ -> ()
-      | Ingress.Shed | Ingress.Closed ->
-          Alcotest.fail "rejected with capacity = query count")
-    queries;
-  let stats = Server.stop server in
-  (List.rev !acc, fingerprint engine, stats, server)
+  (summaries, fingerprint engine, stats, server)
 
 let workload () =
   Essa_sim.Workload.section5 ~seed:61 ~n:40 ~k:4 ~num_keywords:6
@@ -198,7 +146,7 @@ let test_same_seq_delay_before_exn () =
   (* A delay and an exn armed at the same sequence: the delay must be
      applied before the exception is raised, for either arm order — a
      raising one-pass scan would skip the delay when the exn was armed
-     first.  Timing-observable, so this lives in the gated group. *)
+     first.  Timing-observable, so this lives in the `Slow group. *)
   let delay_ns = 30_000_000 in
   List.iter
     (fun specs ->
@@ -218,59 +166,6 @@ let test_same_seq_delay_before_exn () =
 
 (* ------------------------------------------------------------------ *)
 (* Lane supervision *)
-
-let test_restart_stream_completes () =
-  (* A lane crash mid-stream: the supervisor restarts the lane, the
-     failing query is reported (not silently dropped), every other query
-     executes, and the committed stream is exactly the serial run over
-     the surviving queries — commit order included. *)
-  let workload = workload () in
-  let queries = Essa_sim.Workload.queries workload ~seed:62 ~count:120 in
-  let fail_seq = 37 in
-  let survivors =
-    Array.of_list
-      (List.filteri (fun i _ -> i <> fail_seq) (Array.to_list queries))
-  in
-  let serial = run_serial workload ~method_:`Rhtalu ~queries:survivors in
-  List.iter
-    (fun workers ->
-      let summaries, fp, stats, server =
-        run_served
-          ~faults:(Fault.create [ Fault.Engine_exn { seq = fail_seq } ])
-          workload ~method_:`Rhtalu ~workers ~queries ()
-      in
-      let label fmt = Printf.sprintf fmt workers in
-      Alcotest.(check bool)
-        (label "served = serial over survivors (workers=%d)")
-        true
-        ((summaries, fp) = serial);
-      Alcotest.(check int) (label "all committed (workers=%d)") stats.accepted
-        stats.committed;
-      Alcotest.(check int) (label "one failure (workers=%d)") 1 stats.failed;
-      Alcotest.(check int) (label "one restart (workers=%d)") 1
-        stats.lane_restarts;
-      Alcotest.(check int) (label "no skips (workers=%d)") 0 stats.skipped;
-      Alcotest.(check int)
-        (label "restart array agrees (workers=%d)")
-        1
-        (Array.fold_left ( + ) 0 (Server.lane_restarts server));
-      (match stats.errors with
-      | [ e ] ->
-          Alcotest.(check int) (label "error seq (workers=%d)") fail_seq e.seq;
-          Alcotest.(check int)
-            (label "error keyword (workers=%d)")
-            queries.(fail_seq) e.keyword;
-          Alcotest.(check bool)
-            (label "error exn (workers=%d)")
-            true
-            (e.exn = Fault.Injected fail_seq)
-      | es -> Alcotest.failf "expected 1 error, got %d" (List.length es));
-      let registry = Server.metrics server in
-      Alcotest.(check int) (label "failures counter (workers=%d)") 1
-        (counter registry "essa.serve.lane_failures");
-      Alcotest.(check int) (label "restarts counter (workers=%d)") 1
-        (counter registry "essa.serve.lane_restarts"))
-    worker_counts
 
 let test_degrade_after_max_restarts () =
   (* max_restarts = 0: the first failure degrades the lane, which then
@@ -318,29 +213,6 @@ let test_degraded_lane_keeps_fleet_live () =
   Alcotest.(check bool) "other lane kept serving" true (!expected_skipped < total - fail_seq - 1);
   Alcotest.(check int) "every query accounted for" total
     (List.length summaries + stats.failed + stats.skipped)
-
-let test_armed_but_unfired_is_bit_identical () =
-  (* The contract's boundary: faults armed but never firing (sequence
-     beyond the stream) change nothing — the served stream is still
-     bit-identical to serial, for every worker count. *)
-  let workload = workload () in
-  let queries = Essa_sim.Workload.queries workload ~seed:65 ~count:90 in
-  let serial = run_serial workload ~method_:`Rhtalu ~queries in
-  List.iter
-    (fun workers ->
-      let summaries, fp, stats, _ =
-        run_served
-          ~faults:(Fault.create [ Fault.Engine_exn { seq = 10_000 } ])
-          ~deadline_budget_ns:1_000_000_000 (* 1 s: never trips here *)
-          workload ~method_:`Rhtalu ~workers ~queries ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "bit-identical (workers=%d)" workers)
-        true
-        ((summaries, fp) = serial);
-      Alcotest.(check int) "nothing degraded" 0 stats.degraded;
-      Alcotest.(check int) "nothing failed" 0 stats.failed)
-    worker_counts
 
 let test_stop_idempotent_after_failure () =
   let workload = workload () in
@@ -421,7 +293,7 @@ let test_engine_no_deadline_never_degrades () =
   Alcotest.(check bool) "full path" true (s.degraded = None)
 
 (* ------------------------------------------------------------------ *)
-(* Sleep-based scenarios (ESSA_TEST_FAULTS=1) *)
+(* Sleep-based scenarios *)
 
 let test_stall_recovery () =
   (* An unresponsive lane holds the commit clock; once it wakes the
@@ -443,7 +315,7 @@ let test_stall_recovery () =
         true
         ((summaries, fp) = serial);
       Alcotest.(check int) "all committed" stats.accepted stats.committed)
-    worker_counts
+    [ 1; 2; 3; 4 ]
 
 let test_server_deadline_degrades () =
   (* A 60 ms injected stall on the first auction against a 5 ms budget:
@@ -463,7 +335,7 @@ let test_server_deadline_degrades () =
   Alcotest.(check int) "no failures" 0 stats.failed;
   Alcotest.(check bool) "deadline tripped" true (stats.degraded > 0);
   (match summaries with
-  | (_, _, _, _, _, degraded) :: _ ->
+  | (_, _, _, _, _, _, degraded) :: _ ->
       Alcotest.(check bool) "first auction degraded unfilled" true
         (degraded = Some Essa.Engine.Unfilled)
   | [] -> Alcotest.fail "no summaries");
@@ -497,7 +369,6 @@ let test_crash_and_deadline_combined () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let gated tests = if extended then tests else [] in
   Alcotest.run "essa_serve faults"
     [
       ( "switchboard",
@@ -511,14 +382,10 @@ let () =
         ] );
       ( "supervision",
         [
-          Alcotest.test_case "crash -> restart -> stream completes" `Quick
-            test_restart_stream_completes;
           Alcotest.test_case "restarts exhausted -> lane degrades" `Quick
             test_degrade_after_max_restarts;
           Alcotest.test_case "degraded lane keeps fleet live" `Quick
             test_degraded_lane_keeps_fleet_live;
-          Alcotest.test_case "armed-but-unfired = bit-identical" `Quick
-            test_armed_but_unfired_is_bit_identical;
           Alcotest.test_case "stop idempotent after failure" `Quick
             test_stop_idempotent_after_failure;
         ] );
@@ -532,14 +399,13 @@ let () =
             test_engine_no_deadline_never_degrades;
         ] );
       ( "injected-timing",
-        gated
-          [
-            Alcotest.test_case "same-seq: delay before exn" `Slow
-              test_same_seq_delay_before_exn;
-            Alcotest.test_case "lane stall recovery" `Slow test_stall_recovery;
-            Alcotest.test_case "server deadline degrades" `Slow
-              test_server_deadline_degrades;
-            Alcotest.test_case "crash + stall + deadline" `Slow
-              test_crash_and_deadline_combined;
-          ] );
+        [
+          Alcotest.test_case "same-seq: delay before exn" `Slow
+            test_same_seq_delay_before_exn;
+          Alcotest.test_case "lane stall recovery" `Slow test_stall_recovery;
+          Alcotest.test_case "server deadline degrades" `Slow
+            test_server_deadline_degrades;
+          Alcotest.test_case "crash + stall + deadline" `Slow
+            test_crash_and_deadline_combined;
+        ] );
     ]

@@ -1,14 +1,10 @@
-(* Tests for the first-class mechanism interface (Essa.Mechanism).
-
-   The load-bearing suites are the bit-identity properties: the classic
-   GSP/VCG path re-expressed through the interface must be
-   indistinguishable from itself under equivalent constructions (default
-   vs explicit [`Classic], [`Reserve (`Fixed zeros)] vs [`Classic]) —
-   summary streams AND counters — across serial dense, partitioned dense
-   and flat engines, at random bid-update decimation.  The new
-   mechanisms get the same cache-twin treatment as the classic one plus
-   their own invariants: no blocking pair for the ascending
-   stable-matching auction, floor respect for the reserve mechanism. *)
+(* Tests for the first-class mechanism interface (Essa.Mechanism): the
+   default construction, the flat and SoA kernels against their
+   references, no blocking pair for the ascending stable-matching
+   auction, and floor respect for the reserve mechanism.  The
+   bit-identity cells — [`Reserve (`Fixed zeros)] = [`Classic] and the
+   new mechanisms' cache twins, summaries AND counters, on every engine
+   shape — are rows of the scenario table (test_scenarios.ml). *)
 
 module Engine = Essa.Engine
 module Workload = Essa_sim.Workload
@@ -17,109 +13,23 @@ module Stable_match = Essa.Stable_match
 let qtest ?(count = 10) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
-let counters reg =
-  List.filter_map
-    (fun (e : Essa_obs.Registry.entry) ->
-      match e.metric with
-      | Essa_obs.Registry.Counter c -> Some (e.name, Essa_obs.Counter.value c)
-      | _ -> None)
-    (Essa_obs.Registry.entries reg)
-  |> List.sort compare
-
-let counters_except_cache reg =
-  List.filter
-    (fun (name, _) -> not (String.starts_with ~prefix:"essa.engine.cache" name))
-    (counters reg)
-
-(* ------------------------------------------------------------------ *)
-(* Equivalence: [`Reserve (`Fixed zeros)] delegates to the classic
-   mechanism with an unchanged floor, so it must be bit-identical to
-   [`Classic] — summaries and counters — on every engine shape.  This
-   pins the delegation plumbing (the per-keyword floor recomputation must
-   be a no-op at zero) and, symmetrically, that the classic path really
-   does flow through the mechanism interface. *)
-
-let gen_seed_update = QCheck2.Gen.(pair (int_range 0 10_000) (int_range 1 16))
-
-let run_dense ~mechanism ~pricing ~partitioned ~seed ~update_every =
-  let wl =
-    Workload.section5 ~seed ~n:40 ~k:4 ~num_keywords:6 ~budgeted_fraction:0.3 ()
-  in
-  let q = Workload.queries wl ~seed:(seed + 1) ~count:300 in
-  let reg = Essa_obs.Registry.create () in
-  let engine =
-    Workload.make_engine ~metrics:reg ~partitioned ~update_every ~pricing
-      ~mechanism wl ~method_:`Rhtalu
-  in
-  let run =
-    if partitioned then Engine.run_partitioned ?deadline_ns:None ?batch:None
-    else Engine.run_auction ?deadline_ns:None
-  in
-  let summaries = Array.map (fun kw -> run engine ~keyword:kw) q in
-  (summaries, counters reg)
-
-let run_flat ~mechanism ~seed ~update_every =
-  let u =
-    Workload.universe ~keywords:12 ~n:60 ~zipf_s:1.1 ~budgeted_fraction:0.3
-      ~seed ()
-  in
-  let q = Workload.universe_queries u ~seed:(seed + 1) ~count:300 in
-  let reg = Essa_obs.Registry.create () in
-  let engine =
-    Workload.make_flat_engine ~metrics:reg ~update_every ~mechanism u
-      ~store:(Workload.universe_store ~churn:0.05 u ())
-  in
-  let summaries =
-    Array.map (fun kw -> Engine.run_partitioned engine ~keyword:kw) q
-  in
-  (summaries, counters reg)
-
-let prop_reserve_zero_is_classic_dense =
-  qtest "`Reserve (`Fixed 0s) = `Classic (dense serial+partitioned, gsp+vcg)"
-    gen_seed_update (fun (seed, update_every) ->
-      let zeros = `Reserve (`Fixed (Array.make 6 0)) in
-      List.for_all
-        (fun (pricing, partitioned) ->
-          let s_c, c_c =
-            run_dense ~mechanism:`Classic ~pricing ~partitioned ~seed
-              ~update_every
-          and s_r, c_r =
-            run_dense ~mechanism:zeros ~pricing ~partitioned ~seed
-              ~update_every
-          in
-          s_c = s_r && c_c = c_r)
-        [ (`Gsp, false); (`Vcg, false); (`Gsp, true) ])
-
-let prop_reserve_zero_is_classic_flat =
-  qtest "`Reserve (`Fixed 0s) = `Classic (flat partitioned, churn)"
-    gen_seed_update (fun (seed, update_every) ->
-      let zeros = `Reserve (`Fixed (Array.make 12 0)) in
-      let s_c, c_c = run_flat ~mechanism:`Classic ~seed ~update_every
-      and s_r, c_r = run_flat ~mechanism:zeros ~seed ~update_every in
-      s_c = s_r && c_c = c_r)
-
-(* Default construction (no [?mechanism], ESSA_MECHANISM unset) is the
-   classic mechanism.  Skipped under the CI mechanism sweep, where the
-   default is intentionally redirected. *)
+(* Default construction (no [?mechanism]) is the classic mechanism. *)
 let test_default_is_classic () =
-  match Sys.getenv_opt "ESSA_MECHANISM" with
-  | Some s when s <> "" -> ()
-  | _ ->
-      let wl = Workload.section5 ~seed:7 ~n:30 ~k:4 ~num_keywords:5 () in
-      let q = Workload.queries wl ~seed:8 ~count:200 in
-      let e_default = Workload.make_engine wl ~method_:`Rhtalu in
-      let e_classic =
-        Workload.make_engine ~mechanism:`Classic wl ~method_:`Rhtalu
-      in
-      Alcotest.(check string)
-        "default mechanism name" "gsp"
-        (Engine.mechanism_name e_default);
-      Alcotest.(check bool) "summaries identical" true
-        (Array.for_all
-           (fun kw ->
-             Engine.run_auction e_default ~keyword:kw
-             = Engine.run_auction e_classic ~keyword:kw)
-           q)
+  let wl = Workload.section5 ~seed:7 ~n:30 ~k:4 ~num_keywords:5 () in
+  let q = Workload.queries wl ~seed:8 ~count:200 in
+  let e_default = Workload.make_engine wl ~method_:`Rhtalu in
+  let e_classic =
+    Workload.make_engine ~mechanism:`Classic wl ~method_:`Rhtalu
+  in
+  Alcotest.(check string)
+    "default mechanism name" "gsp"
+    (Engine.mechanism_name e_default);
+  Alcotest.(check bool) "summaries identical" true
+    (Array.for_all
+       (fun kw ->
+         Engine.run_auction e_default ~keyword:kw
+         = Engine.run_auction e_classic ~keyword:kw)
+       q)
 
 let test_mechanism_names () =
   let wl = Workload.section5 ~seed:3 ~n:10 ~k:3 ~num_keywords:4 () in
@@ -132,72 +42,6 @@ let test_mechanism_names () =
   Alcotest.(check string) "stable" "stable" (name ~mechanism:`Stable ());
   Alcotest.(check string) "reserve" "reserve"
     (name ~mechanism:(`Reserve `Monopoly) ())
-
-(* ------------------------------------------------------------------ *)
-(* Cache twins for the new mechanisms: the evaluation cache must stay
-   observationally invisible under `Stable and `Reserve `Monopoly, like
-   it is (test_core) under the classic mechanism. *)
-
-let cache_twin_dense mechanism (seed, update_every) =
-  let wl =
-    Workload.section5 ~seed ~n:40 ~k:4 ~num_keywords:6 ~budgeted_fraction:0.3 ()
-  in
-  let q = Workload.queries wl ~seed:(seed + 1) ~count:300 in
-  let r_off = Essa_obs.Registry.create ()
-  and r_on = Essa_obs.Registry.create () in
-  let engine cache metrics =
-    Workload.make_engine ~metrics ~cache ~update_every ~mechanism wl
-      ~method_:`Rhtalu
-  in
-  let e_off = engine false r_off and e_on = engine true r_on in
-  Array.for_all
-    (fun kw ->
-      Engine.run_auction e_off ~keyword:kw = Engine.run_auction e_on ~keyword:kw)
-    q
-  && counters_except_cache r_off = counters_except_cache r_on
-  && (update_every < 4
-     ||
-     match Essa_obs.Registry.find r_on "essa.engine.cache_hits" with
-     | Some (Essa_obs.Registry.Counter c) -> Essa_obs.Counter.value c > 0
-     | _ -> false)
-
-let cache_twin_flat mechanism (seed, update_every) =
-  let u =
-    Workload.universe ~keywords:12 ~n:60 ~zipf_s:1.1 ~budgeted_fraction:0.3
-      ~seed ()
-  in
-  let q = Workload.universe_queries u ~seed:(seed + 1) ~count:300 in
-  let r_off = Essa_obs.Registry.create ()
-  and r_on = Essa_obs.Registry.create () in
-  let engine cache metrics =
-    Workload.make_flat_engine ~metrics ~cache ~update_every ~mechanism u
-      ~store:(Workload.universe_store ~churn:0.05 u ())
-  in
-  let e_off = engine false r_off and e_on = engine true r_on in
-  Array.for_all
-    (fun kw ->
-      Engine.run_partitioned e_off ~keyword:kw
-      = Engine.run_partitioned e_on ~keyword:kw)
-    q
-  && counters_except_cache r_off = counters_except_cache r_on
-
-let prop_cache_twin_stable_dense =
-  qtest ~count:8 "cache on = cache off (`Stable, dense)" gen_seed_update
-    (cache_twin_dense `Stable)
-
-let prop_cache_twin_reserve_dense =
-  qtest ~count:8 "cache on = cache off (`Reserve `Monopoly, dense)"
-    gen_seed_update
-    (cache_twin_dense (`Reserve `Monopoly))
-
-let prop_cache_twin_stable_flat =
-  qtest ~count:6 "cache on = cache off (`Stable, flat churn)" gen_seed_update
-    (cache_twin_flat `Stable)
-
-let prop_cache_twin_reserve_flat =
-  qtest ~count:6 "cache on = cache off (`Reserve `Monopoly, flat churn)"
-    gen_seed_update
-    (cache_twin_flat (`Reserve `Monopoly))
 
 (* ------------------------------------------------------------------ *)
 (* Flat winner determination against its reference: the list-based
@@ -813,19 +657,10 @@ let () =
     [
       ( "equivalence",
         [
-          prop_reserve_zero_is_classic_dense;
-          prop_reserve_zero_is_classic_flat;
           Alcotest.test_case "default construction is classic GSP" `Quick
             test_default_is_classic;
           Alcotest.test_case "mechanism names" `Quick test_mechanism_names;
           prop_fast_ta_equals_generic;
-        ] );
-      ( "cache",
-        [
-          prop_cache_twin_stable_dense;
-          prop_cache_twin_reserve_dense;
-          prop_cache_twin_stable_flat;
-          prop_cache_twin_reserve_flat;
         ] );
       ( "flat_wd",
         [

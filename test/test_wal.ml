@@ -1,6 +1,7 @@
-(* Durability: bincode/CRC units, WAL round-trips and torn-tail
-   trimming, state-store/engine snapshot continuation equality, and the
-   kill@SEQ crash-recovery sweep. *)
+(* Durability: bincode/CRC units, WAL round-trips, torn-tail trimming,
+   format and image pins.  Snapshot continuation and the kill@SEQ
+   crash-recovery sweep are rows of the scenario table
+   (test_scenarios.ml). *)
 
 module B = Essa_util.Bincode
 module Crc = Essa_util.Crc32
@@ -8,80 +9,6 @@ module Sstore = Essa_strategy.State_store
 module Engine = Essa.Engine
 module Workload = Essa_sim.Workload
 module Wal = Essa_serve.Wal
-
-(* ---------------------------------------------------------------- *)
-(* Snapshot continuation: encode a mid-run engine, rebuild from the
-   blob, and require the continuation to be bit-identical to the
-   uninterrupted engine's — summaries, revenue, everything. *)
-
-let flat_continuation ~churn ~update_every ~cache () =
-  let u = Workload.universe ~keywords:5 ~n:40 ~zipf_s:1.0 ~seed:11 () in
-  let store = Workload.universe_store ~churn u () in
-  let engine = Workload.make_flat_engine ~cache ~update_every u ~store in
-  let trace = Workload.universe_queries u ~seed:12 ~count:400 in
-  let m = 150 in
-  for i = 0 to m - 1 do
-    ignore (Engine.run_partitioned engine ~keyword:trace.(i))
-  done;
-  let buf = Buffer.create 4096 in
-  Engine.encode_state engine buf;
-  let blob = Buffer.contents buf in
-  let r = B.reader blob in
-  let snap = Sstore.decode r in
-  Alcotest.(check bool) "flat snapshot" true (Sstore.snapshot_is_flat snap);
-  let store' = Sstore.of_snapshot_flat snap in
-  if churn > 0.0 then Workload.universe_attach_churn u store' ~churn;
-  let engine' = Workload.make_flat_engine ~cache ~update_every u ~store:store' in
-  Sstore.apply_meta snap
-    (Essa_strategy.Roi_fleet.store_of (Engine.fleet engine'));
-  Engine.restore_extras engine' r;
-  Alcotest.(check int) "blob fully consumed" 0 (B.remaining r);
-  Alcotest.(check int) "auctions restored" (Engine.auctions_run engine)
-    (Engine.auctions_run engine');
-  for i = m to Array.length trace - 1 do
-    let a = Engine.run_partitioned engine ~keyword:trace.(i) in
-    let b = Engine.run_partitioned engine' ~keyword:trace.(i) in
-    if a <> b then
-      Alcotest.failf "summary %d (keyword %d) diverged after restore" i
-        trace.(i)
-  done;
-  Alcotest.(check int) "total revenue" (Engine.total_revenue engine)
-    (Engine.total_revenue engine')
-
-let dense_continuation ~method_ ~budgeted_fraction ~update_every ~cache () =
-  let w =
-    Workload.section5 ~seed:7 ~n:60 ~k:5 ~num_keywords:6 ~budgeted_fraction ()
-  in
-  let engine =
-    Workload.make_engine ~partitioned:true ~cache ~update_every w ~method_
-  in
-  let trace = Workload.queries w ~seed:8 ~count:300 in
-  let m = 120 in
-  for i = 0 to m - 1 do
-    ignore (Engine.run_partitioned engine ~keyword:trace.(i))
-  done;
-  let buf = Buffer.create 4096 in
-  Engine.encode_state engine buf;
-  let r = B.reader (Buffer.contents buf) in
-  let snap = Sstore.decode r in
-  Alcotest.(check bool) "dense snapshot" false (Sstore.snapshot_is_flat snap);
-  let engine' =
-    Workload.make_engine ~partitioned:true ~cache ~update_every
-      ~states:(Sstore.dense_states snap) w ~method_
-  in
-  Sstore.apply_meta snap
-    (Essa_strategy.Roi_fleet.store_of (Engine.fleet engine'));
-  Engine.restore_extras engine' r;
-  Alcotest.(check int) "blob fully consumed" 0 (B.remaining r);
-  for i = m to Array.length trace - 1 do
-    let a = Engine.run_partitioned engine ~keyword:trace.(i) in
-    let b = Engine.run_partitioned engine' ~keyword:trace.(i) in
-    if a <> b then
-      Alcotest.failf "summary %d (keyword %d) diverged after restore" i
-        trace.(i)
-  done;
-  Alcotest.(check int) "total revenue" (Engine.total_revenue engine)
-    (Engine.total_revenue engine')
 
 (* ---------------------------------------------------------------- *)
 (* Bincode and CRC units. *)
@@ -252,17 +179,6 @@ let test_reader_window () =
 (* ---------------------------------------------------------------- *)
 (* WAL writer/loader round-trip, rotation and compaction. *)
 
-let temp_dir () =
-  let d = Filename.temp_file "essa_wal" "" in
-  Sys.remove d;
-  d
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
 (* Real summaries to feed the WAL: run a small flat engine and keep what
    it serves (witness arrays included). *)
 let sample_summaries ~count =
@@ -274,8 +190,8 @@ let sample_summaries ~count =
 
 let test_wal_roundtrip () =
   let engine, summaries = sample_summaries ~count:40 in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Test_harness.temp_dir () in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
   let w = Wal.create_writer ~segment_bytes:4096 ~dir () in
   Array.iteri (fun i s -> Wal.append w ~seq:i s) summaries;
   let buf = Buffer.create 4096 in
@@ -330,8 +246,8 @@ let test_wal_roundtrip () =
    non-positive group size is a construction error. *)
 let test_wal_group_commit () =
   let _engine, summaries = sample_summaries ~count:7 in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Test_harness.temp_dir () in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
   let w = Wal.create_writer ~fsync:(`Every 3) ~dir () in
   Array.iteri (fun i s -> Wal.append w ~seq:i s) summaries;
   Wal.close_writer w;
@@ -368,8 +284,8 @@ let image engine =
    the codec into one buffer and checksummed by the reference CRC. *)
 let test_snapshot_format_pin () =
   let engine, summaries = sample_summaries ~count:6 in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Test_harness.temp_dir () in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
   let snapshots =
     [
       (6, Array.init 6 Fun.id, image engine);
@@ -467,18 +383,10 @@ let test_encode_state_keeps_counters () =
   for _ = 1 to 6 do
     ignore (Engine.run_partitioned engine ~keyword:0)
   done;
-  let counters () =
-    List.filter_map
-      (fun (e : Essa_obs.Registry.entry) ->
-        match e.metric with
-        | Essa_obs.Registry.Counter c -> Some (e.name, Essa_obs.Counter.value c)
-        | _ -> None)
-      (Essa_obs.Registry.entries metrics)
-  in
-  let before = counters () in
+  let before = Test_harness.counters metrics in
   let img = image engine in
   Alcotest.(check (list (pair string int))) "counters unchanged" before
-    (counters ());
+    (Test_harness.counters metrics);
   Alcotest.(check string) "image digest" "881da06c66db4faae352485919db0ec8"
     (Digest.to_hex (Digest.string img))
 
@@ -498,8 +406,8 @@ let test_compact_keeps_loadable_snapshot () =
   in
   let engine = engine_of None in
   let trace = Workload.universe_queries u ~seed:32 ~count:12 in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Test_harness.temp_dir () in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
   (* Two writers, so two segments, each ending in a snapshot. *)
   List.iter
     (fun (first, last) ->
@@ -540,8 +448,8 @@ let test_compact_keeps_loadable_snapshot () =
    to the segment bytes past the magic), fsync barriers and snapshots. *)
 let test_wal_stats () =
   let engine, summaries = sample_summaries ~count:5 in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Test_harness.temp_dir () in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
   let w = Wal.create_writer ~fsync:(`Every 2) ~dir () in
   Array.iteri (fun i s -> Wal.append w ~seq:i s) summaries;
   let blob = image engine in
@@ -569,8 +477,8 @@ let test_server_wal_metrics () =
   let store = Workload.universe_store u () in
   let engine = Workload.make_flat_engine u ~store in
   let trace = Workload.universe_queries u ~seed:2 ~count:200 in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let dir = Test_harness.temp_dir () in
+  Fun.protect ~finally:(fun () -> Test_harness.rm_rf dir) @@ fun () ->
   let w = Wal.create_writer ~dir () in
   let registry = Essa_obs.Registry.create () in
   let server =
@@ -584,11 +492,7 @@ let test_server_wal_metrics () =
   let stats = Essa_serve.Server.stop server in
   let st = Wal.stats w in
   Wal.close_writer w;
-  let counter name =
-    match Essa_obs.Registry.find registry name with
-    | Some (Essa_obs.Registry.Counter c) -> Essa_obs.Counter.value c
-    | _ -> Alcotest.failf "no counter %s" name
-  in
+  let counter = Test_harness.counter registry in
   let snapshots = counter "essa.wal.snapshots" in
   Alcotest.(check bool) "snapshots taken" true (snapshots > 0);
   Alcotest.(check int) "records = commits + snapshots"
@@ -625,11 +529,11 @@ let test_wal_torn_tail () =
   let store = Workload.universe_store u () in
   let engine = Workload.make_flat_engine u ~store in
   let trace = Workload.universe_queries u ~seed:32 ~count:30 in
-  let dir = temp_dir () in
-  let dir2 = temp_dir () in
+  let dir = Test_harness.temp_dir () in
+  let dir2 = Test_harness.temp_dir () in
   Fun.protect ~finally:(fun () ->
-      rm_rf dir;
-      rm_rf dir2)
+      Test_harness.rm_rf dir;
+      Test_harness.rm_rf dir2)
   @@ fun () ->
   let w = Wal.create_writer ~dir () in
   (* Serve and append in lockstep, snapshotting after auction 20 — the
@@ -664,7 +568,7 @@ let test_wal_torn_tail () =
   let last_start = List.nth offsets (List.length offsets - 1) in
   let file_len = String.length bytes in
   let write_truncated cut =
-    rm_rf dir2;
+    Test_harness.rm_rf dir2;
     Unix.mkdir dir2 0o755;
     let oc = open_out_bin (Filename.concat dir2 "00000000.wal") in
     output_string oc (String.sub bytes 0 cut);
@@ -720,219 +624,6 @@ let test_wal_torn_tail () =
     cut := !cut + 13
   done
 
-(* ---------------------------------------------------------------- *)
-(* Crash-recovery sweep: kill a served run mid-stream, restore from the
-   WAL, resubmit what was lost, and check the combined stream. *)
-
-let kill_recover ~universe:u ~churn ~workers ~kill ~trace ~wal_snapshot_every ()
-    =
-  let nkw = Workload.universe_keywords u in
-  let engine_of snap =
-    let store =
-      match snap with
-      | None -> Workload.universe_store ~churn u ()
-      | Some s ->
-          let store = Sstore.of_snapshot_flat s in
-          if churn > 0.0 then Workload.universe_attach_churn u store ~churn;
-          store
-    in
-    Workload.make_flat_engine u ~store
-  in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  (* Killed run. *)
-  let w = Wal.create_writer ~dir () in
-  let faults =
-    match Essa_serve.Fault.parse (Printf.sprintf "kill@%d" kill) with
-    | Ok s -> Essa_serve.Fault.create [ s ]
-    | Error e -> failwith e
-  in
-  let server =
-    Essa_serve.Server.create ~workers ~commit:`Per_keyword ~faults ~wal:w
-      ~wal_snapshot_every ~max_batch:16
-      ~queue_capacity:(Array.length trace)
-      ~engine:(engine_of None) ()
-  in
-  Array.iter
-    (fun kw -> ignore (Essa_serve.Server.submit server ~keyword:kw))
-    trace;
-  let stats = Essa_serve.Server.stop server in
-  Wal.close_writer w;
-  Alcotest.(check bool) "kill fired" true stats.killed;
-  Alcotest.(check bool) "some queries lost" true (stats.skipped > 0);
-  (* Recover and resubmit the lost suffix (trace position = seq under a
-     full-acceptance run). *)
-  let rc = Essa_serve.Recovery.restore ~dir ~num_keywords:nkw ~engine_of () in
-  Alcotest.(check int) "tail replays clean" 0 rc.tail_mismatches;
-  let persisted = Hashtbl.create 1024 in
-  Array.iter (fun s -> Hashtbl.replace persisted s ()) rc.persisted;
-  let w2 = Wal.create_writer ~dir () in
-  let server2 =
-    Essa_serve.Server.create ~workers ~commit:`Per_keyword ~wal:w2
-      ~wal_snapshot_every ~max_batch:16
-      ~queue_capacity:(Array.length trace)
-      ~engine:rc.engine ()
-  in
-  Array.iteri
-    (fun i kw ->
-      if not (Hashtbl.mem persisted i) then
-        ignore (Essa_serve.Server.submit server2 ~keyword:kw))
-    trace;
-  let stats2 = Essa_serve.Server.stop server2 in
-  Wal.close_writer w2;
-  Alcotest.(check int) "nothing lost overall"
-    (Array.length trace)
-    (Array.length rc.persisted + stats2.committed);
-  let combined =
-    Array.init nkw (fun kw ->
-        rc.logs.(kw) @ Essa_serve.Server.commit_log server2 ~keyword:kw)
-  in
-  (rc, combined, engine_of)
-
-(* Decoupled universe (one keyword per advertiser): per-keyword streams
-   have no cross-keyword coupling, so the recovered run must reproduce an
-   uninterrupted serial run bit-for-bit — stronger than the replay
-   contract. *)
-let test_kill_recover_decoupled workers () =
-  let u =
-    Workload.universe ~max_keywords_per_adv:1 ~keywords:6 ~n:48 ~zipf_s:1.0
-      ~seed:21 ()
-  in
-  let trace = Workload.universe_queries u ~seed:22 ~count:400 in
-  (* Churn arrivals enroll a uniform advertiser, so a churned universe is
-     only *approximately* decoupled: a bidder cross-enrolled from another
-     keyword carries its global spend cell into this keyword's begin-pass
-     witness.  The classic mechanism's pinned seed never has a nonzero
-     foreign spend at a snapshot point, so the strongest cross-run
-     contract holds with churn on; under the CI mechanism sweep
-     (ESSA_MECHANISM=stable|reserve) price dynamics differ and the
-     coupling surfaces in the witness, so exact decoupling is restored by
-     disabling churn — the coupled variant below keeps churn coverage
-     under every mechanism. *)
-  let churn =
-    match Sys.getenv_opt "ESSA_MECHANISM" with
-    | Some ("stable" | "reserve") -> 0.0
-    | _ -> 0.1
-  in
-  let rc, combined, engine_of =
-    kill_recover ~universe:u ~churn ~workers ~kill:150 ~trace
-      ~wal_snapshot_every:2 ()
-  in
-  (* Serial baseline. *)
-  let baseline = engine_of None in
-  let nkw = Workload.universe_keywords u in
-  let expect = Array.make nkw [] in
-  Array.iter
-    (fun kw ->
-      let s = Engine.run_partitioned baseline ~keyword:kw in
-      expect.(kw) <- s :: expect.(kw))
-    trace;
-  Array.iteri (fun kw l -> expect.(kw) <- List.rev l) expect;
-  for kw = 0 to nkw - 1 do
-    if combined.(kw) <> expect.(kw) then
-      Alcotest.failf "keyword %d stream diverged from the serial baseline" kw
-  done;
-  Alcotest.(check int) "revenue matches the serial baseline"
-    (Engine.total_revenue baseline)
-    (Engine.total_revenue rc.engine)
-
-(* Coupled universe (advertisers on up to 3 keywords): cross-keyword
-   interleaving is timing-dependent, so the contract is the replay
-   report on the combined stream, not cross-run equality. *)
-let test_kill_recover_coupled workers () =
-  let u = Workload.universe ~keywords:5 ~n:40 ~zipf_s:1.0 ~seed:1 () in
-  let trace = Workload.universe_queries u ~seed:2 ~count:400 in
-  let rc, combined, engine_of =
-    kill_recover ~universe:u ~churn:0.2 ~workers ~kill:150 ~trace
-      ~wal_snapshot_every:2 ()
-  in
-  let report =
-    Essa_serve.Replay.check ~served:rc.engine ~fresh:(engine_of None)
-      ~log:combined
-  in
-  if not (Essa_serve.Replay.ok report) then
-    Alcotest.failf
-      "combined stream fails the replay contract (replay %b clocks %b \
-       conservation %b budgets %b)"
-      report.replay_ok report.clocks_monotone report.spend_conserved
-      report.budgets_respected
-
-(* Dense engine, killed with the allocation cache and decimation on,
-   recovered on a cache-off engine: durability is configuration-blind
-   because the WAL records witnesses, not cache state. *)
-let test_kill_recover_dense_cache_flip () =
-  let w =
-    Workload.section5 ~seed:7 ~n:60 ~k:5 ~num_keywords:6
-      ~budgeted_fraction:0.3 ()
-  in
-  let trace = Workload.queries w ~seed:8 ~count:500 in
-  let engine_of ~cache snap =
-    match snap with
-    | None ->
-        Workload.make_engine ~partitioned:true ~cache ~update_every:8 w
-          ~method_:`Rhtalu
-    | Some s ->
-        Workload.make_engine ~partitioned:true ~cache ~update_every:8
-          ~states:(Sstore.dense_states s) w ~method_:`Rhtalu
-  in
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let wal = Wal.create_writer ~dir () in
-  let faults =
-    match Essa_serve.Fault.parse "kill@200" with
-    | Ok s -> Essa_serve.Fault.create [ s ]
-    | Error e -> failwith e
-  in
-  let server =
-    Essa_serve.Server.create ~workers:2 ~commit:`Per_keyword ~faults ~wal
-      ~wal_snapshot_every:2 ~max_batch:16
-      ~queue_capacity:(Array.length trace)
-      ~engine:(engine_of ~cache:true None)
-      ()
-  in
-  Array.iter
-    (fun kw -> ignore (Essa_serve.Server.submit server ~keyword:kw))
-    trace;
-  let stats = Essa_serve.Server.stop server in
-  Wal.close_writer wal;
-  Alcotest.(check bool) "kill fired" true stats.killed;
-  let rc =
-    Essa_serve.Recovery.restore ~dir ~num_keywords:6
-      ~engine_of:(engine_of ~cache:false) ()
-  in
-  Alcotest.(check int) "tail replays clean on a cache-off engine" 0
-    rc.tail_mismatches;
-  let persisted = Hashtbl.create 1024 in
-  Array.iter (fun s -> Hashtbl.replace persisted s ()) rc.persisted;
-  let server2 =
-    Essa_serve.Server.create ~workers:2 ~commit:`Per_keyword ~max_batch:16
-      ~queue_capacity:(Array.length trace) ~engine:rc.engine ()
-  in
-  Array.iteri
-    (fun i kw ->
-      if not (Hashtbl.mem persisted i) then
-        ignore (Essa_serve.Server.submit server2 ~keyword:kw))
-    trace;
-  let stats2 = Essa_serve.Server.stop server2 in
-  Alcotest.(check int) "nothing lost overall"
-    (Array.length trace)
-    (Array.length rc.persisted + stats2.committed);
-  let combined =
-    Array.init 6 (fun kw ->
-        rc.logs.(kw) @ Essa_serve.Server.commit_log server2 ~keyword:kw)
-  in
-  let report =
-    Essa_serve.Replay.check ~served:rc.engine
-      ~fresh:(engine_of ~cache:false None)
-      ~log:combined
-  in
-  if not (Essa_serve.Replay.ok report) then
-    Alcotest.failf
-      "cache-flip recovery fails the replay contract (replay %b clocks %b \
-       conservation %b budgets %b)"
-      report.replay_ok report.clocks_monotone report.spend_conserved
-      report.budgets_respected
-
 let () =
   Alcotest.run "wal"
     [
@@ -965,40 +656,5 @@ let () =
           Alcotest.test_case "stats" `Quick test_wal_stats;
           Alcotest.test_case "server exports essa.wal.*" `Quick
             test_server_wal_metrics;
-        ] );
-      ( "continuation",
-        [
-          Alcotest.test_case "flat plain" `Quick
-            (flat_continuation ~churn:0.0 ~update_every:1 ~cache:false);
-          Alcotest.test_case "flat churn" `Quick
-            (flat_continuation ~churn:0.2 ~update_every:1 ~cache:false);
-          Alcotest.test_case "flat churn cache+decimation" `Quick
-            (flat_continuation ~churn:0.2 ~update_every:8 ~cache:true);
-          Alcotest.test_case "dense rh" `Quick
-            (dense_continuation ~method_:`Rh ~budgeted_fraction:0.0
-               ~update_every:1 ~cache:false);
-          Alcotest.test_case "dense rhtalu budgets cache" `Quick
-            (dense_continuation ~method_:`Rhtalu ~budgeted_fraction:0.3
-               ~update_every:1 ~cache:true);
-          Alcotest.test_case "dense rhtalu budgets cache+decimation" `Quick
-            (dense_continuation ~method_:`Rhtalu ~budgeted_fraction:0.3
-               ~update_every:8 ~cache:true);
-        ] );
-      ( "kill-recover",
-        [
-          Alcotest.test_case "decoupled bit-identity (workers=1)" `Quick
-            (test_kill_recover_decoupled 1);
-          Alcotest.test_case "decoupled bit-identity (workers=2)" `Quick
-            (test_kill_recover_decoupled 2);
-          Alcotest.test_case "decoupled bit-identity (workers=4)" `Quick
-            (test_kill_recover_decoupled 4);
-          Alcotest.test_case "coupled replay contract (workers=1)" `Quick
-            (test_kill_recover_coupled 1);
-          Alcotest.test_case "coupled replay contract (workers=2)" `Quick
-            (test_kill_recover_coupled 2);
-          Alcotest.test_case "coupled replay contract (workers=4)" `Quick
-            (test_kill_recover_coupled 4);
-          Alcotest.test_case "dense cache-on kill, cache-off recovery" `Quick
-            test_kill_recover_dense_cache_flip;
         ] );
     ]
