@@ -623,10 +623,11 @@ let bakeoff seed quick out =
                   kw
               | Seq.Nil -> 0 )
     in
-    let run =
+    let run engine ~keyword =
       (* The flat universe engine is partitioned (per-keyword clocks). *)
-      if Essa.Engine.is_flat engine then Essa.Engine.run_partitioned ?batch:None
-      else Essa.Engine.run_auction
+      if Essa.Engine.is_flat engine then
+        Essa.Engine.run_partitioned engine ~keyword
+      else Essa.Engine.run_auction engine ~keyword
     in
     let filled = ref 0 in
     let t0 = Essa_util.Timing.now_ns () in

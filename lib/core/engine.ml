@@ -198,7 +198,7 @@ type t = {
   (* The auction mechanism — who wins which slot at what price — and the
      static context its hooks read.  Everything else in this module is
      mechanism-agnostic orchestration: click sampling, billing, the
-     evaluation cache, decimation, batching, deadlines, durability. *)
+     evaluation cache, decimation, deadlines, durability. *)
   mech : (module Mechanism.S);
   ctx : Mechanism.ctx;
   user_rng : Essa_util.Rng.t;
@@ -536,29 +536,16 @@ let cache_entry_of ~epoch (s : Mechanism.scratch) ~assignment ~prices =
     ce_reduced = s.Mechanism.wd_reduced;
   }
 
-(* Keyword-batched evaluation: a batch amortizes the spend-snapshot scan
-   (n atomic reads per auction — the one cross-keyword touch of the hot
-   path) over a run of consecutive auctions on the same keyword.  The
-   first auction of the batch reads the atomic cells as usual; the batch
-   then maintains that snapshot itself, applying its own clicked charges
-   after every auction, and later auctions adopt it instead of re-reading.
-
-   Legality rests on PR 5's snapshot-of-spend contract: an auction is a
-   pure function of (keyword-local state, the spend snapshot it adopted),
-   and each summary still records its own snapshot, so [Replay] validates
-   batched commits unchanged.  Adopting the maintained snapshot is
-   observationally the schedule in which no other keyword committed
-   during the batch — exactly what a single-threaded same-keyword run
-   observes, hence bit-identical to the unbatched sequential run
-   (property-tested at every batch split). *)
-type batch = { b_keyword : int; mutable b_snap : int array option }
+(* A keyword tag with no effect on the auction: every partitioned auction
+   takes its own spend snapshot in [begin_auction_p]. *)
+type batch = int
 
 let batch_start t ~keyword =
   if not t.is_partitioned then
     invalid_arg "Engine.batch_start: serial engine";
   if keyword < 0 || keyword >= t.nk then
     invalid_arg (Printf.sprintf "Engine.batch_start: keyword %d" keyword);
-  { b_keyword = keyword; b_snap = None }
+  keyword
 
 let now () = Int64.to_int (Essa_util.Timing.now_ns ())
 
@@ -598,7 +585,7 @@ let lap ~serial h stamp =
    [begin_auction_p] (and recorded in the summary).  Hence the summary is
    a pure function of (keyword-local history, snapshot, forced tier),
    which is exactly what the replay checker re-executes. *)
-let drive ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
+let drive ?deadline_ns ?snapshot ~forced t ~keyword =
   let serial = not t.is_partitioned in
   let p = partition_of t ~keyword in
   let time = Atomic.fetch_and_add t.a_auctions 1 + 1 in
@@ -634,16 +621,6 @@ let drive ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
   end
   else begin
     let (module M) = t.mech in
-    (* A later auction of a batch adopts the maintained snapshot (the
-       explicit [?snapshot] replay override and a batch are mutually
-       exclusive call sites).  The two are passed separately: adoption is
-       best-effort — a flat partition drops it after churn — while a
-       replay override is verbatim. *)
-    let adopt =
-      match snapshot with
-      | Some _ -> None
-      | None -> ( match batch with Some b -> b.b_snap | None -> None)
-    in
     (* Bid-update decimation: the begin pass (spend snapshot, scheduled
        churn, program updates) runs on every [update_every]-th auction of
        the keyword; the auctions in between only advance the clock and
@@ -679,8 +656,7 @@ let drive ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
       end
       else if update then begin
         let kt, snap =
-          Essa_strategy.Roi_fleet.begin_auction_p t.fleet ~keyword ?snapshot
-            ?adopt ()
+          Essa_strategy.Roi_fleet.begin_auction_p t.fleet ~keyword ?snapshot ()
         in
         (kt, Some snap)
       end
@@ -787,51 +763,6 @@ let drive ?deadline_ns ?snapshot ?batch ~forced t ~keyword =
             Essa_strategy.Roi_fleet.record_win_p t.fleet ~adv ~keyword ~price
               ~clicked
     done;
-    (* Maintain the batch snapshot: mirror exactly the charges
-       [record_win_p] just applied to the atomic cells (price per clicked
-       win), so the next auction of the batch adopts what a fresh read
-       would return under the no-interleaving schedule. *)
-    (match batch with
-    | None -> ()
-    | Some b ->
-        (* A decimated auction took no snapshot: mirror its charges into
-           the maintained one if the batch already has a basis, else leave
-           it unset (the batch's next begin pass reads the atomic cells
-           fresh, which by then include these charges). *)
-        match
-          (match b.b_snap with
-          | Some arr -> Some arr
-          | None ->
-              Option.map
-                (fun snap ->
-                  let arr = Array.copy snap in
-                  b.b_snap <- Some arr;
-                  arr)
-                snap_opt)
-        with
-        | None -> ()
-        | Some arr ->
-        Array.iteri
-          (fun j0 cell ->
-            match cell with
-            | Some adv when clicks.(j0) ->
-                (* Flat snapshots are partition-slot-indexed; a winner is
-                   always enrolled at this point (churn only runs inside
-                   [begin_auction_p]), but guard anyway — a dropped
-                   adoption just falls back to fresh atomic reads. *)
-                let idx =
-                  if t.is_flat then
-                    Sstore.flat_slot
-                      (Essa_strategy.Roi_fleet.store_of t.fleet)
-                      ~keyword ~adv
-                  else Some adv
-                in
-                (match idx with
-                | Some i when i < Array.length arr ->
-                    arr.(i) <- arr.(i) + prices.(j0)
-                | _ -> ())
-            | _ -> ())
-          assignment);
     p.p_revenue <- p.p_revenue + !revenue;
     ignore (Atomic.fetch_and_add t.a_revenue !revenue);
     Essa_obs.Counter.add t.m.c_revenue !revenue;
@@ -868,12 +799,11 @@ let check_partitioned t ~keyword =
 let run_partitioned ?deadline_ns ?batch t ~keyword =
   check_partitioned t ~keyword;
   (match batch with
-  | Some b when b.b_keyword <> keyword ->
+  | Some b when b <> keyword ->
       invalid_arg
-        (Printf.sprintf "Engine.run_partitioned: batch is for keyword %d"
-           b.b_keyword)
+        (Printf.sprintf "Engine.run_partitioned: batch is for keyword %d" b)
   | _ -> ());
-  drive ?deadline_ns ?batch ~forced:None t ~keyword
+  drive ?deadline_ns ~forced:None t ~keyword
 
 let replay_auction ?snapshot ~degraded t ~keyword =
   check_partitioned t ~keyword;

@@ -45,7 +45,7 @@ type mechanism =
       [max reserve (per-keyword floor)]; thin keywords can go unfilled.
 
     Orchestration — the evaluation cache, bid-update decimation,
-    batching, deadlines, WAL snapshot/replay — is mechanism-agnostic
+    deadlines, WAL snapshot/replay — is mechanism-agnostic
     (every mechanism's evaluation is a pure function of keyword-local
     fleet state), so all engine features compose with all mechanisms. *)
 
@@ -157,9 +157,9 @@ val create_flat :
     partition, Hungarian on the reduced graph) and on a universe where
     partition membership matches a dense fleet the two engines produce
     identical assignments, prices and clicks (property-tested).  Drive it
-    with {!run_partitioned} / {!batch_start} exactly like other
-    partitioned engines; {!replay_auction} witnesses are
-    partition-slot-indexed ({!Essa_strategy.Roi_fleet.snapshot_index}).
+    with {!run_partitioned} exactly like other partitioned engines;
+    {!replay_auction} witnesses are partition-slot-indexed
+    ({!Essa_strategy.Roi_fleet.snapshot_index}).
     [cache] is the evaluation cache and [update_every] the bid-update
     decimation period, both as in {!create}: flat partitions key the
     cache on the store's per-keyword epoch, which enroll/retire churn and
@@ -265,21 +265,12 @@ val keyword_time : t -> keyword:int -> int
     @raise Invalid_argument on a serial engine. *)
 
 type batch
-(** Keyword-batched evaluation state: a run of consecutive auctions on
-    the same keyword sharing one spend-snapshot scan.  The first auction
-    of the batch reads every advertiser's atomic spend cell as usual; the
-    batch then maintains the snapshot itself (applying its own clicked
-    charges), and later auctions adopt it instead of re-reading — the one
-    cross-keyword touch of the partitioned hot path, amortized.  Each
-    summary still records the snapshot it used, so replay and the ledger
-    contract are unchanged; a batched run is bit-identical to the
-    unbatched sequential run of the same queries (property-tested at
-    every batch split).  A batch is keyword-local mutable state: use it
-    from the keyword's owning lane only, and never interleave it with
-    other calls for the same keyword. *)
+(** A keyword tag with no effect: every partitioned auction reads its own
+    spend snapshot.  Kept only for the serving benchmark's traced replay,
+    which still starts one per keyword group. *)
 
 val batch_start : t -> keyword:int -> batch
-(** A fresh batch for [keyword]'s next run of auctions.
+(** The tag for [keyword].
     @raise Invalid_argument on a bad keyword index or a serial engine. *)
 
 val run_partitioned : ?deadline_ns:int64 -> ?batch:batch -> t -> keyword:int -> summary
@@ -289,8 +280,8 @@ val run_partitioned : ?deadline_ns:int64 -> ?batch:batch -> t -> keyword:int -> 
     (except {!Unfilled}, which only ticks the clock).  Only
     [essa.auction.total_ns] is recorded (per partition, see
     {!sync_partition_metrics}); the phase histograms are not.  Must be
-    called by the keyword's owning lane.  [batch] threads the
-    keyword-batched snapshot (see {!batch}).
+    called by the keyword's owning lane.  [batch] has no effect beyond
+    its keyword check (see {!batch}).
     @raise Invalid_argument on a bad keyword index, a serial engine, or a
     batch started for a different keyword. *)
 

@@ -4,8 +4,8 @@
     plus its degraded fallback: everything about an auction that decides
     {e who wins which slot at what per-click price}, as opposed to the
     orchestration the engine keeps — click sampling, billing, the
-    evaluation cache, bid-update decimation, batching, deadlines, WAL
-    snapshots and metrics.  Implementations are first-class modules of
+    evaluation cache, bid-update decimation, deadlines, WAL snapshots
+    and metrics.  Implementations are first-class modules of
     signature {!S}; the engine stores one and calls it through two phase
     hooks, so the phase latency histograms
     ([essa.auction.phase.winner_determination_ns] / [pricing_ns]) keep

@@ -210,7 +210,7 @@ let lane_loop t ~lane ~on_commit mb =
      advance).  Per_keyword: execute immediately — the lane owns every
      keyword it is handed, per-keyword FIFO is its queue order, and the
      ledger commit never waits. *)
-  let process ?batch (q : Ingress.query) =
+  let process (q : Ingress.query) =
     (match t.commit with
     | Turnstile clock -> Commit_clock.await clock ~seq:q.seq
     | Ledger _ -> ());
@@ -231,7 +231,7 @@ let lane_loop t ~lane ~on_commit mb =
            | Turnstile _ ->
                Essa.Engine.run_auction ?deadline_ns t.engine ~keyword:q.keyword
            | Ledger _ ->
-               Essa.Engine.run_partitioned ?deadline_ns ?batch t.engine
+               Essa.Engine.run_partitioned ?deadline_ns t.engine
                  ~keyword:q.keyword
          in
          (match summary.degraded with
@@ -272,43 +272,12 @@ let lane_loop t ~lane ~on_commit mb =
     | Ledger ledger -> Commit_ledger.commit ledger ~keyword:q.keyword);
     Shard.note_committed t.tracker ~lane
   in
-  (* Per_keyword: stably coalesce the lane batch by keyword and run each
-     group under one engine batch, so consecutive same-keyword queries
-     share a single spend-snapshot scan.  Per-keyword FIFO — the only
-     order the ledger promises — is untouched (each keyword's queries
-     keep their relative order; only the interleaving between keywords of
-     the same lane shifts, which the ledger never observed anyway).
-     Global commit replays the exact arrival order, so no coalescing. *)
-  let work qs =
-    match t.commit with
-    | Turnstile _ -> List.iter (fun q -> process q) qs
-    | Ledger _ ->
-        let groups : (int, Ingress.query list ref) Hashtbl.t =
-          Hashtbl.create 8
-        in
-        let order = ref [] in
-        List.iter
-          (fun (q : Ingress.query) ->
-            match Hashtbl.find_opt groups q.keyword with
-            | Some r -> r := q :: !r
-            | None ->
-                Hashtbl.add groups q.keyword (ref [ q ]);
-                order := q.keyword :: !order)
-          qs;
-        List.iter
-          (fun keyword ->
-            let batch = Essa.Engine.batch_start t.engine ~keyword in
-            List.iter
-              (fun q -> process ~batch q)
-              (List.rev !(Hashtbl.find groups keyword)))
-          (List.rev !order)
-  in
   let rec loop () =
     match mailbox_pop mb with
     | Stop -> ()
     | Work qs ->
         Fault.on_lane_work t.faults ~lane;
-        work qs;
+        List.iter process qs;
         loop ()
   in
   loop ()

@@ -136,11 +136,8 @@ val create :
     [`Per_keyword] mode [on_commit] runs {e concurrently} from several
     lane domains (per-keyword FIFO, no cross-keyword order): it must be
     thread-safe, or you can ignore it and read the per-keyword
-    {!commit_log} after {!stop}.  [`Per_keyword] lanes also coalesce each
-    work batch by keyword and run every same-keyword group under one
-    {!Essa.Engine.batch} (one spend-snapshot scan per group instead of
-    per query); per-keyword FIFO is preserved, and each summary still
-    records its own snapshot, so replay is unchanged.
+    {!commit_log} after {!stop}.  A lane runs its work in arrival order,
+    which keeps per-keyword FIFO.
     [balance] (default false) replaces the static modulo keyword→lane
     map with the load-aware {!Shard.map}: every [rebalance_every]
     (default 4) batches, at the quiescent point where the previous batch

@@ -869,21 +869,11 @@ let lp_reseat lp states ~adv ~keyword ~time ~amt =
       if Essa_util.Min_heap.size heap > 2 * Array.length version then
         Essa_util.Min_heap.retain heap (fun (a, v) -> v = version.(a))
 
-let begin_auction_p t ~keyword ?snapshot ?adopt () =
+let begin_auction_p t ~keyword ?snapshot () =
   check_kw t keyword;
   match t.strategy with
   | Flat_p store ->
-      (* [snapshot] is a replay override (strict); [adopt] is a batch's
-         maintained snapshot (best-effort — dropped when partition
-         membership changed since it was recorded). *)
-      State_store.flat_begin_auction store ~keyword ?override:snapshot
-        ?adopt ()
-  | _ ->
-  (* The dense layouts have static membership and fixed snapshot shape,
-     so adopting a batch snapshot is the same as overriding with it. *)
-  let snapshot = match snapshot with Some s -> Some s | None -> adopt in
-  match t.strategy with
-  | Flat_p _ -> assert false
+      State_store.flat_begin_auction store ~keyword ?override:snapshot ()
   | Naive_p np ->
       let time = State_store.tick np.np_store ~keyword in
       let snap = State_store.snapshot np.np_store ~keyword ?override:snapshot () in

@@ -202,7 +202,6 @@ val begin_auction_p :
   t ->
   keyword:int ->
   ?snapshot:int array ->
-  ?adopt:int array ->
   unit ->
   int * int array
 (** Start an auction on [keyword]: tick its clock, snapshot every
@@ -215,13 +214,9 @@ val begin_auction_p :
     stores a copy in the commit summary).
 
     [snapshot] replays a recorded witness verbatim (strict: its length
-    must match the keyword's buffer).  [adopt] is a batch's maintained
-    snapshot — taken on a best-effort basis: dense layouts treat it as an
-    override (membership is static there), flat layouts drop it in favour
-    of fresh atomic reads when the partition's membership changed since it
-    was recorded.  Flat fleets additionally apply scheduled churn
-    ({!State_store.set_on_tick}) right after the tick, before the
-    snapshot. *)
+    must match the keyword's buffer).  Flat fleets additionally apply
+    scheduled churn ({!State_store.set_on_tick}) right after the tick,
+    before the snapshot. *)
 
 val record_win_p :
   t -> adv:int -> keyword:int -> price:int -> clicked:bool -> unit

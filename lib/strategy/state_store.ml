@@ -32,10 +32,6 @@ type part = {
   mutable free_len : int;
   mutable live : int;        (* members with id >= 0 *)
   mutable snap : int array;  (* spend-snapshot buffer, length = capacity *)
-  (* Membership changed (enroll/retire) since the last snapshot: a batch's
-     adopted snapshot is slot-indexed against the *old* membership, so it
-     must be dropped in favour of a fresh atomic read. *)
-  mutable p_dirty : bool;
   (* The snapshot buffer still holds a faithful read of the live spend
      cells, taken when the global charge clock read [p_snap_charge]; a
      matching clock means no charge landed anywhere since, so the O(cap)
@@ -115,7 +111,6 @@ let fresh_part () =
     free_len = 0;
     live = 0;
     snap = Array.make initial_capacity 0;
-    p_dirty = false;
     p_snap_valid = false;
     p_snap_charge = 0;
     slot_of = Hashtbl.create 16;
@@ -257,7 +252,6 @@ let flat_enroll t ~keyword ~adv ~value ~maxbid ~bid ~premium =
   p.spent.(slot) <- 0;
   p.bretired.(slot) <- false;
   p.live <- p.live + 1;
-  p.p_dirty <- true;
   p.p_snap_valid <- false;
   t.epochs.(keyword) <- t.epochs.(keyword) + 1;
   Hashtbl.replace p.slot_of adv slot
@@ -281,7 +275,6 @@ let flat_retire t ~keyword ~adv =
       p.spent.(slot) <- 0;
       p.bretired.(slot) <- false;
       p.live <- p.live - 1;
-      p.p_dirty <- true;
       p.p_snap_valid <- false;
       t.epochs.(keyword) <- t.epochs.(keyword) + 1;
       if p.free_len >= Array.length p.free then
@@ -404,7 +397,6 @@ let snapshot t ~keyword ?override () =
             p.p_snap_valid <- true;
             p.p_snap_charge <- clock
           end);
-      p.p_dirty <- false;
       buf
 
 (* ------------------------------------------------------------------ *)
@@ -415,7 +407,7 @@ let snapshot t ~keyword ?override () =
    snapshot discipline — property-tested bit-identical to the dense
    store across churn sequences. *)
 
-let flat_begin_auction t ~keyword ?override ?adopt () =
+let flat_begin_auction t ~keyword ?override () =
   check_kw t keyword;
   let f = flat_of t "flat_begin_auction" in
   let p = f.parts.(keyword) in
@@ -423,21 +415,7 @@ let flat_begin_auction t ~keyword ?override ?adopt () =
   (* Scheduled churn lands before the snapshot, in both live runs and
      replays: membership at a given keyword-local time is deterministic. *)
   (match f.on_tick with None -> () | Some hook -> hook ~keyword ~time);
-  (* A batch's adopted snapshot indexes the membership it was recorded
-     under; churn since then (p_dirty) invalidates the slot mapping, so
-     fall back to a fresh atomic read.  Replay overrides are recorded
-     *after* the same churn applied, so they always match exactly. *)
-  let adopt =
-    match adopt with
-    | Some s when (not p.p_dirty) && Array.length s = Array.length p.snap ->
-        Some s
-    | _ -> None
-  in
-  let snap =
-    match override with
-    | Some _ -> snapshot t ~keyword ?override ()
-    | None -> snapshot t ~keyword ?override:adopt ()
-  in
+  let snap = snapshot t ~keyword ?override () in
   let budgets = f.f_budget and targets = f.f_target in
   let changed = ref false in
   for slot = 0 to p.p_len - 1 do
@@ -539,7 +517,8 @@ let encode ?bid t buf =
           B.write_bool_array_prefix buf p.bretired ~len:p.p_len;
           B.write_int_array_prefix buf p.free ~len:p.free_len;
           B.write_int buf p.live;
-          B.write_bool buf p.p_dirty)
+          (* A reserved byte, kept so that existing images still decode. *)
+          B.write_bool buf false)
         f.parts;
       B.write_array buf
         (fun buf o -> B.write_option buf B.write_i64 o)
@@ -570,7 +549,7 @@ let decode_part r ~n =
   let bretired_d = B.read_bool_array r in
   let free_d = B.read_int_array r in
   let live = B.read_int r in
-  let p_dirty = B.read_bool r in
+  ignore (B.read_bool r : bool);
   check_decoded
     (Array.length members_d = p_len
     && Array.length bids_d = p_len
@@ -610,7 +589,6 @@ let decode_part r ~n =
       free_len = Array.length free_d;
       live;
       snap = Array.make cap 0;
-      p_dirty;
       p_snap_valid = false;
       p_snap_charge = 0;
       slot_of = Hashtbl.create 16;

@@ -185,7 +185,6 @@ val flat_begin_auction :
   t ->
   keyword:int ->
   ?override:int array ->
-  ?adopt:int array ->
   unit ->
   int * int array
 (** One pre-auction step on a flat partition, mirroring the dense fleet's
@@ -198,10 +197,7 @@ val flat_begin_auction :
     buffer — copy to persist.
 
     [override] replays a recorded snapshot verbatim (strict length =
-    partition capacity).  [adopt] is a batch's maintained snapshot: used
-    only when membership has not changed since it was recorded and its
-    length still matches; otherwise a fresh atomic read is taken.
-    Single-owner per keyword. *)
+    partition capacity).  Single-owner per keyword. *)
 
 val flat_record_win :
   t -> adv:int -> keyword:int -> price:int -> unit

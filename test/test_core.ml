@@ -936,17 +936,18 @@ let mixed_flat ~clock ~metrics =
     ~user_seed:17 ()
 
 (* Runs [queries] and returns the summaries in execution order.
-   Partitioned engines run 30-query stretches alternately unbatched and
-   in windows of 6 grouped by keyword into [batch_start] runs. *)
+   Partitioned engines run 30-query stretches alternately in arrival
+   order and in windows of 6 regrouped by keyword, which keeps
+   per-keyword FIFO but moves the cross-keyword interleaving. *)
 let run_mixed engine ~set_mode ~queries =
   let executed = ref 0 in
   let out = ref [] in
-  let run ?batch kw =
+  let run kw =
     set_mode (mode_of !executed);
     incr executed;
     let s =
       if Essa.Engine.partitioned engine then
-        Essa.Engine.run_partitioned ~deadline_ns:50L ?batch engine ~keyword:kw
+        Essa.Engine.run_partitioned ~deadline_ns:50L engine ~keyword:kw
       else Essa.Engine.run_auction ~deadline_ns:50L engine ~keyword:kw
     in
     out := s :: !out
@@ -960,9 +961,7 @@ let run_mixed engine ~set_mode ~queries =
     else begin
       let window = Array.sub queries !i (min 6 (Array.length queries - !i)) in
       List.iter
-        (fun kw ->
-          let batch = Essa.Engine.batch_start engine ~keyword:kw in
-          Array.iter (fun k -> if k = kw then run ~batch kw) window)
+        (fun kw -> Array.iter (fun k -> if k = kw then run kw) window)
         (List.sort_uniq compare (Array.to_list window));
       i := !i + Array.length window
     end

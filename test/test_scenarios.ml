@@ -66,9 +66,6 @@ type invariant =
   | Fault_restart
       (** the stream completes = serial over the survivors, every failure
           reported and restarted *)
-  | Batch_split
-      (** 12 auctions of keyword 0 split into two batches at every point =
-          the unbatched run: summaries, witnesses, final state *)
 
 type range = int * int  (** inclusive; [(v, v)] pins [v] *)
 
@@ -369,9 +366,9 @@ let continuation c =
 
 (* Every spend total [adv]'s global cell can show at some interleaving
    of the keyword logs [combined]: any prefix of its charges on each
-   keyword, except that keyword [kw] is fixed at its first [pos] auctions
-   when [pos] is given. *)
-let reachable_spend combined ~adv ?kw ?pos () =
+   keyword, except that keyword [kw] is fixed at its first [pos]
+   auctions. *)
+let reachable_spend combined ~adv ~kw ~pos =
   let charge (s : Engine.summary) =
     let c = ref 0 in
     Array.iteri
@@ -387,11 +384,10 @@ let reachable_spend combined ~adv ?kw ?pos () =
   Array.iteri
     (fun k log ->
       let choices =
-        match (kw, pos) with
-        | Some kw, Some pos when k = kw ->
-            [ List.fold_left ( + ) 0
-                (List.map charge (List.filteri (fun i _ -> i < pos) log)) ]
-        | _ -> prefixes log
+        if k = kw then
+          [ List.fold_left ( + ) 0
+              (List.map charge (List.filteri (fun i _ -> i < pos) log)) ]
+        else prefixes log
       in
       sums :=
         List.sort_uniq compare
@@ -401,84 +397,50 @@ let reachable_spend combined ~adv ?kw ?pos () =
 
 (* Why a decoupled keyword stream left its uninterrupted baseline: rerun
    the baseline to the diverging auction, find the first spend-witness
-   cell that differs, and test the two explanations against the charges
-   in the served logs [combined].
-   - Churn coupling (DESIGN.md §14): the cell is its advertiser's global
-     spend, and the served run interleaved that advertiser's other
-     keywords differently, so the value is some sum of prefixes of its
-     own charges.
-   - A stale batch witness: the slot was re-enrolled at one of the
-     keyword's earlier auctions that could share the diverging auction's
-     batch (the re-enrolling auction itself reads fresh), and the value is
-     a previous occupant's spend.  Batch mates arrived in the same run
-     ([lost] queries were resubmitted in order after the kill) fewer than
-     [max_batch] submissions earlier. *)
-let explain_divergence c ~f ~kw ~pos ~lost ~combined (got : Engine.summary) =
+   cell that differs, and test it for churn coupling (DESIGN.md §14): the
+   cell is its advertiser's global spend, the served run interleaved its
+   charges on other keywords (at any time, so also before churn retired
+   it there) differently, and the value is some sum of prefixes of its
+   own charges. *)
+let explain_divergence c ~f ~kw ~pos ~combined (got : Engine.summary) =
   let baseline = engine_of c f None in
-  let occupants = ref [] and seen = ref 0 and i = ref 0 and want = ref None in
+  let seen = ref 0 and i = ref 0 and want = ref None in
   while !want = None do
     let q = c.queries.(!i) in
     let s = run baseline q in
     if q = kw then begin
-      occupants := Array.copy (members baseline ~keyword:kw) :: !occupants;
       if !seen = pos then want := Some s;
       incr seen
     end;
     incr i
   done;
-  let want = Option.get !want and at = !i - 1 in
-  let sub j =
-    if lost j then List.length (List.filter lost (List.init j Fun.id)) else j
-  in
-  let mates =
-    List.length
-      (List.filter
-         (fun j ->
-           c.queries.(j) = kw && lost j = lost at
-           && sub at - sub j < c.p.max_batch)
-         (List.init at Fun.id))
-  in
-  match (got.spend_snapshot, want.spend_snapshot) with
+  match (got.spend_snapshot, (Option.get !want).spend_snapshot) with
   | Some a, Some b when Array.length a = Array.length b && a <> b ->
       let slot = ref 0 in
       while a.(!slot) = b.(!slot) do incr slot done;
       let slot = !slot in
-      let adv = (List.hd !occupants).(slot) in
-      let window =
-        List.map
-          (fun occ -> if slot < Array.length occ then occ.(slot) else -1)
-          (List.filteri (fun j _ -> j >= 1 && j <= mates) !occupants)
+      let adv = (members baseline ~keyword:kw).(slot) in
+      let own =
+        if adv < 0 then a.(slot) = 0
+        else List.mem a.(slot) (reachable_spend combined ~adv ~kw ~pos)
       in
-      let held =
-        match window with [] -> true | o :: rest -> List.for_all (( = ) o) rest
-      in
-      let reads adv' ?kw ?pos () =
-        if adv' < 0 then a.(slot) = 0
-        else List.mem a.(slot) (reachable_spend combined ~adv:adv' ?kw ?pos ())
-      in
-      let own = reads adv ~kw ~pos ()
-      and stale =
-        (not held)
-        && List.exists (fun o -> o <> adv && reads o ()) window
+      let charged (s : Engine.summary) =
+        Array.exists2 (fun cell clicked -> cell = Some adv && clicked)
+          s.assignment s.clicks
       in
       let on =
         List.filter
-          (fun k -> Array.mem adv (members baseline ~keyword:k))
+          (fun k -> k = kw || List.exists charged combined.(k))
           (List.init c.p.keywords Fun.id)
       in
       Printf.sprintf
-        "%s spend witness: %s (slot %d reads %d, unbatched %d; advertiser %d \
-         on keywords %s; %d batch mates, slot %s)"
+        "%s spend witness: %s (slot %d reads %d, uninterrupted %d; \
+         advertiser %d charged on keywords %s)"
         (if List.length on > 1 then "cross-enrolled" else "keyword-local")
-        (match (own, stale) with
-        | true, false -> "its own charges in another interleaving"
-        | false, true -> "a previous occupant's spend, a stale batch witness"
-        | true, true -> "its own charges or a stale batch witness"
-        | false, false -> "neither its own charges nor a stale batch witness")
+        (if own then "its own charges in another interleaving"
+         else "not its own charges")
         slot a.(slot) b.(slot) adv
         (String.concat "," (List.map string_of_int on))
-        mates
-        (if held then "held" else "re-enrolled")
   | _ -> "equal spend witnesses"
 
 let kill_recover f c =
@@ -537,9 +499,7 @@ let kill_recover f c =
                       "%s: keyword %d summary %d diverged from the serial \
                        baseline: %s"
                       (at "kill->recover = uninterrupted") kw pos
-                      (explain_divergence c ~f ~kw ~pos ~combined
-                         ~lost:(fun i -> not (Hashtbl.mem persisted i))
-                         s))
+                      (explain_divergence c ~f ~kw ~pos ~combined s))
                 (List.combine got (List.rev expect.(kw))))
             combined;
           check_true (at "revenue = uninterrupted")
@@ -578,46 +538,6 @@ let equals_classic c =
         (s_c = s_m && counters r_c = counters r_m))
     pricings
 
-(* The first witness cell a batched auction read differently, and whether
-   its slot changed occupant since the batch's first auction. *)
-let witness_diff engine ~keyword ~basis (got : Engine.summary)
-    (want : Engine.summary) =
-  match (got.spend_snapshot, want.spend_snapshot) with
-  | Some a, Some b when Array.length a = Array.length b && a <> b ->
-      let j = ref 0 in
-      while a.(!j) = b.(!j) do incr j done;
-      let now = members engine ~keyword in
-      Printf.sprintf "spend witness slot %d reads %d, unbatched %d%s" !j a.(!j)
-        b.(!j)
-        (if !j < Array.length basis && basis.(!j) <> now.(!j) then
-           " (stale batch witness: slot re-enrolled since the batch began)"
-         else "")
-  | _ -> "outcome differs"
-
-let batch_split c =
-  let keyword = 0 and m = 12 in
-  let reference = c.make c.cfg in
-  let expect =
-    List.init m (fun _ -> Engine.run_partitioned reference ~keyword)
-  in
-  for p = 0 to m do
-    let engine = c.make c.cfg in
-    let b1 = Engine.batch_start engine ~keyword
-    and b2 = Engine.batch_start engine ~keyword in
-    let basis = ref [||] in
-    List.iteri
-      (fun i want ->
-        let batch = if i < p then b1 else b2 in
-        let got = Engine.run_partitioned ~batch engine ~keyword in
-        if i = 0 || i = p then basis := Array.copy (members engine ~keyword);
-        if got <> want then
-          failf "split at %d, auction %d: %s" p i
-            (witness_diff engine ~keyword ~basis:!basis got want))
-      expect;
-    check_true (Printf.sprintf "split at %d: final state" p)
-      (fingerprint engine = fingerprint reference)
-  done
-
 let check c = function
   | Served_serial -> served_serial ~restart:false c
   | Fault_restart -> served_serial ~restart:true c
@@ -628,7 +548,6 @@ let check c = function
   | Kill_recover f -> kill_recover f c
   | Cache_twin -> cache_twin c
   | Equals_classic -> equals_classic c
-  | Batch_split -> batch_split c
 
 (* ------------------------------------------------------------------ *)
 (* The runner *)
@@ -800,12 +719,14 @@ let pk_prop =
 let pk_prop_rhtalu =
   { pk_prop with name = "per-keyword per-keyword replay contract holds, RHTALU";
     shape = dense ~k:3 ~budgets:0.3 `Rhtalu }
-let split =
-  { pk_rh with name = "per-keyword batch split at every prefix"; workers = [];
-    expect = [ Batch_split ]; draw = pin 67 40 6 12 1 0 }
-let split_rhtalu =
-  { split with name = "per-keyword batch split at every prefix, RHTALU";
-    shape = dense ~budgets:0.4 `Rhtalu }
+
+(* Served budgets on a churning, coupled flat universe: the universe of
+   the coupled kill->recover rows, served whole.  Budget-exhausted
+   advertisers must stay out at every lane count and batch size. *)
+let pk_flat_churn =
+  { pk_rh with name = "per-keyword flat churn budgets: replay contract";
+    shape = flat ~churn:0.2 ~budgets:0.25 ~coupled:true ();
+    draw = pin 1 40 5 400 16 0 }
 
 let rebalance =
   { base with name = "balance forced rebalance keeps FIFO + replay";
@@ -850,7 +771,7 @@ let decoupled =
     faults = [ "kill@*" ]; expect = [ Kill_recover (fresh true 1) ];
     draw = pin 21 48 6 400 16 150 }
 let coupled =
-  { decoupled with shape = flat ~churn:0.2 ~coupled:true ();
+  { decoupled with shape = flat ~churn:0.2 ~budgets:0.25 ~coupled:true ();
     draw = pin 1 40 5 400 16 150 }
 let cache_flip =
   { decoupled with
@@ -865,12 +786,15 @@ let by_workers name row =
     [ 1; 2; 4 ]
 (* A churn arrival enrolls a uniform advertiser, so a churned
    "decoupled" universe is only approximately decoupled (DESIGN.md §14):
-   the runs below diverge through such an advertiser's global spend cell,
-   whose value is its own charges in another interleaving.  The reason
-   also admits "its own charges or a stale batch witness": the kill run's
-   batches depend on timing, and an occasional run diverges first on a
-   slot re-enrolled inside a batch, where the value fits both. *)
+   with two or more lanes the runs below diverge through such an
+   advertiser's global spend cell, whose value is its own charges in
+   another interleaving.  One lane runs its work in arrival order, so it
+   replays the uninterrupted interleaving exactly and is not broken. *)
 let coupling = "cross-enrolled spend witness: its own charges"
+let churn_coupled name row =
+  List.map
+    (fun r -> if r.workers = [ 1 ] then r else { r with broken = Some coupling })
+    (by_workers name row)
 
 let restart =
   { base with name = "supervision crash -> restart -> stream completes";
@@ -909,13 +833,8 @@ let table =
           update_every = every 8; workers = [ 1; 3 ];
           expect = [ Replay (fresh false 3) ] };
       ];
-      sweep split;
-      sweep split_rhtalu;
-      [
-        { split with name = split.name ^ ", flat churn";
-          shape = flat ~churn:0.2 ~coupled:true (); draw = pin 1 40 5 12 1 0;
-          broken = Some "stale batch witness" };
-      ];
+      sweep pk_flat_churn;
+      [ under ~workers:[ 2 ] Pay_as_bid pk_flat_churn ];
       sweep rebalance;
       sweep decimated;
       [ under ~workers:[ 2 ] Pay_as_bid decimated ];
@@ -925,14 +844,14 @@ let table =
       by_workers "kill-recover decoupled bit-identity" decoupled;
       by_workers "kill-recover coupled replay contract" coupled;
       sweep cache_flip;
-      by_workers "kill-recover decoupled churn, stable"
-        { decoupled with mechanism = Stable; broken = Some coupling };
-      by_workers "kill-recover decoupled churn, reserve"
-        { decoupled with mechanism = Reserve_monopoly; broken = Some coupling };
+      churn_coupled "kill-recover decoupled churn, stable"
+        { decoupled with mechanism = Stable };
+      churn_coupled "kill-recover decoupled churn, reserve"
+        { decoupled with mechanism = Reserve_monopoly };
       [
         { decoupled with
           name = "kill-recover decoupled churn, classic at a coupling seed";
-          workers = [ 1 ]; draw = pin 1 41 4 150 4 37; broken = Some coupling };
+          workers = [ 2 ]; draw = pin 1 41 4 150 4 37; broken = Some coupling };
       ];
       variants ~workers:[ 1; 2; 4 ]
         { decoupled with name = "kill-recover decoupled churn-free";

@@ -1,5 +1,5 @@
 (* Tests for the keyword-sharded serving pipeline (essa_serve): the
-   commit protocol, backpressure, the per-keyword mode's batching and
+   commit protocol, backpressure, the per-keyword mode's batch-tag and
    pairing rules, metrics, load-aware lanes, the Global golden pin and the
    load generators.  The served = serial and replay-contract cells across
    shapes, mechanisms and worker counts live in test_scenarios.ml. *)
@@ -182,9 +182,8 @@ let test_commit_mode_pairing () =
        "Server.commit_log: `Global commit records no per-keyword log")
     (fun () -> ignore (Server.commit_log s ~keyword:0))
 
-(* Batching is an optimization, not a semantic: batched = unbatched at
-   every split point is the scenario table's "batch split" rows.  Misuse
-   is an error, not a silent wrong answer. *)
+(* A batch is a keyword tag with no effect on the auction, but misuse is
+   still an error, not a silent wrong answer. *)
 let test_batch_misuse () =
   let workload = pk_workload 67 in
   let serial = Essa_sim.Workload.make_engine workload ~method_:`Rh in
@@ -199,6 +198,47 @@ let test_batch_misuse () =
     (Invalid_argument "Engine.run_partitioned: batch is for keyword 1")
     (fun () ->
       ignore (Essa.Engine.run_partitioned ~batch:wrong engine ~keyword:0))
+
+(* A batch tag changes nothing: 12 auctions of keyword 0 run under two
+   tags split at every point = the untagged run, summary for summary,
+   and the final states match.  The flat churn engine is the one where a
+   snapshot shared across a batch once let an auction read a re-enrolled
+   slot's previous occupant. *)
+let batch_tag_inert make () =
+  let keyword = 0 and m = 12 in
+  let reference = make () in
+  let expect =
+    List.init m (fun _ -> Essa.Engine.run_partitioned reference ~keyword)
+  in
+  for p = 0 to m do
+    let engine = make () in
+    let b1 = Essa.Engine.batch_start engine ~keyword
+    and b2 = Essa.Engine.batch_start engine ~keyword in
+    List.iteri
+      (fun i want ->
+        let batch = if i < p then b1 else b2 in
+        Alcotest.(check bool)
+          (Printf.sprintf "split at %d, auction %d = untagged" p i)
+          true
+          (Essa.Engine.run_partitioned ~batch engine ~keyword = want))
+      expect;
+    Alcotest.(check bool)
+      (Printf.sprintf "split at %d: final state" p)
+      true
+      (Test_harness.fingerprint engine = Test_harness.fingerprint reference)
+  done
+
+let dense_tagged method_ () =
+  Essa_sim.Workload.make_engine ~partitioned:true ~cache:true (pk_workload 67)
+    ~method_
+
+let flat_churn_tagged () =
+  let u =
+    Essa_sim.Workload.universe ~max_keywords_per_adv:3 ~budgeted_fraction:0.25
+      ~keywords:5 ~n:40 ~zipf_s:1.0 ~seed:1 ()
+  in
+  Essa_sim.Workload.make_flat_engine ~cache:true u
+    ~store:(Essa_sim.Workload.universe_store ~churn:0.2 u ())
 
 (* ------------------------------------------------------------------ *)
 (* Metrics correctness *)
@@ -518,6 +558,12 @@ let () =
           Alcotest.test_case "commit-mode pairing" `Quick
             test_commit_mode_pairing;
           Alcotest.test_case "batch misuse rejected" `Quick test_batch_misuse;
+          Alcotest.test_case "batch tag changes nothing (rh)" `Quick
+            (batch_tag_inert (dense_tagged `Rh));
+          Alcotest.test_case "batch tag changes nothing (rhtalu)" `Quick
+            (batch_tag_inert (dense_tagged `Rhtalu));
+          Alcotest.test_case "batch tag changes nothing (flat churn)" `Quick
+            (batch_tag_inert flat_churn_tagged);
           Alcotest.test_case "global golden pin (rh)" `Quick
             test_golden_pin_rh;
           Alcotest.test_case "global golden pin (rhtalu)" `Quick

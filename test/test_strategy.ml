@@ -1604,9 +1604,8 @@ let check_scale_pin ~digest ~counters metrics summaries =
     counters
 
 (* Dense partitioned RHTALU through [run_partitioned]: the first, third
-   and fifth 500-query stretches run unbatched; in the others each window
-   of 8 queries is grouped by keyword into [batch_start] runs, as the
-   serving batcher groups them. *)
+   and fifth 500-query stretches run in arrival order; in the others each
+   window of 8 queries is regrouped by keyword. *)
 let test_bench_scale_partitioned_pin () =
   let w = bench_scale_workload () in
   let metrics = Essa_obs.Registry.create () in
@@ -1616,9 +1615,7 @@ let test_bench_scale_partitioned_pin () =
   in
   let q = Essa_sim.Workload.queries w ~seed:2 ~count:3000 in
   let out = ref [] in
-  let run ?batch kw =
-    out := Essa.Engine.run_partitioned ?batch engine ~keyword:kw :: !out
-  in
+  let run kw = out := Essa.Engine.run_partitioned engine ~keyword:kw :: !out in
   let i = ref 0 in
   while !i < Array.length q do
     if !i / 500 mod 2 = 0 then begin
@@ -1628,9 +1625,7 @@ let test_bench_scale_partitioned_pin () =
     else begin
       let window = Array.sub q !i (min 8 (Array.length q - !i)) in
       List.iter
-        (fun kw ->
-          let batch = Essa.Engine.batch_start engine ~keyword:kw in
-          Array.iter (fun k -> if k = kw then run ~batch kw) window)
+        (fun kw -> Array.iter (fun k -> if k = kw then run kw) window)
         (List.sort_uniq compare (Array.to_list window));
       i := !i + Array.length window
     end
