@@ -30,10 +30,8 @@ type row = {
   auctions_per_s : float option;
   degraded : int option;  (* serving rows: deadline-degraded auctions *)
   lane_restarts : int option;  (* serving rows: supervisor restarts *)
-  commit_mode : string option;  (* serving rows: "global" | "per-keyword" *)
-  turnstile_waits : int option;  (* serving rows: blocked global commits *)
   lane_imbalance : float option;  (* serving rows: (max-min)/max committed *)
-  replay_ok : bool option;  (* per-keyword rows: replay checker verdict *)
+  replay_ok : bool option;  (* served rows: replay checker verdict *)
   universe : string option;  (* zipf rows: "keywords:advertisers" *)
   zipf_s : float option;  (* zipf rows: query-skew exponent *)
   churn_rate : float option;  (* zipf rows: per-auction churn probability *)
@@ -49,7 +47,7 @@ let bare name ns_per_run =
   { name; ns_per_run; p50_ns = None; p95_ns = None; p99_ns = None;
     queue_p50_ns = None; queue_p95_ns = None; queue_p99_ns = None;
     auctions_per_s = None; degraded = None; lane_restarts = None;
-    commit_mode = None; turnstile_waits = None; lane_imbalance = None;
+    lane_imbalance = None;
     replay_ok = None; universe = None; zipf_s = None; churn_rate = None;
     cache_hit_rate = None; live_words = None; wal = None; fsync = None;
     recovered = None; mechanism = None }
@@ -431,16 +429,15 @@ let serve_rows ~quota =
       auctions_per_s = Some (float_of_int auctions /. (elapsed /. 1e9));
     }
   in
-  let served_row ?deadline_budget_ns ?(commit = `Global) ~workers () =
-    let partitioned = commit = `Per_keyword in
+  let served_row ?deadline_budget_ns ~workers () =
     let registry = Essa_obs.Registry.create () in
     let engine =
-      Essa_sim.Workload.make_engine ~metrics:registry ~partitioned ~cache:false
-        workload ~method_:`Rhtalu
+      Essa_sim.Workload.make_engine ~metrics:registry ~partitioned:true
+        ~cache:false workload ~method_:`Rhtalu
     in
     let server =
       Essa_serve.Server.create ~metrics:registry ~workers ~queue_capacity:256
-        ~max_batch:32 ?deadline_budget_ns ~commit ~engine ()
+        ~max_batch:32 ?deadline_budget_ns ~engine ()
     in
     let stream = Essa_sim.Workload.query_stream workload ~seed:17 in
     ignore
@@ -451,7 +448,7 @@ let serve_rows ~quota =
     (* Drop the warmup's service-time samples too; the partitioned
        engine buffers them per keyword, so drain those first (the fleet
        is idle between closed loops — no lane is running an auction). *)
-    if partitioned then Essa.Engine.sync_partition_metrics engine;
+    Essa.Engine.sync_partition_metrics engine;
     Option.iter Essa_obs.Histogram.reset
       (histogram_of registry "essa.auction.total_ns");
     let report =
@@ -462,26 +459,23 @@ let serve_rows ~quota =
     (* The witness contract is cheap enough to check inside the bench:
        replay every per-keyword commit log on a fresh engine. *)
     let replay_ok =
-      if not partitioned then None
-      else
-        let fresh =
-          Essa_sim.Workload.make_engine ~partitioned ~cache:false workload
-            ~method_:`Rhtalu
-        in
-        Some (Essa_serve.Replay.ok (Essa_serve.Replay.check_server server ~fresh))
+      let fresh =
+        Essa_sim.Workload.make_engine ~partitioned:true ~cache:false workload
+          ~method_:`Rhtalu
+      in
+      Essa_serve.Replay.ok (Essa_serve.Replay.check_server server ~fresh)
     in
     let q50, q95, q99 = percentiles_of registry "essa.serve.commit_latency_ns" in
     let p50, p95, p99 = percentiles_of registry "essa.auction.total_ns" in
     let tag =
-      (match commit with `Global -> "" | `Per_keyword -> "/commit=per-keyword")
-      ^
       match deadline_budget_ns with
       | None -> ""
       | Some ns -> Printf.sprintf "/deadline=%dus" (ns / 1000)
     in
     {
       (bare
-         (Printf.sprintf "serve/w=%d%s/rhtalu/n=%d" workers tag n)
+         (Printf.sprintf "serve/w=%d/commit=per-keyword%s/rhtalu/n=%d" workers
+            tag n)
          (Int64.to_float report.elapsed_ns /. float_of_int report.accepted))
       with
       p50_ns = p50;
@@ -493,25 +487,20 @@ let serve_rows ~quota =
       auctions_per_s = Some report.throughput_per_s;
       degraded = Some stats.degraded;
       lane_restarts = Some stats.lane_restarts;
-      commit_mode =
-        Some
-          (match stats.commit_mode with
-          | `Global -> "global"
-          | `Per_keyword -> "per-keyword");
-      turnstile_waits = Some stats.turnstile_waits;
       lane_imbalance = Some stats.lane_imbalance;
-      replay_ok;
+      replay_ok = Some replay_ok;
     }
   in
-  (serial_row :: List.map (fun workers -> served_row ~workers ()) [ 1; 2; 4 ])
-  (* A deliberately tight budget: how fast the pipeline drains when most
-     auctions degrade to the cheap single-pass allocation. *)
-  @ [ served_row ~workers:2 ~deadline_budget_ns:20_000 () ]
-  (* The per-keyword commit mode: no cross-keyword turnstile, each row
-     replay-checked against its recorded spend snapshots. *)
-  @ List.map
-      (fun workers -> served_row ~commit:`Per_keyword ~workers ())
-      [ 1; 2 ]
+  (* Every served row is replay-checked against its recorded spend
+     snapshots.  The deadline row's deliberately tight budget shows how
+     fast the pipeline drains when most auctions degrade to the cheap
+     single-pass allocation. *)
+  [
+    serial_row;
+    served_row ~workers:1 ();
+    served_row ~workers:2 ();
+    served_row ~workers:2 ~deadline_budget_ns:20_000 ();
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* The Zipf universe at scale: 10^4 keywords, 10^5 advertisers with
@@ -568,8 +557,7 @@ let zipf_rows ~quota =
          cadence would triple the row's cost and measure snapshotting,
          not logging.  Every 32 batches still puts a snapshot (plus a
          summary tail) in the log for the restore check below. *)
-      Essa_serve.Server.create ~metrics:registry ~commit:`Per_keyword
-        ~balance:true ~rebalance_every:2 ~workers ~queue_capacity:1024
+      Essa_serve.Server.create ~metrics:registry ~balance:true ~rebalance_every:2 ~workers ~queue_capacity:1024
         ~max_batch:256 ?wal:wal_writer
         ?wal_snapshot_every:(if wal_writer <> None then Some 32 else None)
         ~engine ()
@@ -700,8 +688,6 @@ let zipf_rows ~quota =
       auctions_per_s = Some report.throughput_per_s;
       degraded = Some stats.degraded;
       lane_restarts = Some stats.lane_restarts;
-      commit_mode = Some "per-keyword";
-      turnstile_waits = Some stats.turnstile_waits;
       lane_imbalance = Some stats.lane_imbalance;
       replay_ok = Some replay_ok;
       universe = Some (Printf.sprintf "%d:%d" keywords n);
@@ -916,9 +902,8 @@ let fig12_runner ~quota =
    histogram additionally carry p50_ns/p95_ns/p99_ns (per-auction
    service time), and serving rows queue_p50_ns/queue_p95_ns/
    queue_p99_ns (enqueue-to-commit, queueing included), auctions_per_s,
-   integer degraded / lane_restarts tallies, a commit_mode string,
-   turnstile_waits / lane_imbalance load stats and (per-keyword rows) a
-   replay_ok verdict; Zipf-universe rows add a "K:N" universe string,
+   integer degraded / lane_restarts tallies, a lane_imbalance load stat
+   and a replay_ok verdict; Zipf-universe rows add a "K:N" universe string,
    zipf_s and churn_rate; cache=on rows add cache_hit_rate and mem rows
    live_words; WAL rows add wal ("on"), fsync ("never"|"always"|"every:N")
    and a recovered verdict (the in-bench crash-restore check passed);
@@ -965,7 +950,7 @@ let write_json ~path ~quota rows =
         | Some v -> Printf.sprintf ", \"%s\": %b" key v
       in
       Printf.fprintf oc
-        "%s\n    { \"name\": \"%s\", \"ns_per_run\": %s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s }"
+        "%s\n    { \"name\": \"%s\", \"ns_per_run\": %s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s }"
         (if i = 0 then "" else ",")
         (json_escape r.name) (num r.ns_per_run)
         (opt "p50_ns" r.p50_ns) (opt "p95_ns" r.p95_ns) (opt "p99_ns" r.p99_ns)
@@ -975,8 +960,6 @@ let write_json ~path ~quota rows =
         (opt "auctions_per_s" r.auctions_per_s)
         (opt_int "degraded" r.degraded)
         (opt_int "lane_restarts" r.lane_restarts)
-        (opt_str "commit_mode" r.commit_mode)
-        (opt_int "turnstile_waits" r.turnstile_waits)
         (opt "lane_imbalance" r.lane_imbalance)
         (opt_bool "replay_ok" r.replay_ok)
         (opt_str "universe" r.universe)

@@ -1,7 +1,8 @@
 (* Drive the keyword-sharded serving pipeline from the command line:
-   build a Section V workload, stand up an [Essa_serve.Server] over it
-   and push a query stream through, then report throughput, commit
-   latency percentiles and shedding.
+   build a Section V workload (or a Zipf universe), stand up an
+   [Essa_serve.Server] over its partitioned engine and push a query
+   stream through, then report throughput, commit latency percentiles
+   and shedding.
 
      dune exec bin/serve_cli.exe -- run \
        --n 2000 --keywords 10 --slots 15 --method rhtalu \
@@ -13,23 +14,18 @@
    or not the server keeps up — the regime where the bounded ingress
    queue sheds. *)
 
+(* The server runs partitioned engines only: the Section V workload is
+   served by RH or RHTALU on the dense partitioned engine. *)
 let method_of_string = function
-  | "lp" -> `Lp
-  | "lp-dense" -> `Lp_dense
-  | "h" -> `H
   | "rh" -> `Rh
   | "rhtalu" -> `Rhtalu
-  | other ->
+  | "lp" | "lp-dense" | "h" ->
       prerr_endline
-        ("unknown method " ^ other ^ " (expected lp|lp-dense|h|rh|rhtalu)");
+        "--method lp|lp-dense|h cannot be served (the server runs the \
+         partitioned engine: rh or rhtalu)";
       exit 2
-
-let commit_of_string = function
-  | "global" -> `Global
-  | "per-keyword" -> `Per_keyword
   | other ->
-      prerr_endline
-        ("unknown commit mode " ^ other ^ " (expected global | per-keyword)");
+      prerr_endline ("unknown method " ^ other ^ " (expected rh|rhtalu)");
       exit 2
 
 let percentiles registry name =
@@ -91,7 +87,7 @@ let mechanism_of_string :
 
 let run n slots keywords method_ seed workers queue_capacity max_batch auctions
     rate window metrics fault_specs
-    deadline_budget_ms max_restarts commit replay_check universe churn balance
+    deadline_budget_ms max_restarts replay_check universe churn balance
     rebalance_every cache update_every wal_dir fsync wal_snapshot_every recover
     mechanism =
   let faults =
@@ -123,7 +119,6 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
               ("unknown metrics format " ^ s ^ " (expected text | json | prom)");
             exit 2)
   in
-  let method_ = method_of_string method_ in
   let pricing, mechanism = mechanism_of_string mechanism in
   let universe_spec = Option.map universe_of_string universe in
   if pricing = `Vcg && universe_spec <> None then begin
@@ -140,32 +135,11 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
     prerr_endline "--churn must be in [0,1]";
     exit 2
   end;
-  (* The universe runs on the flat partitioned engine: per-keyword commit
-     is the only discipline it supports (there is no global clock). *)
-  let commit =
-    match universe_spec with
-    | Some _ -> `Per_keyword
-    | None -> commit_of_string commit
-  in
-  let partitioned = commit = `Per_keyword in
-  (match (universe_spec, commit, method_) with
-  | None, `Per_keyword, (`Lp | `Lp_dense | `H) ->
-      prerr_endline "--commit per-keyword requires --method rh or rhtalu";
-      exit 2
-  | _ -> ());
-  if replay_check && not partitioned then begin
-    prerr_endline "--replay-check requires --commit per-keyword";
-    exit 2
-  end;
   if update_every < 1 then begin
     prerr_endline "--update-every must be >= 1";
     exit 2
   end;
   let fsync = fsync_of_string fsync in
-  if wal_dir <> None && not partitioned then begin
-    prerr_endline "--wal requires --commit per-keyword (or --universe)";
-    exit 2
-  end;
   if wal_snapshot_every < 0 then begin
     prerr_endline "--wal-snapshot-every must be >= 0";
     exit 2
@@ -222,6 +196,7 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
               ukw un uzs churn slots seed),
           ukw )
     | None ->
+        let method_ = method_of_string method_ in
         let workload =
           Essa_sim.Workload.section5 ~seed ~n ~k:slots
             ~num_keywords:keywords ()
@@ -230,7 +205,7 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
           let states =
             Option.map Essa_strategy.State_store.dense_states snap
           in
-          Essa_sim.Workload.make_engine ~metrics:registry ~partitioned
+          Essa_sim.Workload.make_engine ~metrics:registry ~partitioned:true
             ?cache ~update_every ~pricing ~mechanism ?states workload ~method_
         in
         ( engine_of,
@@ -238,7 +213,7 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
           (fun count ->
             Essa_sim.Workload.queries workload ~seed:(seed + 1) ~count),
           (fun () ->
-            Essa_sim.Workload.make_engine ~partitioned ?cache ~update_every
+            Essa_sim.Workload.make_engine ~partitioned:true ?cache ~update_every
               ~pricing ~mechanism workload ~method_),
           (fun () ->
             Format.printf "workload: n=%d slots=%d keywords=%d seed=%d@." n
@@ -265,7 +240,7 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
   in
   let server =
     Essa_serve.Server.create ~metrics:registry ~workers ~queue_capacity
-      ~max_batch ~max_restarts ?deadline_budget_ns ~faults ~commit ~balance
+      ~max_batch ~max_restarts ?deadline_budget_ns ~faults ~balance
       ~rebalance_every ?wal:wal_writer ~wal_snapshot_every ~engine ()
   in
   let resubmitted = ref 0 in
@@ -313,12 +288,7 @@ let run n slots keywords method_ seed workers queue_capacity max_batch auctions
     report.offered;
   Format.printf "accepted: %d   shed: %d   committed: %d@." report.accepted
     report.shed stats.committed;
-  Format.printf
-    "commit:   %s   turnstile-waits %d   lane-imbalance %.3f%s@."
-    (match stats.commit_mode with
-    | `Global -> "global"
-    | `Per_keyword -> "per-keyword")
-    stats.turnstile_waits stats.lane_imbalance
+  Format.printf "lanes:    imbalance %.3f%s@." stats.lane_imbalance
     (if balance then Printf.sprintf "   rebalances %d" stats.rebalances
      else "");
   (match wal_dir with
@@ -446,7 +416,7 @@ let keywords_t =
 
 let method_t =
   Arg.(value & opt string "rhtalu"
-       & info [ "method" ] ~doc:"Engine method: lp | lp-dense | h | rh | rhtalu.")
+       & info [ "method" ] ~doc:"Engine method: rh | rhtalu (the dense partitioned engine).")
 
 let seed_t =
   Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload + user-click seed.")
@@ -501,18 +471,10 @@ let max_restarts_t =
            ~doc:"Lane failures tolerated (with restart) before the \
                  supervisor degrades the lane to skipping.")
 
-let commit_t =
-  Arg.(value & opt string "global"
-       & info [ "commit" ]
-           ~doc:"Commit discipline: global (turnstile, bit-identical to a \
-                 serial run) or per-keyword (partitioned engine, each \
-                 keyword commits in its own FIFO order with no \
-                 cross-keyword wait; rh/rhtalu only).")
-
 let replay_check_t =
   Arg.(value & flag
        & info [ "replay-check" ]
-           ~doc:"After a per-keyword run, re-execute every keyword's commit \
+           ~doc:"After the run, re-execute every keyword's commit \
                  log from its recorded spend snapshots on a fresh \
                  partitioned engine and verify bit-for-bit reproduction, \
                  clock monotonicity, spend conservation and budget \
@@ -523,8 +485,8 @@ let universe_t =
        & info [ "universe" ]
            ~doc:"Serve a Zipf universe instead of the Section V workload: \
                  K:N:S (K keywords, N advertisers, Zipf exponent S) on the \
-                 flat-store partitioned engine.  Implies per-keyword \
-                 commit; --method / --keywords / --n are ignored.")
+                 flat-store partitioned engine; --method / --keywords / \
+                 --n are ignored.")
 
 let churn_t =
   Arg.(value & opt float 0.0
@@ -565,8 +527,7 @@ let update_every_t =
 let wal_t =
   Arg.(value & opt (some string) None
        & info [ "wal" ]
-           ~doc:"Write-ahead-log directory (per-keyword commit only): \
-                 lanes append every committed summary, the batcher \
+           ~doc:"Write-ahead-log directory: lanes append every committed summary, the batcher \
                  appends periodic engine snapshots, and --recover \
                  rebuilds the engine from the directory after a crash.")
 
@@ -609,7 +570,7 @@ let run_cmd =
     Term.(const run $ n_t $ slots_t $ keywords_t $ method_t $ seed_t
           $ workers_t $ queue_t $ batch_t $ auctions_t $ rate_t $ window_t
           $ metrics_t $ fault_t $ deadline_t
-          $ max_restarts_t $ commit_t $ replay_check_t $ universe_t $ churn_t
+          $ max_restarts_t $ replay_check_t $ universe_t $ churn_t
           $ balance_t $ rebalance_every_t $ cache_t $ update_every_t $ wal_t
           $ fsync_t $ wal_snapshot_every_t $ recover_t $ mechanism_t)
 

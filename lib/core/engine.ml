@@ -450,10 +450,10 @@ let keyword_time t ~keyword =
 
 (* A keyword's partition is made on its first auction, by the lane that
    owns the keyword; cells are disjoint across lanes, so no
-   synchronization is needed.  (The [`Global] commit mode drives a serial
-   engine from several lanes one at a time, under its turnstile.)  The
-   keyed RNG split is pure (the base stream is never advanced), so the
-   partition family is independent of first-touch order. *)
+   synchronization is needed.  A serial engine is never served, so one
+   domain makes all of its partitions.  The keyed RNG split is pure (the
+   base stream is never advanced), so the partition family is
+   independent of first-touch order. *)
 let partition_of t ~keyword =
   match t.partitions.(keyword) with
   | Some p -> p
@@ -600,12 +600,9 @@ let drive ?deadline_ns ?snapshot ~forced t ~keyword =
     (* Already past the deadline before any work: serve the query
        unfilled and shed everything but the clock — no snapshot, no
        program updates, no RNG consumption, so an Unfilled tick needs no
-       witness to replay ([spend_snapshot = None]).  A serial fleet's
-       clock is monotone but not contiguous, which the strategies
-       support. *)
-    let kt =
-      if serial then time else Essa_strategy.Roi_fleet.tick_p t.fleet ~keyword
-    in
+       witness to replay ([spend_snapshot = None]).  Only partitioned
+       engines take deadlines, so this is a keyword clock tick. *)
+    let kt = Essa_strategy.Roi_fleet.tick_p t.fleet ~keyword in
     Essa_obs.Counter.incr t.m.c_degraded_unfilled;
     Essa_obs.Histogram.record p.p_h_total (now () - t0);
     {
@@ -783,12 +780,12 @@ let drive ?deadline_ns ?snapshot ~forced t ~keyword =
     }
   end
 
-let run_auction ?deadline_ns t ~keyword =
+let run_auction t ~keyword =
   if keyword < 0 || keyword >= t.nk then
     invalid_arg (Printf.sprintf "Engine.run_auction: keyword %d" keyword);
   if t.is_partitioned then
     invalid_arg "Engine.run_auction: partitioned engine (use run_partitioned)";
-  drive ?deadline_ns ~forced:None t ~keyword
+  drive ~forced:None t ~keyword
 
 let check_partitioned t ~keyword =
   if keyword < 0 || keyword >= t.nk then

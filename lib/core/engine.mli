@@ -80,7 +80,7 @@ val create :
     several engines aggregate into the same histograms/counters, which is
     how sweep harnesses collect one snapshot per run.
     [clock] is the monotonic nanosecond clock consulted by the
-    {!run_auction} deadline checks (default {!Essa_util.Timing.now_ns});
+    {!run_partitioned} deadline checks (default {!Essa_util.Timing.now_ns});
     injecting a scripted clock lets tests pin exactly which degradation
     tier trips, without sleeps.  Latency metrics always read the real
     clock.
@@ -217,24 +217,9 @@ type summary = {
           no spend). *)
 }
 
-val run_auction : ?deadline_ns:int64 -> t -> keyword:int -> summary
-(** Execute one full auction for a query on [keyword] (0-based).
-
-    [deadline_ns] is an absolute monotonic deadline (same clock as
-    [Essa_util.Timing.now_ns], or the engine's injected [clock]): when the
-    clock reaches it the auction degrades rather than keep burning time it
-    no longer has.  The ladder has two rungs, checked at phase boundaries
-    (the budget is advisory between checks, not preemptive):
-
-    - already past the deadline at the start → {!Unfilled};
-    - past it after program evaluation, before winner determination (the
-      dominant cost at scale) → {!Cheap_allocation}.
-
-    Pricing and click/billing are O(k²) and always run for filled
-    allocations.  Omitted deadline = never degrade (the paper's setting;
-    bit-identical streams).  The counters
-    [essa.auction.degraded_cheap] / [essa.auction.degraded_unfilled]
-    record trips.
+val run_auction : t -> keyword:int -> summary
+(** Execute one full auction for a query on [keyword] (0-based): the
+    paper's serial loop, which never degrades.
 
     Serial and partitioned engines run one auction driver; only the
     clock (the engine's auction count here), the begin pass and win
@@ -275,9 +260,24 @@ val batch_start : t -> keyword:int -> batch
 
 val run_partitioned : ?deadline_ns:int64 -> ?batch:batch -> t -> keyword:int -> summary
 (** Execute one auction on a partitioned engine, through the same driver
-    and degrade ladder as {!run_auction}, with [auction_time] now the
-    keyword-local clock and [spend_snapshot] carrying the replay witness
-    (except {!Unfilled}, which only ticks the clock).  Only
+    as {!run_auction}, with [auction_time] now the keyword-local clock and
+    [spend_snapshot] carrying the replay witness (except {!Unfilled},
+    which only ticks the clock).
+
+    [deadline_ns] is an absolute monotonic deadline (same clock as
+    [Essa_util.Timing.now_ns], or the engine's injected [clock]): when the
+    clock reaches it the auction degrades rather than keep burning time it
+    no longer has.  The ladder has two rungs, checked at phase boundaries
+    (the budget is advisory between checks, not preemptive):
+
+    - already past the deadline at the start → {!Unfilled};
+    - past it after program evaluation, before winner determination (the
+      dominant cost at scale) → {!Cheap_allocation}.
+
+    Pricing and click/billing are O(k²) and always run for filled
+    allocations.  Omitted deadline = never degrade.  The counters
+    [essa.auction.degraded_cheap] / [essa.auction.degraded_unfilled]
+    record trips.  Only
     [essa.auction.total_ns] is recorded (per partition, see
     {!sync_partition_metrics}); the phase histograms are not.  Must be
     called by the keyword's owning lane.  [batch] has no effect beyond

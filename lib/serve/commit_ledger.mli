@@ -1,13 +1,11 @@
-(** The scalable commit ledger: per-keyword commit counting with no
+(** The server's commit ledger: per-keyword commit counting with no
     cross-keyword ordering.
 
-    Where the {!Commit_clock} turnstile admits exactly one global sequence
-    number at a time — the serial-equivalence contract made concrete — the
-    ledger only {e counts}: each keyword's commits land in that keyword's
-    own FIFO order (structural: one owning lane per keyword), and the
-    ledger's job is merely to let flush/shutdown learn when a given number
-    of commits has landed, without ever making one keyword wait for
-    another.
+    The ledger only {e counts}: each keyword's commits land in that
+    keyword's own FIFO order (structural: one owning lane per keyword),
+    and the ledger's job is merely to let flush/shutdown learn when a
+    given number of commits has landed, without ever making one keyword
+    wait for another.
 
     The commit fast path is one [fetch_and_add] plus one atomic load; the
     mutex/condvar pair is touched only when someone is actually waiting

@@ -5,8 +5,8 @@
     (rejected, counted) rather than the producer blocked — a serving
     system protects its latency by refusing load it cannot absorb, it
     does not push an unbounded wait back into the caller.  Acceptance
-    assigns the query its global arrival sequence number, which is the
-    commit order the rest of the pipeline preserves ({!Commit_clock}).
+    assigns the query its global arrival sequence number: lanes run their
+    work in that order, so each keyword commits in FIFO order.
 
     Observable state lives in [Essa_obs] metrics: a depth gauge
     ([essa.serve.queue_depth], updated under the queue mutex on every

@@ -1,6 +1,6 @@
 (** The per-keyword commit contract, enforced.
 
-    [`Per_keyword] commits give up the single global stream, so
+    Per-keyword commits give up the single global stream, so
     "deterministic" needs a new operational meaning.  This module is it:
     every committed summary carries the spend snapshot its auction read
     ({!Essa.Engine.summary.spend_snapshot}), and a served run passes the
@@ -64,5 +64,4 @@ val check :
 
 val check_server : Server.t -> fresh:Essa.Engine.t -> report
 (** Convenience: pull the per-keyword commit logs out of a stopped
-    [`Per_keyword] server and {!check} them against [fresh].
-    @raise Invalid_argument under [`Global] commit mode (no log). *)
+    server and {!check} them against [fresh]. *)

@@ -1,5 +1,3 @@
-type commit_mode = [ `Global | `Per_keyword ]
-
 type error = {
   lane : int;
   seq : int;
@@ -18,22 +16,11 @@ type stats = {
   degraded : int;
   lane_restarts : int;
   revenue : int;
-  commit_mode : commit_mode;
-  turnstile_waits : int;
   lane_imbalance : float;
   rebalances : int;
   killed : bool;
   errors : error list;
 }
-
-(* The two commit disciplines.  The turnstile is the serial-equivalence
-   contract made concrete: one global arrival order, one committer at a
-   time.  The ledger only counts: each keyword commits in its own FIFO
-   order (structural — one owning lane per keyword) and nobody ever waits
-   for another keyword. *)
-type commit_impl =
-  | Turnstile of Commit_clock.t
-  | Ledger of Commit_ledger.t
 
 type lane_msg = Work of Ingress.query list | Stop
 
@@ -92,7 +79,10 @@ type t = {
   engine : Essa.Engine.t;
   ingress : Ingress.t;
   clock : unit -> int64;  (* latency stamps; same seam as Engine's ?clock *)
-  commit : commit_impl;
+  (* Counts commits: each keyword commits in its own FIFO order
+     (structural — one owning lane per keyword) and nobody ever waits for
+     another keyword. *)
+  ledger : Commit_ledger.t;
   mailboxes : mailbox array;
   registry : Essa_obs.Registry.t;
   faults : Fault.t;
@@ -109,7 +99,7 @@ type t = {
      is preserved by construction. *)
   balance_map : Shard.map option;
   rebalance_every : int;
-  (* Durability: the write-ahead log ([`Per_keyword] only).  Lanes append
+  (* Durability: the write-ahead log.  Lanes append
      a summary record at each commit point (the writer serializes); the
      batcher appends a snapshot record every [wal_snapshot_every] batches
      at the quiescent rebalance boundary, where every lane is idle and no
@@ -122,12 +112,11 @@ type t = {
      closed — a cooperative stand-in for a crash whose persisted state is
      exactly the WAL at the kill point. *)
   killed : bool Atomic.t;
-  (* Per-keyword commit logs (Per_keyword mode; empty in Global mode):
-     each cell has a single writer — the keyword's owning lane — so the
-     refs need no lock; read them after the lanes have joined. *)
+  (* Per-keyword commit logs: each cell has a single writer — the
+     keyword's owning lane — so the refs need no lock; read them after
+     the lanes have joined. *)
   commit_logs : Essa.Engine.summary list ref array;
-  (* Failure/degrade aggregates.  Under the turnstile these were
-     implicitly serialized; the ledger commits concurrently, so they get
+  (* Failure/degrade aggregates.  Lanes commit concurrently, so these get
      their own mutex (cold path: failures and degrades only). *)
   fail_mutex : Mutex.t;
   mutable failed : int;
@@ -139,10 +128,8 @@ type t = {
   c_degraded : Essa_obs.Counter.t;
   c_degraded_unfilled : Essa_obs.Counter.t;
   (* Enqueue-to-commit latency: the registered histogram plus per-lane
-     private buffers.  Histograms are not thread-safe, so Global lanes
-     (serialized by the turnstile) record straight into the registered
-     one, while Per_keyword lanes record into their own buffer, merged in
-     by [stop]. *)
+     private buffers.  Histograms are not thread-safe, so each lane
+     records into its own buffer, merged in by [stop]. *)
   h_latency : Essa_obs.Histogram.t;
   lane_hists : Essa_obs.Histogram.t array;
   c_committed : Essa_obs.Counter.t;
@@ -150,9 +137,6 @@ type t = {
   mutable lanes : unit Domain.t array;
   mutable final : stats option;  (* set once by the first [stop] *)
 }
-
-let commit_mode t =
-  match t.commit with Turnstile _ -> `Global | Ledger _ -> `Per_keyword
 
 let record_failure t ~lane ~ls ~(q : Ingress.query) e =
   Mutex.lock t.fail_mutex;
@@ -191,8 +175,8 @@ let deadline_of t (q : Ingress.query) =
 
    A failure (engine or [on_commit] exception) while executing query [q]
    never poisons the fleet: the error report — carrying the failing
-   query — is recorded, [q]'s commit still lands (neither commit
-   discipline may stall), and the supervisor policy decides what the lane
+   query — is recorded, [q]'s commit still lands (the ledger count must
+   not stall), and the supervisor policy decides what the lane
    does next:
 
    - [Restart_lane] while [restarts < max_restarts]: the lane's auction
@@ -205,15 +189,10 @@ let deadline_of t (q : Ingress.query) =
      the rest of the fleet live — one persistently crashing keyword shard
      no longer takes the service down. *)
 let lane_loop t ~lane ~on_commit mb =
-  let ls = t.lane_states.(lane) in
-  (* Global: execute under the turnstile (await arrival turn, commit,
-     advance).  Per_keyword: execute immediately — the lane owns every
-     keyword it is handed, per-keyword FIFO is its queue order, and the
-     ledger commit never waits. *)
+  let ls = t.lane_states.(lane) and h = t.lane_hists.(lane) in
+  (* The lane owns every keyword it is handed, per-keyword FIFO is its
+     queue order, and the ledger commit never waits. *)
   let process (q : Ingress.query) =
-    (match t.commit with
-    | Turnstile clock -> Commit_clock.await clock ~seq:q.seq
-    | Ledger _ -> ());
     (if ls.lane_degraded || Atomic.get t.killed then begin
        ls.skipped <- ls.skipped + 1;
        Essa_obs.Counter.incr t.c_lane_skipped
@@ -225,34 +204,21 @@ let lane_loop t ~lane ~on_commit mb =
          (match t.balance_map with
          | Some m -> Shard.map_note m ~keyword:q.keyword
          | None -> ());
-         let deadline_ns = deadline_of t q in
          let summary =
-           match t.commit with
-           | Turnstile _ ->
-               Essa.Engine.run_auction ?deadline_ns t.engine ~keyword:q.keyword
-           | Ledger _ ->
-               Essa.Engine.run_partitioned ?deadline_ns t.engine
-                 ~keyword:q.keyword
+           Essa.Engine.run_partitioned ?deadline_ns:(deadline_of t q) t.engine
+             ~keyword:q.keyword
          in
          (match summary.degraded with
          | None -> ()
          | Some reason -> note_degraded t reason);
          let now = t.clock () in
-         let h =
-           match t.commit with
-           | Turnstile _ -> t.h_latency
-           | Ledger _ -> t.lane_hists.(lane)
-         in
          Essa_obs.Histogram.record h (Int64.to_int (Int64.sub now q.enqueue_ns));
          Essa_obs.Counter.incr t.c_committed;
-         (match t.commit with
-         | Turnstile _ -> ()
-         | Ledger _ ->
-             let log = t.commit_logs.(q.keyword) in
-             log := summary :: !log;
-             (match t.wal with
-             | Some w -> Wal.append w.writer ~seq:q.seq summary
-             | None -> ()));
+         let log = t.commit_logs.(q.keyword) in
+         log := summary :: !log;
+         (match t.wal with
+         | Some w -> Wal.append w.writer ~seq:q.seq summary
+         | None -> ());
          on_commit summary
        with
        | () -> ()
@@ -267,9 +233,7 @@ let lane_loop t ~lane ~on_commit mb =
            ls.skipped <- ls.skipped + 1;
            Essa_obs.Counter.incr t.c_lane_skipped
        | exception e -> record_failure t ~lane ~ls ~q e);
-    (match t.commit with
-    | Turnstile clock -> Commit_clock.commit clock ~seq:q.seq
-    | Ledger ledger -> Commit_ledger.commit ledger ~keyword:q.keyword);
+    Commit_ledger.commit t.ledger ~keyword:q.keyword;
     Shard.note_committed t.tracker ~lane
   in
   let rec loop () =
@@ -299,11 +263,6 @@ let wal_counters : (string * string * (Wal.stats -> int)) list =
       fun s -> s.snapshot_bytes );
   ]
 
-let committed_count t =
-  match t.commit with
-  | Turnstile clock -> Commit_clock.next clock
-  | Ledger ledger -> Commit_ledger.total ledger
-
 let batcher_loop t ~max_batch ~c_batches ~h_batch_size =
   let shards = Array.length t.mailboxes in
   (* Each snapshot's buffer starts at the previous image's size plus
@@ -321,14 +280,10 @@ let batcher_loop t ~max_batch ~c_batches ~h_batch_size =
            until the previous batch has fully committed.  This keeps the
            ingress queue — not the mailboxes — as the backpressure
            surface.  Sequence numbers are contiguous from 0 and every
-           dispatched query commits exactly once, so "seq committed" and
-           "seq+1 commits landed" coincide — the window works under
-           either discipline. *)
+           dispatched query commits exactly once, so "seq+1 commits
+           landed" means everything up to [seq] has committed. *)
         (match last_dispatched with
-        | Some seq -> (
-            match t.commit with
-            | Turnstile clock -> Commit_clock.wait_past clock ~seq
-            | Ledger ledger -> Commit_ledger.wait_until ledger ~count:(seq + 1))
+        | Some seq -> Commit_ledger.wait_until t.ledger ~count:(seq + 1)
         | None -> ());
         (* Rebalance epoch boundary: the previous batch has fully
            committed (the wait above), so every lane is idle and every
@@ -384,7 +339,7 @@ let batcher_loop t ~max_batch ~c_batches ~h_batch_size =
 
 let create ?metrics ?(on_commit = fun _ -> ()) ?(queue_capacity = 1024)
     ?(max_batch = 64) ?(max_restarts = 2) ?deadline_budget_ns
-    ?(faults = Fault.none) ?(commit = `Global) ?(balance = false)
+    ?(faults = Fault.none) ?commit:_ ?(balance = false)
     ?(rebalance_every = 4) ?wal ?(wal_snapshot_every = 8)
     ?(clock = Essa_util.Timing.now_ns) ~workers ~engine () =
   if workers < 1 then invalid_arg "Server.create: workers < 1";
@@ -394,25 +349,13 @@ let create ?metrics ?(on_commit = fun _ -> ()) ?(queue_capacity = 1024)
     invalid_arg "Server.create: rebalance_every < 1";
   if wal_snapshot_every < 0 then
     invalid_arg "Server.create: wal_snapshot_every < 0";
-  (match (wal, commit) with
-  | Some _, `Global ->
-      invalid_arg
-        "Server.create: the WAL records per-keyword commit streams \
-         (`Per_keyword only)"
-  | _ -> ());
   (match deadline_budget_ns with
   | Some b when b <= 0 -> invalid_arg "Server.create: deadline_budget_ns <= 0"
   | _ -> ());
-  (match (commit, Essa.Engine.partitioned engine) with
-  | `Global, false | `Per_keyword, true -> ()
-  | `Per_keyword, false ->
-      invalid_arg
-        "Server.create: `Per_keyword commit requires a partitioned engine \
-         (Engine.create ~partitioned:true)"
-  | `Global, true ->
-      invalid_arg
-        "Server.create: `Global commit requires a serial engine (a \
-         partitioned engine has no global clock to serialize on)");
+  if not (Essa.Engine.partitioned engine) then
+    invalid_arg
+      "Server.create: serial engine (serve a partitioned one: \
+       Engine.create ~partitioned:true or Engine.create_flat)";
   let registry =
     match metrics with Some r -> r | None -> Essa_obs.Registry.create ()
   in
@@ -429,10 +372,7 @@ let create ?metrics ?(on_commit = fun _ -> ()) ?(queue_capacity = 1024)
       engine;
       ingress;
       clock;
-      commit =
-        (match commit with
-        | `Global -> Turnstile (Commit_clock.create ())
-        | `Per_keyword -> Ledger (Commit_ledger.create ~num_keywords:nk));
+      ledger = Commit_ledger.create ~num_keywords:nk;
       mailboxes = Array.init workers (fun _ -> mailbox_create ());
       registry;
       faults;
@@ -467,10 +407,7 @@ let create ?metrics ?(on_commit = fun _ -> ()) ?(queue_capacity = 1024)
           wal;
       wal_snapshot_every;
       killed = Atomic.make false;
-      commit_logs =
-        (match commit with
-        | `Global -> [||]
-        | `Per_keyword -> Array.init nk (fun _ -> ref []));
+      commit_logs = Array.init nk (fun _ -> ref []);
       fail_mutex = Mutex.create ();
       failed = 0;
       degraded_total = 0;
@@ -535,19 +472,9 @@ let accepted t = Ingress.accepted t.ingress
 let shed t = Ingress.shed t.ingress
 let rejected_closed t = Ingress.rejected_closed t.ingress
 let depth t = Ingress.depth t.ingress
-let committed t = committed_count t
+let committed t = Commit_ledger.total t.ledger
 let lane_restarts t = Array.map (fun ls -> ls.restarts) t.lane_states
-
-let turnstile_waits t =
-  match t.commit with
-  | Turnstile clock -> Commit_clock.waits clock
-  | Ledger _ -> 0
-
-let await_committed t ~count =
-  if count > 0 then
-    match t.commit with
-    | Turnstile clock -> Commit_clock.wait_past clock ~seq:(count - 1)
-    | Ledger ledger -> Commit_ledger.wait_until ledger ~count
+let await_committed t ~count = Commit_ledger.wait_until t.ledger ~count
 
 let flush t = await_committed t ~count:(Ingress.accepted t.ingress)
 
@@ -556,15 +483,13 @@ let collect t =
     accepted = Ingress.accepted t.ingress;
     shed = Ingress.shed t.ingress;
     rejected_closed = Ingress.rejected_closed t.ingress;
-    committed = committed_count t;
+    committed = committed t;
     failed = t.failed;
     skipped = Array.fold_left (fun acc ls -> acc + ls.skipped) 0 t.lane_states;
     degraded = t.degraded_total;
     lane_restarts =
       Array.fold_left (fun acc ls -> acc + ls.restarts) 0 t.lane_states;
     revenue = Essa.Engine.total_revenue t.engine;
-    commit_mode = commit_mode t;
-    turnstile_waits = turnstile_waits t;
     lane_imbalance = Shard.refresh_imbalance t.tracker;
     rebalances =
       (match t.balance_map with
@@ -581,18 +506,15 @@ let stop t =
       Ingress.close t.ingress;
       Option.iter Domain.join t.batcher;
       Array.iter Domain.join t.lanes;
-      (* Per_keyword bookkeeping now has a single domain again: fold the
-         lanes' private latency buffers into the registered histogram and
-         drain the engine's per-keyword latency partitions. *)
-      (match t.commit with
-      | Turnstile _ -> ()
-      | Ledger _ ->
-          Array.iter
-            (fun h ->
-              Essa_obs.Histogram.merge_into ~into:t.h_latency h;
-              Essa_obs.Histogram.reset h)
-            t.lane_hists;
-          Essa.Engine.sync_partition_metrics t.engine);
+      (* The bookkeeping now has a single domain again: fold the lanes'
+         private latency buffers into the registered histogram and drain
+         the engine's per-keyword latency partitions. *)
+      Array.iter
+        (fun h ->
+          Essa_obs.Histogram.merge_into ~into:t.h_latency h;
+          Essa_obs.Histogram.reset h)
+        t.lane_hists;
+      Essa.Engine.sync_partition_metrics t.engine;
       (* The WAL's own tallies, as far as this server appended them. *)
       Option.iter
         (fun w ->
@@ -612,11 +534,6 @@ let errors t =
   match t.final with Some s -> s.errors | None -> List.rev t.errors_rev
 
 let commit_log t ~keyword =
-  (match t.commit with
-  | Turnstile _ ->
-      invalid_arg
-        "Server.commit_log: `Global commit records no per-keyword log"
-  | Ledger _ -> ());
   if keyword < 0 || keyword >= Array.length t.commit_logs then
     invalid_arg (Printf.sprintf "Server.commit_log: keyword %d" keyword);
   List.rev !(t.commit_logs.(keyword))

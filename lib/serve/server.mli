@@ -1,62 +1,46 @@
 (** The keyword-sharded auction server: bounded ingress → batcher →
-    shard-affine lanes → deterministic commit, under lane supervision.
+    shard-affine lanes → per-keyword commit, under lane supervision.
 
-    A [t] owns one {!Essa.Engine.t} and a standing fleet of domains: one
-    batcher and [workers] lane domains.  Producers {!submit} queries
-    (non-blocking; overload is shed — see {!Ingress}); the batcher drains
-    the ingress queue in arrival order, groups each batch by keyword
-    shard ({!Shard}) and hands every lane its keywords' queries; lanes
-    execute {!Essa.Engine.run_auction} under the {!Commit_clock}
-    turnstile, so commits happen in global arrival order (and hence
-    per-keyword FIFO order).
+    A [t] owns one {e partitioned} {!Essa.Engine.t} ([Engine.create
+    ~partitioned:true] or [Engine.create_flat]) and a standing fleet of
+    domains: one batcher and [workers] lane domains.  Producers {!submit}
+    queries (non-blocking; overload is shed — see {!Ingress}); the
+    batcher drains the ingress queue in arrival order, groups each batch
+    by keyword shard ({!Shard}) and hands every lane its keywords'
+    queries; lanes execute {!Essa.Engine.run_partitioned} in their queue
+    order and count each commit in the {!Commit_ledger}.  The serial
+    engine, whose one global clock couples every keyword, is the paper's
+    measurement loop ({!Essa.Engine.run_auction}) and is not served.
 
-    {b Determinism contract}: for the same engine seed and the same
-    accepted query sequence, as long as {e no fault fires and no deadline
-    trips}, the served stream — every summary delivered to [on_commit],
-    the engine's final advertiser states, clicks and total revenue — is
-    bit-identical to running the same queries through
-    [Engine.run_auction] serially, for any [workers] count.  The ROI
-    heuristic's cross-keyword coupling (global spend, global auction
-    clock, one shared click stream) makes auction execution a serial
-    dependency chain, so the turnstile serializes exactly those commits
-    rather than relax the contract; concurrency lives around that chain —
-    lanes overlap dequeue/dispatch with execution.
+    {b Determinism contract}: one stream {e per keyword}.  Each keyword's
+    auctions commit in that keyword's FIFO order with no cross-keyword
+    wait.  Every committed summary records the spend snapshot its auction
+    read, each keyword's summary log ({!commit_log}) is replayable
+    bit-for-bit from those witnesses ({!Essa_serve.Replay}), and
+    conservation invariants (Σ clicked prices = Σ advertiser spend;
+    admission-time budget respect) hold across any lane interleaving.
+    With one lane, work runs in arrival order, so the logs and the final
+    engine state equal a one-domain [run_partitioned] loop over the same
+    queries.
 
     {b Fault tolerance}: a lane whose execution raises (engine or
     [on_commit] exception) no longer poisons the fleet.  The supervisor
-    records an {!error} report carrying the failing query, still commits
-    that sequence number (the clock never stalls), and applies the
+    records an {!error} report carrying the failing query, still counts
+    that query's commit (the ledger never stalls), and applies the
     policy: restart the lane up to [max_restarts] times, then degrade it
     (remaining queries on that lane blind-commit, counted as [skipped],
     while the other lanes keep serving).  An optional per-auction
     deadline budget degrades slow auctions instead of letting them stall
-    the stream (see {!Essa.Engine.degrade}); once a fault has fired or a
-    deadline tripped, bit-identity is off the table by construction —
-    the run is degraded, and says so in its stats, counters and
+    the stream (see {!Essa.Engine.degrade}); a degraded summary records
+    its tier, so the replay contract still holds, but the stream is no
+    longer the fault-free one and says so in its stats, counters and
     summaries.
 
     The in-flight window is bounded (at most one executing batch plus one
     staged batch beyond the ingress queue), so the ingress queue is the
-    real backpressure surface: sustained overload fills it and sheds.
-
-    {b Commit modes}: [`Global] (the default) is everything above —
-    commits pass through the {!Commit_clock} turnstile in global arrival
-    order, and the serial-equivalence contract holds bit-for-bit.
-    [`Per_keyword] pairs the server with a {e partitioned} engine
-    ([Engine.create ~partitioned:true]): each keyword's auctions commit in
-    that keyword's own FIFO order with {e no cross-keyword wait} (the
-    turnstile is replaced by the counting {!Commit_ledger}; the
-    [turnstile_waits] stat is structurally zero).  The contract weakens
-    from one global stream to one stream {e per keyword}: every committed
-    summary records the spend snapshot its auction read, each keyword's
-    summary log is replayable bit-for-bit from those witnesses
-    ({!Essa_serve.Replay}), and conservation invariants (Σ clicked prices
-    = Σ advertiser spend; admission-time budget respect) hold across any
-    lane interleaving. *)
+    real backpressure surface: sustained overload fills it and sheds. *)
 
 type t
-
-type commit_mode = [ `Global | `Per_keyword ]
 
 type error = {
   lane : int;  (** the lane whose execution raised *)
@@ -76,10 +60,6 @@ type stats = {
   degraded : int;  (** auctions degraded by the deadline budget *)
   lane_restarts : int;  (** supervisor restarts, summed over lanes *)
   revenue : int;  (** engine total revenue, cents *)
-  commit_mode : commit_mode;
-  turnstile_waits : int;
-      (** [`Global]: how many commits had to block for another keyword's
-          turn; [`Per_keyword]: structurally 0 (there is no turnstile) *)
   lane_imbalance : float;
       (** (max-min)/max of per-lane committed counts (see {!Shard}) *)
   rebalances : int;
@@ -98,7 +78,7 @@ val create :
   ?max_restarts:int ->
   ?deadline_budget_ns:int ->
   ?faults:Fault.t ->
-  ?commit:commit_mode ->
+  ?commit:[ `Per_keyword ] ->
   ?balance:bool ->
   ?rebalance_every:int ->
   ?wal:Wal.writer ->
@@ -109,15 +89,17 @@ val create :
   unit ->
   t
 (** Spawn the serving fleet over [engine] (ownership transferred: do not
-    touch the engine until after {!stop}).  [workers] is the lane count
-    (>= 1; keep it below the core count in production — the batcher is
-    an additional domain).  [queue_capacity]
-    (default 1024) bounds the ingress queue; [max_batch] (default 64)
-    bounds one batch.  [on_commit] is invoked for every {e executed}
+    touch the engine until after {!stop}); it must be partitioned.
+    [workers] is the lane count (>= 1; keep it below the core count in
+    production — the batcher is an additional domain).
+    [queue_capacity] (default 1024) bounds the ingress queue;
+    [max_batch] (default 64) bounds one batch.  [on_commit] is invoked for every {e executed}
     auction (deadline-degraded ones included; failed and skipped queries
-    deliver no summary), in commit (= arrival) order, on the committing
-    lane's domain while it holds the commit turn — keep it cheap, it is
-    on the serial path.
+    deliver no summary) on the committing lane's domain.  It runs
+    {e concurrently} from several lanes, in each keyword's FIFO order but
+    with no cross-keyword order: it must be thread-safe, or you can ignore
+    it and read the per-keyword {!commit_log} after {!stop}.  Keep it
+    cheap; the lane waits for it.
     [max_restarts] (default 2) is the supervisor policy: failures a lane
     absorbs by restarting before it degrades ([essa.serve.lane_restarts]
     counts restarts, [essa.serve.lane_failures] failures,
@@ -130,14 +112,8 @@ val create :
     [metrics] is the registry the pipeline gauges/counters/histograms
     register into (default: a fresh private one; the engine keeps its
     own unless you created it with this registry).
-    [commit] selects the commit discipline (default [`Global]; see the
-    module description).  [`Per_keyword] requires a partitioned engine
-    and [`Global] a serial one — the pairing is validated here.  In
-    [`Per_keyword] mode [on_commit] runs {e concurrently} from several
-    lane domains (per-keyword FIFO, no cross-keyword order): it must be
-    thread-safe, or you can ignore it and read the per-keyword
-    {!commit_log} after {!stop}.  A lane runs its work in arrival order,
-    which keeps per-keyword FIFO.
+    [commit] has no effect: the per-keyword ledger is the only commit
+    discipline.  The tag stays only for callers that still pass it.
     [balance] (default false) replaces the static modulo keyword→lane
     map with the load-aware {!Shard.map}: every [rebalance_every]
     (default 4) batches, at the quiescent point where the previous batch
@@ -147,8 +123,8 @@ val create :
     ownership only changes between batches, per-keyword FIFO and the
     replay contract are untouched; only which lane serves a keyword
     shifts.  [stats.rebalances] counts epochs.
-    [wal] arms crash durability ([`Per_keyword] only): each lane appends
-    a {!Wal} summary record at its commit point, and every
+    [wal] arms crash durability: each lane appends a {!Wal} summary
+    record at its commit point, and every
     [wal_snapshot_every] batches (default 8; 0 disables snapshots) the
     batcher appends an {!Essa.Engine.encode_state} snapshot record at
     the quiescent boundary where the previous batch has fully committed
@@ -169,7 +145,7 @@ val create :
     {e engine's} clock, not this one.
     @raise Invalid_argument on [workers < 1], [queue_capacity < 1],
     [max_batch < 1], [max_restarts < 0], a non-positive budget, or a
-    commit-mode/engine mismatch. *)
+    serial engine. *)
 
 val submit : t -> keyword:int -> Ingress.outcome
 (** Non-blocking admission of a query; [Shed] when the bounded queue is
@@ -186,19 +162,13 @@ val rejected_closed : t -> int
 val depth : t -> int
 
 val committed : t -> int
-(** Auctions committed so far (the commit clock's position in [`Global]
-    mode, the ledger total in [`Per_keyword] mode). *)
-
-val turnstile_waits : t -> int
-(** Commits that had to block for another keyword's turn ([`Global]);
-    structurally 0 in [`Per_keyword] mode. *)
+(** Auctions committed so far (the ledger total, all keywords). *)
 
 val commit_log : t -> keyword:int -> Essa.Engine.summary list
 (** One keyword's committed summaries in commit (= that keyword's FIFO)
     order, with their [spend_snapshot] replay witnesses.  Single-writer
-    while running — call after {!stop}.  Only recorded in [`Per_keyword]
-    mode; raises [Invalid_argument] under [`Global] or on a bad
-    keyword. *)
+    while running — call after {!stop}.
+    @raise Invalid_argument on a bad keyword. *)
 
 val lane_restarts : t -> int array
 (** Per-lane supervisor restart counts (index = lane).  Stable once

@@ -62,8 +62,8 @@ val make_engine :
     snapshot while keeping the workload's CTRs and user-seed derivation.
     [metrics], [partitioned], [cache] and [update_every] are forwarded
     to {!Essa.Engine.create} — a shared registry lets every engine of a
-    sweep record into one snapshot, [partitioned] builds the keyword-partitioned engine the serving
-    layer's [`Per_keyword] commit mode drives, and [cache] /
+    sweep record into one snapshot, [partitioned] builds the
+    keyword-partitioned engine the serving layer drives, and [cache] /
     [update_every] control the cross-auction evaluation cache and
     bid-update decimation (see {!Essa.Engine.create}). *)
 
@@ -82,8 +82,7 @@ val queries : t -> seed:int -> count:int -> int array
     popularity distribution, [N] advertisers each enrolled on a handful of
     keywords (sparse participation — nothing materializes an n × K
     structure), and optional seeded bidder churn.  Built for the flat
-    {!Essa_strategy.State_store} layout and the serving stack's
-    [`Per_keyword] commit mode. *)
+    {!Essa_strategy.State_store} layout and the serving stack. *)
 
 type universe
 

@@ -888,11 +888,13 @@ let prop_cache_bit_identity_flat =
 
 (* ------------------------------------------------------------------ *)
 (* The auction driver on every engine shape: a scripted clock walks each
-   engine through all three deadline tiers, interleaved with cache hits
-   and bid-update decimation, and the partitioned engines alternate
-   batched and unbatched stretches.  The digests of every summary and the
-   essa.* counters were computed with separate serial and partitioned
-   drivers; the engine must reproduce them bit-for-bit. *)
+   partitioned engine through all three deadline tiers (the serial engine
+   takes no deadline and runs full), interleaved with cache hits and
+   bid-update decimation, and the partitioned engines alternate
+   arrival-order and keyword-regrouped stretches.  The partitioned digests
+   of every summary and the essa.* counters were computed with separate
+   serial and partitioned drivers; the engine must reproduce them
+   bit-for-bit. *)
 
 type tier_mode = Full | Cheap | Late
 
@@ -948,7 +950,7 @@ let run_mixed engine ~set_mode ~queries =
     let s =
       if Essa.Engine.partitioned engine then
         Essa.Engine.run_partitioned ~deadline_ns:50L engine ~keyword:kw
-      else Essa.Engine.run_auction ~deadline_ns:50L engine ~keyword:kw
+      else Essa.Engine.run_auction engine ~keyword:kw
     in
     out := s :: !out
   in
@@ -1004,16 +1006,16 @@ let mixed_queries ~keywords =
   Array.init 240 (fun i -> (i * 7 + i / 5) mod keywords)
 
 let test_mixed_tiers_serial () =
-  check_mixed ~digest:"27e131f3a2abc3fa67d44adfbf1b0b43"
+  check_mixed ~digest:"15e1ae9cf080e5fa376d11efc4ca273d"
     ~counters:
-      "essa.auctions=240 essa.revenue_cents=17261 essa.clicks=502 \
-       essa.slots_filled=872 essa.ta.sorted_accesses=14198 \
-       essa.ta.random_accesses=27909 essa.ta.seen_objects=12274 \
-       essa.reduction.candidates=1599 \
-       essa.auction.degraded_cheap=37 \
-       essa.auction.degraded_unfilled=22 essa.engine.cache_hits=98 \
-       essa.engine.cache_misses=83 \
-       essa.engine.cache_invalidations=80"
+      "essa.auctions=240 essa.revenue_cents=19117 essa.clicks=556 \
+       essa.slots_filled=960 essa.ta.sorted_accesses=18733 \
+       essa.ta.random_accesses=36927 essa.ta.seen_objects=16249 \
+       essa.reduction.candidates=2149 \
+       essa.auction.degraded_cheap=0 \
+       essa.auction.degraded_unfilled=0 essa.engine.cache_hits=140 \
+       essa.engine.cache_misses=100 \
+       essa.engine.cache_invalidations=97"
     ~make:(mixed_dense ~partitioned:false)
     ~queries:(mixed_queries ~keywords:3)
 

@@ -10,24 +10,21 @@
 open Essa_serve
 open Test_harness
 
-let run_serial workload ~method_ ~queries =
-  let engine = Essa_sim.Workload.make_engine workload ~method_ in
-  let summaries =
-    Array.to_list
-      (Array.map
-         (fun kw -> strip (Essa.Engine.run_auction engine ~keyword:kw))
-         queries)
-  in
-  (summaries, fingerprint engine)
+let engine workload ~method_ =
+  Essa_sim.Workload.make_engine ~partitioned:true workload ~method_
 
+(* The served run's per-keyword commit logs, its final state, its stats
+   and the stopped server. *)
 let run_served ?deadline_budget_ns ?max_restarts ~faults workload ~method_
     ~workers ~queries () =
-  let engine = Essa_sim.Workload.make_engine workload ~method_ in
-  let server, stats, summaries =
+  let engine = engine workload ~method_ in
+  let server, stats =
     serve ~faults ?deadline_budget_ns ?max_restarts ~workers ~max_batch:5
       ~engine queries
   in
-  (summaries, fingerprint engine, stats, server)
+  (logs server, fingerprint engine, stats, server)
+
+let logged logs = Array.fold_left (fun n log -> n + List.length log) 0 logs
 
 let workload () =
   Essa_sim.Workload.section5 ~seed:61 ~n:40 ~k:4 ~num_keywords:6
@@ -174,7 +171,7 @@ let test_degrade_after_max_restarts () =
   let workload = workload () in
   let total = 80 and fail_seq = 20 in
   let queries = Essa_sim.Workload.queries workload ~seed:63 ~count:total in
-  let summaries, _, stats, server =
+  let logs, _, stats, server =
     run_served ~max_restarts:0
       ~faults:(Fault.create [ Fault.Engine_exn { seq = fail_seq } ])
       workload ~method_:`Rh ~workers:1 ~queries ()
@@ -184,7 +181,7 @@ let test_degrade_after_max_restarts () =
   Alcotest.(check int) "no restarts" 0 stats.lane_restarts;
   Alcotest.(check int) "rest skipped" (total - fail_seq - 1) stats.skipped;
   Alcotest.(check int) "summaries only before the failure" fail_seq
-    (List.length summaries);
+    (logged logs);
   Alcotest.(check int) "skipped counter agrees" stats.skipped
     (counter (Server.metrics server) "essa.serve.lane_skipped")
 
@@ -202,7 +199,7 @@ let test_degraded_lane_keeps_fleet_live () =
       if i > fail_seq && Shard.of_keyword ~shards:workers kw = fail_shard then
         incr expected_skipped)
     queries;
-  let summaries, _, stats, _ =
+  let logs, _, stats, _ =
     run_served ~max_restarts:0
       ~faults:(Fault.create [ Fault.Engine_exn { seq = fail_seq } ])
       workload ~method_:`Rhtalu ~workers ~queries ()
@@ -212,7 +209,7 @@ let test_degraded_lane_keeps_fleet_live () =
     stats.skipped;
   Alcotest.(check bool) "other lane kept serving" true (!expected_skipped < total - fail_seq - 1);
   Alcotest.(check int) "every query accounted for" total
-    (List.length summaries + stats.failed + stats.skipped)
+    (logged logs + stats.failed + stats.skipped)
 
 let test_stop_idempotent_after_failure () =
   let workload = workload () in
@@ -232,7 +229,8 @@ let test_stop_idempotent_after_failure () =
 (* Deadline degradation ladder (engine level, scripted clock) *)
 
 let make_clocked_engine workload ~clock =
-  Essa.Engine.create ~clock ~reserve:0 ~pricing:`Gsp ~method_:`Rhtalu
+  Essa.Engine.create ~clock ~partitioned:true ~reserve:0 ~pricing:`Gsp
+    ~method_:`Rhtalu
     ~ctr:(Essa_sim.Workload.ctr workload)
     ~states:(Essa_sim.Workload.fresh_states workload)
     ~user_seed:99 ()
@@ -241,7 +239,7 @@ let test_engine_unfilled_tier () =
   let workload = workload () in
   (* Clock pinned past the deadline: already blown at the start check. *)
   let engine = make_clocked_engine workload ~clock:(fun () -> 100L) in
-  let s = Essa.Engine.run_auction ~deadline_ns:50L engine ~keyword:0 in
+  let s = Essa.Engine.run_partitioned ~deadline_ns:50L engine ~keyword:0 in
   Alcotest.(check bool) "degraded unfilled" true (s.degraded = Some Essa.Engine.Unfilled);
   Alcotest.(check bool) "all slots empty" true
     (Array.for_all Option.is_none s.assignment);
@@ -256,7 +254,7 @@ let test_engine_unfilled_tier () =
   Alcotest.(check int) "cheap counter untouched" 0
     (counter registry "essa.auction.degraded_cheap");
   (* The ladder is per-auction: the next query (no deadline) runs full. *)
-  let s2 = Essa.Engine.run_auction engine ~keyword:0 in
+  let s2 = Essa.Engine.run_partitioned engine ~keyword:0 in
   Alcotest.(check bool) "next auction full path" true (s2.degraded = None);
   Alcotest.(check int) "time advanced through both" 2 s2.auction_time
 
@@ -270,7 +268,7 @@ let test_engine_cheap_tier () =
     if !calls = 1 then 0L else 1_000L
   in
   let engine = make_clocked_engine workload ~clock in
-  let s = Essa.Engine.run_auction ~deadline_ns:500L engine ~keyword:1 in
+  let s = Essa.Engine.run_partitioned ~deadline_ns:500L engine ~keyword:1 in
   Alcotest.(check bool) "degraded cheap" true
     (s.degraded = Some Essa.Engine.Cheap_allocation);
   Alcotest.(check bool) "allocation filled" true
@@ -289,31 +287,40 @@ let test_engine_no_deadline_never_degrades () =
   let workload = workload () in
   (* Even with a clock reading absurdly late, no deadline = no ladder. *)
   let engine = make_clocked_engine workload ~clock:(fun () -> Int64.max_int) in
-  let s = Essa.Engine.run_auction engine ~keyword:2 in
+  let s = Essa.Engine.run_partitioned engine ~keyword:2 in
   Alcotest.(check bool) "full path" true (s.degraded = None)
 
 (* ------------------------------------------------------------------ *)
 (* Sleep-based scenarios *)
 
 let test_stall_recovery () =
-  (* An unresponsive lane holds the commit clock; once it wakes the
-     backlog drains and — with no deadline armed — the stream is still
-     bit-identical to serial.  Recovery must hold for any worker count. *)
+  (* An unresponsive lane holds its keywords back; once it wakes the
+     backlog drains and — with no deadline armed — one lane's stream is
+     still the one-domain loop's, and every lane count passes the replay
+     contract. *)
   let workload = workload () in
   let queries = Essa_sim.Workload.queries workload ~seed:67 ~count:100 in
-  let serial = run_serial workload ~method_:`Rhtalu ~queries in
+  let loop =
+    let e = engine workload ~method_:`Rhtalu in
+    let logs = partitioned_loop e queries in
+    (logs, fingerprint e)
+  in
   List.iter
     (fun workers ->
-      let summaries, fp, stats, _ =
+      let logs, fp, stats, server =
         run_served
           ~faults:
             (Fault.create [ Fault.Lane_stall { lane = 0; delay_ns = 50_000_000 } ])
           workload ~method_:`Rhtalu ~workers ~queries ()
       in
+      if workers = 1 then
+        Alcotest.(check bool) "stalled run = one-domain loop" true
+          ((logs, fp) = loop);
       Alcotest.(check bool)
-        (Printf.sprintf "stalled run = serial (workers=%d)" workers)
+        (Printf.sprintf "replay contract (workers=%d)" workers)
         true
-        ((summaries, fp) = serial);
+        (Replay.ok
+           (Replay.check_server server ~fresh:(engine workload ~method_:`Rhtalu)));
       Alcotest.(check int) "all committed" stats.accepted stats.committed)
     [ 1; 2; 3; 4 ]
 
@@ -324,7 +331,7 @@ let test_server_deadline_degrades () =
      Margins are 12x so scheduling noise cannot flip the outcome. *)
   let workload = workload () in
   let queries = Essa_sim.Workload.queries workload ~seed:68 ~count:60 in
-  let summaries, _, stats, server =
+  let logs, _, stats, server =
     run_served
       ~faults:
         (Fault.create [ Fault.Slow_auction { seq = 0; delay_ns = 60_000_000 } ])
@@ -334,10 +341,10 @@ let test_server_deadline_degrades () =
   Alcotest.(check int) "all committed" stats.accepted stats.committed;
   Alcotest.(check int) "no failures" 0 stats.failed;
   Alcotest.(check bool) "deadline tripped" true (stats.degraded > 0);
-  (match summaries with
-  | (_, _, _, _, _, _, degraded) :: _ ->
+  (match logs.(queries.(0)) with
+  | (first : Essa.Engine.summary) :: _ ->
       Alcotest.(check bool) "first auction degraded unfilled" true
-        (degraded = Some Essa.Engine.Unfilled)
+        (first.degraded = Some Essa.Engine.Unfilled)
   | [] -> Alcotest.fail "no summaries");
   let registry = Server.metrics server in
   Alcotest.(check int) "serve degraded counter" stats.degraded

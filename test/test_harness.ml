@@ -51,22 +51,17 @@ let counter reg name =
   | _ -> Alcotest.failf "missing counter %s" name
 
 (* Submit every query to a fresh server on [engine] and stop it: the
-   server, its stats and (under [`Global]) the stripped commit stream.
-   The queue holds the whole run, so a shed is an error; so is a closed
-   ingress unless [closed_ok] (a fired kill closes it mid-submission). *)
-let serve ?(closed_ok = false) ?(commit = `Global) ?(balance = false) ?faults
-    ?deadline_budget_ns ?max_restarts ?wal ~workers ~max_batch ~engine queries
-    =
-  let acc = ref [] in
-  let on_commit =
-    if commit = `Global then Some (fun s -> acc := strip s :: !acc) else None
-  in
+   server and its stats.  The queue holds the whole run, so a shed is an
+   error; so is a closed ingress unless [closed_ok] (a fired kill closes
+   it mid-submission). *)
+let serve ?(closed_ok = false) ?(balance = false) ?faults ?deadline_budget_ns
+    ?max_restarts ?wal ~workers ~max_batch ~engine queries =
   let server =
-    Server.create ~workers ~max_batch ~commit ~balance
+    Server.create ~workers ~max_batch ~balance
       ?rebalance_every:(if balance then Some 1 else None)
       ~queue_capacity:(max 1 (Array.length queries))
-      ?faults ?deadline_budget_ns ?max_restarts ?on_commit ?wal
-      ~wal_snapshot_every:2 ~engine ()
+      ?faults ?deadline_budget_ns ?max_restarts ?wal ~wal_snapshot_every:2
+      ~engine ()
   in
   Array.iter
     (fun kw ->
@@ -76,8 +71,23 @@ let serve ?(closed_ok = false) ?(commit = `Global) ?(balance = false) ?faults
       | Ingress.Closed -> Alcotest.fail "closed while still submitting"
       | Ingress.Shed -> Alcotest.fail "shed with capacity = query count")
     queries;
-  let stats = Server.stop server in
-  (server, stats, List.rev !acc)
+  (server, Server.stop server)
+
+(* A stopped server's per-keyword commit logs. *)
+let logs server =
+  Array.init
+    (Engine.num_keywords (Server.engine server))
+    (fun keyword -> Server.commit_log server ~keyword)
+
+(* The same logs from a one-domain [run_partitioned] loop over [queries]
+   in arrival order: what a one-lane server commits. *)
+let partitioned_loop engine queries =
+  let logs = Array.make (Engine.num_keywords engine) [] in
+  Array.iter
+    (fun kw ->
+      logs.(kw) <- Engine.run_partitioned engine ~keyword:kw :: logs.(kw))
+    queries;
+  Array.map List.rev logs
 
 let temp_dir () =
   let d = Filename.temp_file "essa_test" "" in

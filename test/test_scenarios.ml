@@ -3,10 +3,10 @@
 
    Each row names its cell: the engine shape (with its workload knobs),
    the mechanism, the evaluation cache, the bid-update period, the worker
-   counts, the commit mode and the armed faults.  It also lists the
-   invariants the cell must satisfy.  Every invariant is checked against
-   an oracle the library already has: the serial engine, [Replay],
-   [Recovery], or an uninterrupted twin run.  QCheck2 draws the random
+   counts and the armed faults.  It also lists the invariants the cell
+   must satisfy.  Every invariant is checked against an oracle the
+   library already has: a one-domain engine loop, [Replay], [Recovery],
+   or an uninterrupted twin run.  QCheck2 draws the random
    parts (seed, instance size, keyword count, query count, batch size,
    the fault or snapshot point, written [*] in a fault spec, and the
    bid-update period when the row gives a range) unless the row pins
@@ -46,8 +46,10 @@ type fresh = { f_cache : bool; f_update_every : int }
 
 type invariant =
   | Served_serial
-      (** the [`Global] stream and final state = a serial loop; armed
-          faults that never fire come with a 1 s deadline that never trips *)
+      (** one lane's commit logs and final state = a one-domain
+          [run_partitioned] loop, and the replay contract holds at every
+          worker count; armed faults that never fire come with a 1 s
+          deadline that never trips *)
   | Replay of fresh
       (** [Replay.check_server] on a fresh engine of this configuration *)
   | Rebalanced_replay
@@ -64,8 +66,8 @@ type invariant =
   | Cache_twin  (** cache on = cache off: summaries and counters *)
   | Equals_classic  (** the row's mechanism = [`Classic], every pricing *)
   | Fault_restart
-      (** the stream completes = serial over the survivors, every failure
-          reported and restarted *)
+      (** [Served_serial] over the survivors, every failure reported and
+          restarted *)
 
 type range = int * int  (** inclusive; [(v, v)] pins [v] *)
 
@@ -98,7 +100,6 @@ type row = {
   cache : bool;
   update_every : range;
   workers : int list;
-  commit : [ `Global | `Per_keyword ];
   faults : string list;
   expect : invariant list;
   draw : draw;
@@ -228,7 +229,7 @@ let run engine kw =
 
 let serve_cell ?closed_ok ?balance ?(faults = []) ?deadline_budget_ns ?wal c
     ~workers ~engine queries =
-  serve ?closed_ok ~commit:c.row.commit ?balance ~faults:(Fault.create faults)
+  serve ?closed_ok ?balance ~faults:(Fault.create faults)
     ?deadline_budget_ns ?wal ~workers ~max_batch:c.p.max_batch ~engine queries
 
 let failf fmt = Printf.ksprintf failwith fmt
@@ -249,6 +250,23 @@ let members engine ~keyword =
 (* ------------------------------------------------------------------ *)
 (* The invariants *)
 
+(* The per-keyword contract of a stopped server holding [count]
+   summaries: keyword-pure logs that partition them, replayed on a fresh
+   engine of configuration [f]. *)
+let check_logs ~at c f server (st : Server.stats) ~count =
+  let logged = ref 0 in
+  for kw = 0 to c.p.keywords - 1 do
+    let log = Server.commit_log server ~keyword:kw in
+    logged := !logged + List.length log;
+    check_true (at "keyword-pure logs")
+      (List.for_all (fun (s : Engine.summary) -> s.keyword = kw) log)
+  done;
+  check_true (at "logs partition the stream") (!logged = count);
+  let r = Replay.check_server server ~fresh:(engine_of c f None) in
+  check_replay (at "replay contract") r;
+  check_true (at "replay covers the stream, log revenue = served")
+    (r.auctions_checked = count && r.log_revenue = st.revenue)
+
 let served_serial ~restart c =
   let faults = faults c in
   let failing =
@@ -257,12 +275,9 @@ let served_serial ~restart c =
       faults
   in
   let survivors =
-    List.filteri (fun i _ -> not (List.mem i failing)) (Array.to_list c.queries)
-  in
-  let serial =
-    let e = c.make c.cfg in
-    let s = List.map (fun kw -> strip (run e kw)) survivors in
-    (s, fingerprint e)
+    Array.of_list
+      (List.filteri (fun i _ -> not (List.mem i failing))
+         (Array.to_list c.queries))
   in
   let deadline_budget_ns =
     if (not restart) && faults <> [] then Some 1_000_000_000 else None
@@ -270,12 +285,16 @@ let served_serial ~restart c =
   List.iter
     (fun workers ->
       let engine = c.make c.cfg in
-      let server, st, summaries =
+      let server, st =
         serve_cell ~faults ?deadline_budget_ns c ~workers ~engine c.queries
       in
       let at what = Printf.sprintf "%s (workers=%d)" what workers in
-      check_true (at "served stream and final state = serial")
-        ((summaries, fingerprint engine) = serial);
+      if workers = 1 then begin
+        let e = c.make c.cfg in
+        let loop = partitioned_loop e survivors in
+        check_true (at "commit logs and final state = one-domain loop")
+          (logs server = loop && fingerprint engine = fingerprint e)
+      end;
       check_true (at "every query committed")
         (st.committed = Array.length c.queries && st.degraded = 0);
       let failed = List.length failing in
@@ -289,34 +308,22 @@ let served_serial ~restart c =
           && List.for_all
                (fun name -> counter (Server.metrics server) name = failed)
                [ "essa.serve.lane_failures"; "essa.serve.lane_restarts" ])
-      else check_true (at "nothing failed") (st.failed = 0))
+      else check_true (at "nothing failed") (st.failed = 0);
+      check_logs ~at c (own c) server st ~count:(Array.length survivors))
     c.row.workers
 
 let replay ?balance f c =
   let count = Array.length c.queries in
   List.iter
     (fun workers ->
-      let server, st, _ =
+      let server, st =
         serve_cell ?balance c ~workers ~engine:(c.make c.cfg) c.queries
       in
       let at what = Printf.sprintf "%s (workers=%d)" what workers in
-      check_true (at "all committed, no cross-keyword waits")
-        (st.committed = count && st.turnstile_waits = 0
-        && st.commit_mode = `Per_keyword);
+      check_true (at "all committed") (st.committed = count);
       if balance = Some true then
         check_true (at "rebalanced at least once") (st.rebalances > 0);
-      let logged = ref 0 in
-      for kw = 0 to c.p.keywords - 1 do
-        let log = Server.commit_log server ~keyword:kw in
-        logged := !logged + List.length log;
-        check_true (at "keyword-pure logs")
-          (List.for_all (fun (s : Engine.summary) -> s.keyword = kw) log)
-      done;
-      check_true (at "logs partition the stream") (!logged = count);
-      let r = Replay.check_server server ~fresh:(engine_of c f None) in
-      check_replay (at "replay contract") r;
-      check_true (at "replay covers the stream, log revenue = served")
-        (r.auctions_checked = count && r.log_revenue = st.revenue))
+      check_logs ~at c f server st ~count)
     c.row.workers
 
 let wal_recover c =
@@ -327,7 +334,7 @@ let wal_recover c =
       Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
       let wal = Wal.create_writer ~dir () in
       let engine = c.make c.cfg in
-      let _, st, _ = serve_cell ~wal c ~workers ~engine c.queries in
+      let _, st = serve_cell ~wal c ~workers ~engine c.queries in
       Wal.close_writer wal;
       let rc =
         Recovery.restore ~dir ~num_keywords:c.p.keywords
@@ -451,7 +458,7 @@ let kill_recover f c =
       let dir = temp_dir () in
       Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
       let wal = Wal.create_writer ~dir () in
-      let _, st, _ =
+      let _, st =
         serve_cell ~closed_ok:true ~wal ~faults:(faults c) c ~workers
           ~engine:(c.make c.cfg) c.queries
       in
@@ -469,7 +476,7 @@ let kill_recover f c =
           (Array.to_list c.queries)
       in
       let wal2 = Wal.create_writer ~dir () in
-      let server2, st2, _ =
+      let server2, st2 =
         serve_cell ~wal:wal2 c ~workers ~engine:rc.engine (Array.of_list lost)
       in
       Wal.close_writer wal2;
@@ -581,12 +588,10 @@ let describe row p =
           (if coupled then "coupled" else "decoupled")
           zipf_s churn budgets
   in
-  Printf.sprintf "%s %s cache=%b update_every=%d..%d workers=[%s] commit=%s \
-                  faults=[%s] %s"
+  Printf.sprintf "%s %s cache=%b update_every=%d..%d workers=[%s] faults=[%s] %s"
     shape (mech_name row.mechanism) row.cache (fst row.update_every)
     (snd row.update_every)
     (String.concat ";" (List.map string_of_int row.workers))
-    (if row.commit = `Global then "global" else "per-keyword")
     (String.concat ";" row.faults) (print_params p)
 
 let run_cell row p =
@@ -615,9 +620,7 @@ let case row =
             Alcotest.check_raises row.name (Invalid_argument msg) (fun () ->
                 let c = cell row p in
                 let engine = c.make c.cfg in
-                ignore
-                  (Server.stop
-                     (Server.create ~commit:row.commit ~workers:1 ~engine ()))))
+                ignore (Server.stop (Server.create ~workers:1 ~engine ()))))
     | None, Pinned _ ->
         if fst row.update_every <> snd row.update_every then
           invalid_arg (row.name ^ ": a pinned row pins update_every");
@@ -661,8 +664,8 @@ let fresh f_cache f_update_every = { f_cache; f_update_every }
 
 let base =
   { name = ""; shape = serial `Rh; mechanism = Gsp; cache = true;
-    update_every = every 1; workers = [ 1; 2; 3; 4 ]; commit = `Global;
-    faults = []; expect = []; draw = pin 1 40 5 10 1 0; broken = None;
+    update_every = every 1; workers = [ 1; 2; 3; 4 ]; faults = [];
+    expect = []; draw = pin 1 40 5 10 1 0; broken = None;
     expect_abort = None }
 
 (* [row] under another mechanism, named by a suffix; [variants] gives
@@ -680,18 +683,18 @@ let sweep row = row :: variants row
 (* Each family keeps the workload of the cells it replaces. *)
 let eq_rh =
   { base with name = "equivalence RH: served = serial";
-    shape = serial ~brand:0.25 ~budgets:0.25 `Rh; workers = [ 1; 2; 3 ];
+    shape = dense ~brand:0.25 ~budgets:0.25 `Rh; workers = [ 1; 2; 3 ];
     expect = [ Served_serial ]; draw = pin ~query_seed:101 11 40 6 200 7 0 }
 let eq_rhtalu =
   { eq_rh with name = "equivalence RHTALU: served = serial";
-    shape = serial ~brand:0.25 ~budgets:0.25 `Rhtalu;
+    shape = dense ~brand:0.25 ~budgets:0.25 `Rhtalu;
     draw = pin ~query_seed:102 12 40 6 200 7 0 }
 let eq_prop =
   { eq_rh with name = "equivalence served stream = serial stream";
-    shape = serial ~k:3 ~budgets:0.2 `Rh; draw = shapes 6 }
+    shape = dense ~k:3 ~budgets:0.2 `Rh; draw = shapes 6 }
 let eq_prop_rhtalu =
   { eq_prop with name = "equivalence served stream = serial stream, RHTALU";
-    shape = serial ~k:3 ~budgets:0.2 `Rhtalu }
+    shape = dense ~k:3 ~budgets:0.2 `Rhtalu }
 
 let zeros =
   { base with name = "equivalence `Reserve (`Fixed 0s) = `Classic (";
@@ -705,7 +708,7 @@ let mech_churn = flat ~churn:0.05 ~budgets:0.3 ~zipf_s:1.1 ~coupled:true ()
 
 let pk_rh =
   { base with name = "per-keyword RH: replay + invariants";
-    shape = dense ~budgets:0.4 `Rh; commit = `Per_keyword;
+    shape = dense ~budgets:0.4 `Rh;
     expect = [ Replay (fresh true 1) ];
     draw = pin ~query_seed:62 61 40 6 240 7 0 }
 let pk_rhtalu =
@@ -731,7 +734,7 @@ let pk_flat_churn =
 let rebalance =
   { base with name = "balance forced rebalance keeps FIFO + replay";
     shape = flat ~churn:0.1 ~zipf_s:1.1 ~coupled:true ();
-    commit = `Per_keyword; expect = [ Rebalanced_replay ];
+    expect = [ Rebalanced_replay ];
     draw = pin ~query_seed:82 81 60 12 300 16 0 }
 let decimated =
   { rebalance with name = "balance cached decimated serving replays";
@@ -741,12 +744,12 @@ let decimated =
 
 let wal =
   { base with name = "wal served run recovers and replays";
-    shape = flat ~coupled:true (); commit = `Per_keyword; workers = [ 2 ];
+    shape = flat ~coupled:true (); workers = [ 2 ];
     expect = [ Wal_recover ]; draw = pin 1 40 5 200 16 0 }
 
 let cont =
   { base with shape = flat ~coupled:true (); cache = false;
-    commit = `Per_keyword; workers = []; expect = [ Continuation ];
+    workers = []; expect = [ Continuation ];
     draw = pin 11 40 5 400 16 150 }
 let cont_dense = { cont with draw = pin 7 60 6 300 16 120 }
 let continuations =
@@ -767,7 +770,7 @@ let continuations =
   ]
 
 let decoupled =
-  { base with shape = flat ~churn:0.1 ~coupled:false (); commit = `Per_keyword;
+  { base with shape = flat ~churn:0.1 ~coupled:false ();
     faults = [ "kill@*" ]; expect = [ Kill_recover (fresh true 1) ];
     draw = pin 21 48 6 400 16 150 }
 let coupled =
@@ -798,7 +801,7 @@ let churn_coupled name row =
 
 let restart =
   { base with name = "supervision crash -> restart -> stream completes";
-    shape = serial ~budgets:0.25 `Rhtalu; faults = [ "exn@*" ];
+    shape = dense ~budgets:0.25 `Rhtalu; faults = [ "exn@*" ];
     expect = [ Fault_restart ]; draw = pin ~query_seed:62 61 40 6 120 5 37 }
 
 let abort msg = { base with workers = []; expect_abort = Some msg }
@@ -872,18 +875,11 @@ let table =
         under ~workers:[ 1; 2 ] Stable restart;
         under ~workers:[ 1; 2 ] Reserve_monopoly restart;
         { (abort "Engine.create_flat: VCG needs the dense pricing view") with
-          name = "abort flat vcg"; shape = flat ~coupled:true (); mechanism = Vcg;
-          commit = `Per_keyword };
+          name = "abort flat vcg"; shape = flat ~coupled:true (); mechanism = Vcg };
         { (abort
-             "Server.create: `Per_keyword commit requires a partitioned engine \
-              (Engine.create ~partitioned:true)") with
-          name = "abort per-keyword commit on a serial engine";
-          commit = `Per_keyword };
-        { (abort
-             "Server.create: `Global commit requires a serial engine (a \
-              partitioned engine has no global clock to serialize on)") with
-          name = "abort global commit on a partitioned engine";
-          shape = dense `Rh };
+             "Server.create: serial engine (serve a partitioned one: \
+              Engine.create ~partitioned:true or Engine.create_flat)") with
+          name = "abort per-keyword commit on a serial engine" };
       ];
     ]
 

@@ -1,49 +1,74 @@
 (* Tests for the keyword-sharded serving pipeline (essa_serve): the
-   commit protocol, backpressure, the per-keyword mode's batch-tag and
-   pairing rules, metrics, load-aware lanes, the Global golden pin and the
-   load generators.  The served = serial and replay-contract cells across
-   shapes, mechanisms and worker counts live in test_scenarios.ml. *)
+   commit order, backpressure, the batch-tag and engine rules, metrics,
+   load-aware lanes, the serial golden pin and the load generators.  The
+   served = serial and replay-contract cells across shapes, mechanisms
+   and worker counts live in test_scenarios.ml. *)
 
 open Essa_serve
 
 (* ------------------------------------------------------------------ *)
-(* Commit protocol *)
+(* Commit order *)
+
+(* Per-keyword FIFO: keyword [kw]'s commit log holds exactly its
+   arrivals, on its own clock 1, 2, 3, ... *)
+let check_fifo server queries =
+  Array.iteri
+    (fun kw log ->
+      let arrivals =
+        Array.fold_left (fun n k -> if k = kw then n + 1 else n) 0 queries
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "keyword %d: its arrivals, in clock order" kw)
+        (List.init arrivals (fun i -> (i + 1, kw)))
+        (List.map
+           (fun (s : Essa.Engine.summary) -> (s.auction_time, s.keyword))
+           log))
+    (Test_harness.logs server)
 
 let test_commit_order_and_fifo () =
-  (* Commits happen in arrival order (auction_time 1,2,3,...) and the
-     committed keyword sequence is exactly the accepted one. *)
   let workload =
     Essa_sim.Workload.section5 ~seed:31 ~n:30 ~k:3 ~num_keywords:5 ()
   in
   let queries = Essa_sim.Workload.queries workload ~seed:32 ~count:120 in
-  let engine = Essa_sim.Workload.make_engine workload ~method_:`Rhtalu in
-  let order = ref [] in
-  let server =
-    Server.create ~workers:3 ~max_batch:5 ~queue_capacity:200
-      ~on_commit:(fun s -> order := (s.auction_time, s.keyword) :: !order)
-      ~engine ()
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rhtalu
   in
-  Array.iter (fun kw -> ignore (Server.submit server ~keyword:kw)) queries;
-  ignore (Server.stop server);
-  let order = List.rev !order in
-  Alcotest.(check (list (pair int int)))
-    "arrival order, per-keyword FIFO included"
-    (Array.to_list (Array.mapi (fun i kw -> (i + 1, kw)) queries))
-    order
+  let server, _ = Test_harness.serve ~workers:3 ~max_batch:5 ~engine queries in
+  check_fifo server queries
 
-let test_commit_clock_protocol () =
-  let clock = Commit_clock.create () in
-  Alcotest.(check int) "starts at 0" 0 (Commit_clock.next clock);
-  Commit_clock.await clock ~seq:0;
-  Commit_clock.commit clock ~seq:0;
-  Alcotest.(check int) "advanced" 1 (Commit_clock.next clock);
-  Alcotest.check_raises "out-of-turn commit"
-    (Invalid_argument "Commit_clock.commit: out-of-turn commit") (fun () ->
-      Commit_clock.commit clock ~seq:5);
-  Alcotest.check_raises "await in the past"
-    (Invalid_argument "Commit_clock.await: sequence already committed")
-    (fun () -> Commit_clock.await clock ~seq:0);
-  Commit_clock.wait_past clock ~seq:0 (* already past: returns at once *)
+(* The ledger counts per keyword and in total, rejects a bad keyword, and
+   a waiter blocked in [wait_until] wakes when another domain's commits
+   reach its count.  The waiter gets 10 s: a lost wakeup fails the test
+   instead of hanging it (the blocked domain is left behind). *)
+let test_commit_ledger_protocol () =
+  Alcotest.check_raises "no keywords"
+    (Invalid_argument "Commit_ledger.create: num_keywords < 1") (fun () ->
+      ignore (Commit_ledger.create ~num_keywords:0));
+  let ledger = Commit_ledger.create ~num_keywords:3 in
+  Commit_ledger.wait_until ledger ~count:0 (* already reached: returns *);
+  Alcotest.check_raises "commit on a bad keyword"
+    (Invalid_argument "Commit_ledger.commit: keyword 3") (fun () ->
+      Commit_ledger.commit ledger ~keyword:3);
+  Alcotest.check_raises "count of a bad keyword"
+    (Invalid_argument "Commit_ledger.keyword_count: keyword -1") (fun () ->
+      ignore (Commit_ledger.keyword_count ledger ~keyword:(-1)));
+  let woke = Atomic.make false in
+  let waiter =
+    Domain.spawn (fun () ->
+        Commit_ledger.wait_until ledger ~count:3;
+        Atomic.set woke true)
+  in
+  Unix.sleepf 0.005;
+  List.iter (fun keyword -> Commit_ledger.commit ledger ~keyword) [ 0; 1; 0 ];
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (Atomic.get woke)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (Atomic.get woke) then Alcotest.fail "waiter not woken by the commits";
+  Domain.join waiter;
+  Alcotest.(check int) "total" 3 (Commit_ledger.total ledger);
+  Alcotest.(check (list int)) "per keyword" [ 2; 1; 0 ]
+    (List.init 3 (fun keyword -> Commit_ledger.keyword_count ledger ~keyword))
 
 let test_shard_partition () =
   let q seq keyword : Ingress.query = { seq; keyword; enqueue_ns = 0L } in
@@ -113,7 +138,9 @@ let test_server_overrun_sheds () =
   let workload =
     Essa_sim.Workload.section5 ~seed:41 ~n:400 ~k:5 ~num_keywords:4 ()
   in
-  let engine = Essa_sim.Workload.make_engine workload ~method_:`Rh in
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rh
+  in
   let registry = Essa_obs.Registry.create () in
   let server =
     Server.create ~metrics:registry ~workers:2 ~queue_capacity:2 ~max_batch:2
@@ -143,7 +170,9 @@ let test_server_overrun_sheds () =
 
 let test_submit_bad_keyword () =
   let workload = Essa_sim.Workload.section5 ~seed:43 ~n:10 ~k:2 ~num_keywords:3 () in
-  let engine = Essa_sim.Workload.make_engine workload ~method_:`Rh in
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rh
+  in
   let server = Server.create ~workers:1 ~engine () in
   Alcotest.check_raises "bad keyword is an error, not shed"
     (Invalid_argument "Server.submit: keyword 3") (fun () ->
@@ -151,7 +180,7 @@ let test_submit_bad_keyword () =
   ignore (Server.stop server)
 
 (* ------------------------------------------------------------------ *)
-(* Per-keyword commit mode *)
+(* Partitioned engines *)
 
 (* Budgeted advertisers but no brand premiums: every budget invariant in
    the replay report is exercised with no premium carve-out in play. *)
@@ -159,28 +188,58 @@ let pk_workload seed =
   Essa_sim.Workload.section5 ~seed ~n:40 ~k:4 ~num_keywords:6
     ~budgeted_fraction:0.4 ~brand_fraction:0. ()
 
-(* The two mismatched pairings are the scenario table's abort rows; the
-   matched ones build and drain. *)
+(* A serial engine is the scenario table's abort row; a partitioned one
+   builds, drains and logs every keyword in FIFO order. *)
 let test_commit_mode_pairing () =
   let workload = pk_workload 65 in
-  let serial = Essa_sim.Workload.make_engine workload ~method_:`Rh in
-  let partitioned =
+  let queries = Essa_sim.Workload.queries workload ~seed:66 ~count:60 in
+  let engine =
     Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rh
   in
-  let s = Server.create ~workers:1 ~engine:serial () in
-  ignore (Server.stop s);
-  let s =
-    Server.create ~commit:`Per_keyword ~workers:1 ~engine:partitioned ()
+  let server, stats =
+    Test_harness.serve ~workers:2 ~max_batch:4 ~engine queries
   in
-  ignore (Server.stop s);
-  (* Global mode records no per-keyword log. *)
-  let engine = Essa_sim.Workload.make_engine workload ~method_:`Rh in
-  let s = Server.create ~workers:1 ~engine () in
-  ignore (Server.stop s);
-  Alcotest.check_raises "no commit log under global"
-    (Invalid_argument
-       "Server.commit_log: `Global commit records no per-keyword log")
-    (fun () -> ignore (Server.commit_log s ~keyword:0))
+  Alcotest.(check int) "all committed" 60 stats.committed;
+  check_fifo server queries;
+  Alcotest.check_raises "bad keyword"
+    (Invalid_argument "Server.commit_log: keyword 6") (fun () ->
+      ignore (Server.commit_log server ~keyword:6))
+
+(* [on_commit] runs concurrently from the lanes, yet each keyword's
+   callbacks arrive once per commit in its FIFO order: what a callback
+   sees of a keyword is exactly that keyword's commit log. *)
+let test_on_commit_per_keyword () =
+  let workload = pk_workload 69 in
+  let queries = Essa_sim.Workload.queries workload ~seed:70 ~count:90 in
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rhtalu
+  in
+  let seen = Array.make (Essa.Engine.num_keywords engine) []
+  and lock = Mutex.create () in
+  let on_commit (s : Essa.Engine.summary) =
+    Mutex.protect lock (fun () -> seen.(s.keyword) <- s :: seen.(s.keyword))
+  in
+  let server =
+    Server.create ~on_commit ~workers:3 ~max_batch:4 ~queue_capacity:90
+      ~engine ()
+  in
+  Array.iter
+    (fun keyword ->
+      match Server.submit server ~keyword with
+      | Ingress.Accepted _ -> ()
+      | Ingress.Shed | Ingress.Closed -> Alcotest.fail "unexpected rejection")
+    queries;
+  let stats = Server.stop server in
+  Alcotest.(check int) "all committed" 90 stats.committed;
+  check_fifo server queries;
+  Array.iteri
+    (fun kw log ->
+      Alcotest.(check bool)
+        (Printf.sprintf "keyword %d: callbacks = commit log" kw)
+        true
+        (List.map Test_harness.strip (List.rev seen.(kw))
+        = List.map Test_harness.strip log))
+    (Test_harness.logs server)
 
 (* A batch is a keyword tag with no effect on the auction, but misuse is
    still an error, not a silent wrong answer. *)
@@ -256,7 +315,9 @@ let test_latency_clock_seam () =
   let tick = Atomic.make 0 in
   let clock () = Int64.mul (Int64.of_int (Atomic.fetch_and_add tick 1)) step in
   let workload = pk_workload 69 in
-  let engine = Essa_sim.Workload.make_engine workload ~method_:`Rhtalu in
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rhtalu
+  in
   let metrics = Essa_obs.Registry.create () in
   let server = Server.create ~metrics ~clock ~workers:1 ~engine () in
   for _ = 1 to n_queries do
@@ -453,13 +514,11 @@ let test_shard_map_rebalance () =
     (raises (fun () -> Shard.map_create ~shards:0 ~num_keywords:4 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Global golden pin *)
+(* Serial golden pin *)
 
-(* A pinned fingerprint of the Global-mode served stream on a fixed
-   workload: any change to the engine, strategy or serving layer that
-   perturbs the bit-exact serial-equivalence contract moves this hash.
-   (The serial engine produces the same stream — the scenario table's
-   equivalence rows prove that — so this pins the seed behaviour itself.) *)
+(* A pinned fingerprint of the paper's serial auction loop on a fixed
+   workload: any change to the engine or strategy that perturbs the
+   serial stream moves this hash, so it pins the seed behaviour itself. *)
 let golden_hash summaries =
   let mix h x = ((h * 1000003) lxor x) land 0x3FFFFFFF in
   List.fold_left
@@ -484,11 +543,14 @@ let golden_pin ~method_ ~expected () =
   in
   let queries = Essa_sim.Workload.queries workload ~seed:72 ~count:300 in
   let engine = Essa_sim.Workload.make_engine workload ~method_ in
-  let _, stats, summaries =
-    Test_harness.serve ~workers:2 ~max_batch:7 ~engine queries
+  let summaries =
+    Array.to_list
+      (Array.map
+         (fun kw ->
+           Test_harness.strip (Essa.Engine.run_auction engine ~keyword:kw))
+         queries)
   in
-  Alcotest.(check int) "all committed" 300 stats.committed;
-  Alcotest.(check int) "pinned served-stream hash" expected
+  Alcotest.(check int) "pinned serial-stream hash" expected
     (golden_hash summaries)
 
 (* `Rh and `Rhtalu are two algorithms for the same auction: identical
@@ -503,7 +565,9 @@ let test_closed_loop_never_sheds () =
   let workload =
     Essa_sim.Workload.section5 ~seed:51 ~n:30 ~k:3 ~num_keywords:4 ()
   in
-  let engine = Essa_sim.Workload.make_engine workload ~method_:`Rhtalu in
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rhtalu
+  in
   let server = Server.create ~workers:2 ~queue_capacity:8 ~max_batch:4 ~engine () in
   let report =
     Load_gen.closed_loop server
@@ -521,7 +585,9 @@ let test_open_loop_counts () =
   let workload =
     Essa_sim.Workload.section5 ~seed:53 ~n:30 ~k:3 ~num_keywords:4 ()
   in
-  let engine = Essa_sim.Workload.make_engine workload ~method_:`Rhtalu in
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rhtalu
+  in
   let server = Server.create ~workers:2 ~queue_capacity:64 ~max_batch:8 ~engine () in
   let report =
     Load_gen.open_loop server
@@ -542,7 +608,8 @@ let () =
         [
           Alcotest.test_case "arrival order + FIFO" `Quick
             test_commit_order_and_fifo;
-          Alcotest.test_case "clock protocol" `Quick test_commit_clock_protocol;
+          Alcotest.test_case "commit ledger protocol" `Quick
+            test_commit_ledger_protocol;
           Alcotest.test_case "shard partition" `Quick test_shard_partition;
         ] );
       ( "backpressure",
@@ -557,6 +624,8 @@ let () =
         [
           Alcotest.test_case "commit-mode pairing" `Quick
             test_commit_mode_pairing;
+          Alcotest.test_case "on_commit per keyword = commit log" `Quick
+            test_on_commit_per_keyword;
           Alcotest.test_case "batch misuse rejected" `Quick test_batch_misuse;
           Alcotest.test_case "batch tag changes nothing (rh)" `Quick
             (batch_tag_inert (dense_tagged `Rh));
@@ -564,9 +633,11 @@ let () =
             (batch_tag_inert (dense_tagged `Rhtalu));
           Alcotest.test_case "batch tag changes nothing (flat churn)" `Quick
             (batch_tag_inert flat_churn_tagged);
-          Alcotest.test_case "global golden pin (rh)" `Quick
-            test_golden_pin_rh;
-          Alcotest.test_case "global golden pin (rhtalu)" `Quick
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "serial loop pin (rh)" `Quick test_golden_pin_rh;
+          Alcotest.test_case "serial loop pin (rhtalu)" `Quick
             test_golden_pin_rhtalu;
         ] );
       ( "metrics",

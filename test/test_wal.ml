@@ -483,7 +483,7 @@ let test_server_wal_metrics () =
   let registry = Essa_obs.Registry.create () in
   let server =
     Essa_serve.Server.create ~metrics:registry ~workers:2
-      ~commit:`Per_keyword ~wal:w ~wal_snapshot_every:2 ~max_batch:16
+      ~wal:w ~wal_snapshot_every:2 ~max_batch:16
       ~queue_capacity:(Array.length trace) ~engine ()
   in
   Array.iter
