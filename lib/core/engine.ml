@@ -328,11 +328,9 @@ let create ?metrics ?(clock = Essa_util.Timing.now_ns) ?(partitioned = false)
     match (method_, partitioned) with
     | (`Lp | `Lp_dense | `H | `Rh), false -> Essa_strategy.Roi_fleet.tabular states
     | `Rhtalu, false -> Essa_strategy.Roi_fleet.logical states
-    (* Partitioned `Rh runs the compiled per-program loop (the tabular
-       rows' relevance columns are cross-keyword mutable state, so the
-       boxed-row fleet cannot be keyword-partitioned). *)
-    | `Rh, true -> Essa_strategy.Roi_fleet.naive_p states
-    | `Rhtalu, true -> Essa_strategy.Roi_fleet.logical_p states
+    (* One partitioned fleet: the method picks the winner-determination
+       kernel only. *)
+    | (`Rh | `Rhtalu), true -> Essa_strategy.Roi_fleet.logical_p states
     | (`Lp | `Lp_dense | `H), true ->
         invalid_arg
           "Engine.create: partitioned mode supports `Rh and `Rhtalu only"

@@ -85,15 +85,15 @@ val create :
     tier trips, without sleeps.  Latency metrics always read the real
     clock.
     [partitioned] (default false) builds a keyword-partitioned engine:
-    the fleet runs a partitioned strategy
-    ({!Essa_strategy.Roi_fleet.naive_p} for [`Rh],
-    {!Essa_strategy.Roi_fleet.logical_p} for [`Rhtalu]), each keyword
-    carries its own auction clock, click-sampling RNG stream (split off
-    [user_seed] by keyword) and scratch, and auctions are driven with
-    {!run_partitioned} instead of {!run_auction}.  Different keywords may
-    then be auctioned concurrently from different domains, as long as each
-    keyword has exactly one owning lane.  Only [`Rh] and [`Rhtalu] support
-    it.
+    the fleet is {!Essa_strategy.Roi_fleet.logical_p} for both [`Rh] and
+    [`Rhtalu], so the method picks the winner-determination kernel only
+    (the serial engine keeps the paper's RH-vs-RHTALU program-evaluation
+    contrast).  Each keyword carries its own auction clock,
+    click-sampling RNG stream (split off [user_seed] by keyword) and
+    scratch, and auctions are driven with {!run_partitioned} instead of
+    {!run_auction}.  Different keywords may then be auctioned
+    concurrently from different domains, as long as each keyword has
+    exactly one owning lane.  Only [`Rh] and [`Rhtalu] support it.
     [cache] (default true) enables the cross-auction evaluation cache.
     Per keyword, the engine keeps the last completed
     winner-determination + pricing result together with the keyword's

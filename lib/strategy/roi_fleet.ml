@@ -52,15 +52,6 @@ type sql_state = { programs : Sql_program.t array }
    keyword notices the spend change in its own next auction's snapshot
    and re-seats / retires locally.  One lane owns each keyword, so all
    per-keyword structures are single-writer. *)
-type naive_p_state = {
-  np_store : State_store.t;
-  np_index : Bid_index.t;
-  (* retired.(kw).(adv): this keyword has observed the advertiser's
-     exhaustion and zeroed its local bid (the deferred, keyword-local form
-     of Roi_state.record_win's global retirement). *)
-  np_retired : bool array array;
-}
-
 type logical_p_state = {
   lp_base : logical_state;  (* time_triggers/adv_version fields unused *)
   lp_store : State_store.t;
@@ -79,7 +70,6 @@ type strategy =
   | Tabular of tabular_state
   | Logical of logical_state
   | Sql of sql_state
-  | Naive_p of naive_p_state
   | Logical_p of logical_p_state
   | Flat_p of State_store.t
       (* The scalable partitioned strategy: all state lives in the flat
@@ -519,23 +509,6 @@ let logical states =
   { states; nk; fleet_n = Array.length states; strategy = Logical ls;
     f_epochs = Array.make nk 0 }
 
-let naive_p states =
-  let nk = check_states states in
-  let n = Array.length states in
-  let np_index =
-    Bid_index.create ~num_keywords:nk ~n
-      ~bid:(fun ~keyword ~adv -> Roi_state.bid states.(adv) ~keyword)
-  in
-  let np =
-    {
-      np_store = State_store.create states ~num_keywords:nk;
-      np_index;
-      np_retired = Array.make_matrix nk n false;
-    }
-  in
-  { states; nk; fleet_n = Array.length states; strategy = Naive_p np;
-    f_epochs = Array.make nk 0 }
-
 let logical_p states =
   let nk = check_states states in
   let n = Array.length states in
@@ -605,13 +578,13 @@ let on_auction t ~time ~keyword =
         t.f_epochs.(keyword) <- t.f_epochs.(keyword) + 1;
       Adjustment_list.bulk_adjust ls.dec.(keyword) (-1);
       fire_bound_triggers ls t.states ~time ~keyword
-  | Naive_p _ | Logical_p _ | Flat_p _ ->
+  | Logical_p _ | Flat_p _ ->
       invalid_arg "Roi_fleet.on_auction: partitioned fleet (use begin_auction_p)"
 
 let bid t ~adv ~keyword =
   check_kw t keyword;
   match t.strategy with
-  | Naive _ | Naive_p _ -> Roi_state.bid t.states.(adv) ~keyword
+  | Naive _ -> Roi_state.bid t.states.(adv) ~keyword
   | Flat_p store -> State_store.flat_bid store ~keyword ~adv
   | Tabular ts -> Essa_relalg.Value.to_int ts.rows.(adv).(keyword).(2)
   | Sql { programs } -> Sql_program.bid_on programs.(adv) ~keyword:(keyword_name keyword)
@@ -676,12 +649,6 @@ let bids_desc t ~keyword =
         assert_index_matches_ground_truth seq
           (Array.mapi (fun adv st -> (adv, Roi_state.bid st ~keyword)) t.states);
       seq
-  | Naive_p np ->
-      let seq = Bid_index.to_seq_desc np.np_index ~keyword in
-      if !Bid_index.debug_checks then
-        assert_index_matches_ground_truth seq
-          (Array.mapi (fun adv st -> (adv, Roi_state.bid st ~keyword)) t.states);
-      seq
   | Tabular ts ->
       let seq = Bid_index.to_seq_desc ts.t_index ~keyword in
       if !Bid_index.debug_checks then
@@ -729,7 +696,6 @@ let sorted_views t ~keyword =
   check_kw t keyword;
   match t.strategy with
   | Naive index -> index_views index ~n:(n t) ~keyword
-  | Naive_p np -> index_views np.np_index ~n:(n t) ~keyword
   | Tabular ts -> index_views ts.t_index ~n:(n t) ~keyword
   | Logical ls -> logical_views ls ~keyword
   | Logical_p lp -> logical_views lp.lp_base ~keyword
@@ -757,7 +723,7 @@ let sorted_views t ~keyword =
 let record_win t ~time ~adv ~keyword ~price ~clicked =
   check_kw t keyword;
   (match t.strategy with
-  | Naive_p _ | Logical_p _ | Flat_p _ ->
+  | Logical_p _ | Flat_p _ ->
       (* Guard before any state mutation below. *)
       invalid_arg "Roi_fleet.record_win: partitioned fleet (use record_win_p)"
   | Naive _ | Tabular _ | Logical _ | Sql _ -> ());
@@ -799,7 +765,7 @@ let record_win t ~time ~adv ~keyword ~price ~clicked =
         reclassify_all ls t.states ~adv ~time;
         install_time_trigger ls t.states ~adv ~time
       end
-  | Naive_p _ | Logical_p _ | Flat_p _ ->
+  | Logical_p _ | Flat_p _ ->
       invalid_arg "Roi_fleet.record_win: partitioned fleet (use record_win_p)"
 
 let snapshot_bids t ~keyword =
@@ -809,11 +775,10 @@ let snapshot_bids t ~keyword =
 (* Partitioned (per-keyword) interface *)
 
 let partitioned t =
-  match t.strategy with Naive_p _ | Logical_p _ | Flat_p _ -> true | _ -> false
+  match t.strategy with Logical_p _ | Flat_p _ -> true | _ -> false
 
 let store_of t =
   match t.strategy with
-  | Naive_p np -> np.np_store
   | Logical_p lp -> lp.lp_store
   | Flat_p store -> store
   | _ -> invalid_arg "Roi_fleet: not a partitioned fleet"
@@ -833,11 +798,7 @@ let epoch_of t ~keyword =
   | Tabular ts -> Bid_index.version ts.t_index ~keyword
   | Logical ls -> ls.l_epoch.(keyword)
   | Sql _ -> 0 (* on_auction bumps the overlay every time: never cached *)
-  | Naive_p np ->
-      Bid_index.version np.np_index ~keyword
-      + State_store.epoch_of np.np_store ~keyword
-  | Logical_p lp ->
-      lp.lp_base.l_epoch.(keyword) + State_store.epoch_of lp.lp_store ~keyword
+  | Logical_p lp -> lp.lp_base.l_epoch.(keyword)
   | Flat_p store -> State_store.epoch_of store ~keyword
 
 let keyword_time t ~keyword =
@@ -874,41 +835,6 @@ let begin_auction_p t ~keyword ?snapshot () =
   match t.strategy with
   | Flat_p store ->
       State_store.flat_begin_auction store ~keyword ?override:snapshot ()
-  | Naive_p np ->
-      let time = State_store.tick np.np_store ~keyword in
-      let snap = State_store.snapshot np.np_store ~keyword ?override:snapshot () in
-      Array.iteri
-        (fun adv st ->
-          let amt = snap.(adv) in
-          if Roi_state.exhausted_at st ~amt then begin
-            (* Deferred, keyword-local retirement: the first auction on
-               this keyword that observes the exhaustion zeroes the local
-               bid (record_win_p never touches bids). *)
-            if not np.np_retired.(keyword).(adv) then begin
-              np.np_retired.(keyword).(adv) <- true;
-              Roi_state.set_bid st ~keyword ~bid:0;
-              Bid_index.note np.np_index ~keyword ~adv ~bid:0
-            end
-          end
-          else begin
-            (match
-               Roi_state.classify ~budget:(Roi_state.budget st) ~amt_spent:amt
-                 ~target_rate:(Roi_state.target_rate st) ~time
-                 ~bid:(Roi_state.bid st ~keyword)
-                 ~maxbid:(Roi_state.maxbid st ~keyword)
-             with
-            | Roi_state.Inc ->
-                Roi_state.set_bid st ~keyword
-                  ~bid:(Roi_state.bid st ~keyword + 1)
-            | Roi_state.Dec ->
-                Roi_state.set_bid st ~keyword
-                  ~bid:(Roi_state.bid st ~keyword - 1)
-            | Roi_state.Stay -> ());
-            Bid_index.note np.np_index ~keyword ~adv
-              ~bid:(Roi_state.bid st ~keyword)
-          end)
-        t.states;
-      (time, snap)
   | Logical_p lp ->
       let time = State_store.tick lp.lp_store ~keyword in
       let snap = State_store.snapshot lp.lp_store ~keyword ?override:snapshot () in
@@ -947,9 +873,9 @@ let record_win_p t ~adv ~keyword ~price ~clicked =
   match t.strategy with
   | Flat_p store ->
       if clicked then State_store.flat_record_win store ~adv ~keyword ~price
-  | Naive_p _ | Logical_p _ ->
+  | Logical_p lp ->
       if clicked then begin
-        ignore (State_store.charge (store_of t) ~adv ~price);
+        ignore (State_store.charge lp.lp_store ~adv ~price);
         Roi_state.note_win_kw t.states.(adv) ~keyword ~price
       end
   | _ -> invalid_arg "Roi_fleet.record_win_p: not a partitioned fleet"

@@ -47,22 +47,18 @@ val sql : Roi_state.t array -> t
     @raise Invalid_argument if any state carries a budget (not
     expressible in the SQL body). *)
 
-val naive_p : Roi_state.t array -> t
-(** Takes ownership.  The partitioned counterpart of {!naive}: per-auction
-    bid adjustments classify against a per-keyword spend {e snapshot} and
-    the keyword's local clock (see {!State_store}), never the live atomic
-    spend cells, and budget retirement is applied lazily per keyword.
+val logical_p : Roi_state.t array -> t
+(** Takes ownership.  The dense partitioned fleet, behind both [`Rh] and
+    [`Rhtalu] on a partitioned engine.  The partitioned counterpart of
+    {!logical}: the Section IV-B list/trigger machinery, classifying
+    against a per-keyword spend {e snapshot} and the keyword's local
+    clock (see {!State_store}), never the live atomic spend cells.  The
+    spend-rate trigger heap is split per keyword (keyed on keyword-local
+    clocks), and the winner re-seat and budget retirement — cross-keyword
+    in {!logical} — are deferred: each keyword notices spend movement in
+    its next auction's snapshot and re-seats the advertiser locally.
     Drive it with {!begin_auction_p} / {!record_win_p}; the serial
     {!on_auction} / {!record_win} raise. *)
-
-val logical_p : Roi_state.t array -> t
-(** Takes ownership.  The partitioned counterpart of {!logical}: the
-    Section IV-B list/trigger machinery with the spend-rate trigger heap
-    split per keyword (keyed on keyword-local clocks), and the winner
-    re-seat — cross-keyword in {!logical} — deferred: each keyword
-    notices spend movement in its next auction's snapshot and re-seats
-    the advertiser locally.  Observationally identical to {!naive_p}
-    under any per-keyword interleaving (property-tested). *)
 
 val flat_p : State_store.t -> t
 (** The scalable partitioned strategy over a {e flat} {!State_store}
@@ -71,15 +67,16 @@ val flat_p : State_store.t -> t
     churn.  All state lives in the store — {!state}, {!bids_desc} and
     {!sorted_views} raise (the engine reads partitions through
     {!State_store.flat_view}); {!begin_auction_p} / {!record_win_p}
-    delegate to the store and mirror {!naive_p} bit-for-bit on the
-    advertisers enrolled.
+    delegate to the store, which runs every enrolled advertiser's
+    adjustment explicitly and matches {!logical_p} bit-for-bit on a
+    static membership (property-tested).
     @raise Invalid_argument if the store is dense. *)
 
 val n : t -> int
 val num_keywords : t -> int
 
 val partitioned : t -> bool
-(** True for {!naive_p} / {!logical_p} / {!flat_p} fleets. *)
+(** True for {!logical_p} / {!flat_p} fleets. *)
 
 val is_flat : t -> bool
 
@@ -174,7 +171,7 @@ val epoch_of : t -> keyword:int -> int
 
 (** {2 Partitioned interface}
 
-    Only valid on {!naive_p} / {!logical_p} fleets; other fleets raise
+    Only valid on {!logical_p} / {!flat_p} fleets; other fleets raise
     [Invalid_argument].  Concurrency contract: each keyword has exactly
     one owning lane, which is the only caller of {!begin_auction_p} /
     {!tick_p} for that keyword; {!record_win_p} writes keyword-local

@@ -111,34 +111,6 @@ let on_auction t ~time ~keyword =
   | Dec -> t.bids.(keyword) <- t.bids.(keyword) - 1
   | Stay -> ()
 
-let enroll_keyword t ~keyword ~value ~maxbid ~bid ~premium =
-  check_kw t keyword;
-  if value < 0 || maxbid < 0 || premium < 0 then
-    invalid_arg "Roi_state.enroll_keyword: negative parameter";
-  if bid < 0 || bid > maxbid then
-    invalid_arg "Roi_state.enroll_keyword: bid outside [0, maxbid]";
-  t.values.(keyword) <- value;
-  t.maxbids.(keyword) <- maxbid;
-  t.bids.(keyword) <- bid;
-  t.premiums.(keyword) <- premium;
-  t.gained_by.(keyword) <- 0;
-  t.spent_by.(keyword) <- 0
-
-let retire_keyword t ~keyword =
-  check_kw t keyword;
-  t.values.(keyword) <- 0;
-  t.maxbids.(keyword) <- 0;
-  t.bids.(keyword) <- 0;
-  t.premiums.(keyword) <- 0;
-  t.gained_by.(keyword) <- 0;
-  t.spent_by.(keyword) <- 0
-
-let set_bid t ~keyword ~bid =
-  check_kw t keyword;
-  if bid < 0 || bid > t.maxbids.(keyword) then
-    invalid_arg "Roi_state.set_bid: bid outside [0, maxbid]";
-  t.bids.(keyword) <- bid
-
 let charge t ~price =
   if price < 0 then invalid_arg "Roi_state.charge: negative price";
   Atomic.fetch_and_add t.amt_spent price + price

@@ -78,25 +78,6 @@ val classify :
 val on_auction : t -> time:int -> keyword:int -> unit
 (** Apply the bid adjustment for an auction on [keyword] at [time]. *)
 
-val set_bid : t -> keyword:int -> bid:int -> unit
-(** Direct bid write, used by the partitioned fleet's keyword-local
-    re-seats and retirements (the serial path never needs it).
-    @raise Invalid_argument if [bid] is outside [\[0, maxbid\]]. *)
-
-val enroll_keyword :
-  t -> keyword:int -> value:int -> maxbid:int -> bid:int -> premium:int ->
-  unit
-(** (Re)activate the advertiser on [keyword] with fresh parameters and
-    zeroed keyword-local tallies — the dense-layout emulation of a flat
-    partition enroll, used by the churn-equivalence tests.
-    @raise Invalid_argument on negative parameters or bid bounds. *)
-
-val retire_keyword : t -> keyword:int -> unit
-(** Deactivate the advertiser on [keyword]: value, maxbid, bid, premium
-    and tallies all to zero, so [classify] holds the bid at [Stay]
-    forever and the engine scores the bidder 0 — the dense-layout
-    emulation of a flat partition retire. *)
-
 val charge : t -> price:int -> int
 (** [charge t ~price] atomically adds [price] to the cross-keyword
     [amt_spent] cell and returns the post-charge total.  Safe to call from

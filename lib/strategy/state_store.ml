@@ -65,14 +65,14 @@ type layout =
 
 type t = {
   clocks : int array;
-  (* Per-keyword dirty epochs: a monotone counter bumped by every mutation
-     that can change the keyword's next evaluation inputs — bid moves,
-     retirement transitions, enroll/retire churn, and that keyword's own
-     clicked charges.  Equal epochs bracket a window in which the
-     keyword's evaluation inputs were bit-identical; the engine's
-     evaluation cache keys on it.  Cross-keyword spend drift is *not*
-     counted here: it can only reach an auction through the begin-pass
-     classify step, whose bid moves bump the epoch themselves. *)
+  (* Per-keyword dirty epochs of a flat store: a monotone counter bumped
+     by every mutation that can change the keyword's next evaluation
+     inputs — bid moves, retirement transitions and enroll/retire churn.
+     Equal epochs bracket a window in which the keyword's evaluation
+     inputs were bit-identical; the engine's evaluation cache keys on
+     it.  Charges are *not* counted here: spend can only reach an auction
+     through the begin-pass classify step, whose bid moves bump the epoch
+     themselves.  A dense store's epochs stay 0. *)
   epochs : int array;
   (* Global charge clock: bumped (after the spend write) by every charge.
      Used only to skip refilling a spend snapshot that nothing could have
@@ -165,10 +165,6 @@ let time t ~keyword =
 let epoch_of t ~keyword =
   check_kw t keyword;
   t.epochs.(keyword)
-
-let bump_epoch t ~keyword =
-  check_kw t keyword;
-  t.epochs.(keyword) <- t.epochs.(keyword) + 1
 
 let tick t ~keyword =
   check_kw t keyword;
@@ -401,11 +397,12 @@ let snapshot t ~keyword ?override () =
 
 (* ------------------------------------------------------------------ *)
 (* Flat auction driver: the begin_auction_p / record_win_p semantics of
-   the dense naive_p fleet, expressed over the slot-indexed arrays.  Same
-   decision order per advertiser (retire-on-exhaustion first, then the
-   Roi_state.classify predicate with identical float expressions), same
-   snapshot discipline — property-tested bit-identical to the dense
-   store across churn sequences. *)
+   the dense logical_p fleet, run as an explicit per-slot loop over the
+   slot-indexed arrays.  Per advertiser, retire-on-exhaustion first, then
+   the Roi_state.classify predicate with identical float expressions;
+   same snapshot discipline — property-tested bit-identical to logical_p
+   under budgets and to a keyword-local reference across churn
+   sequences. *)
 
 let flat_begin_auction t ~keyword ?override () =
   check_kw t keyword;

@@ -73,7 +73,8 @@ val epoch_of : t -> keyword:int -> int
     can change the keyword's next evaluation inputs — bid moves and
     retirement transitions in {!flat_begin_auction}, {!flat_enroll} /
     {!flat_retire} (churn included: the {!set_on_tick} hook goes through
-    them), and any {!bump_epoch} threaded in by a dense fleet.  Two equal
+    them).  A dense store's epoch stays 0: the dense fleet counts its own
+    list placements and adjustments ([Roi_fleet.epoch_of]).  Two equal
     reads bracket a window in which a repeat auction on the keyword is
     guaranteed to rank, assign and price identically — the validity test
     for the engine's per-keyword evaluation cache.  Spend drift (charges,
@@ -82,11 +83,6 @@ val epoch_of : t -> keyword:int -> int
     begin-pass classify step, which runs before every auction and bumps
     the epoch iff a bid actually moves.  Single-owner read, like
     {!tick}. *)
-
-val bump_epoch : t -> keyword:int -> unit
-(** Mark the keyword dirty.  The dense fleets call this from their own
-    mutation paths ([begin_auction_p] bid moves, clicked wins, logical
-    adjustment changes); the flat store bumps internally. *)
 
 val tick : t -> keyword:int -> int
 (** Advance the keyword's clock and return the new time.  Single-owner:

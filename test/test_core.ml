@@ -817,7 +817,84 @@ let test_engine_accounting () =
       s.clicks
   done;
   Alcotest.(check int) "revenue accumulates" !total (Essa.Engine.total_revenue e);
+  (* Every clicked price is billed to its winner: the advertisers' spend
+     sums to the engine's revenue. *)
+  let fleet = Essa.Engine.fleet e in
+  Alcotest.(check int) "winners' billed spend = revenue"
+    (Essa.Engine.total_revenue e)
+    (List.fold_left ( + ) 0
+       (List.init (Essa.Engine.n e) (fun adv ->
+            Essa_strategy.Roi_fleet.amt_spent fleet ~adv)));
   Alcotest.(check int) "auction count" 100 (Essa.Engine.auctions_run e)
+
+(* The accounting identity on the partitioned shapes, where winners are
+   charged through the per-keyword commit path rather than the serial
+   loop: every summary's revenue is billed to its winners, so the
+   advertisers' spend sums to the engine's revenue. *)
+let check_billed_spend e ~queries =
+  let total = ref 0 in
+  Array.iter
+    (fun kw ->
+      let s = Essa.Engine.run_partitioned e ~keyword:kw in
+      let clicked = ref 0 in
+      Array.iteri
+        (fun j0 c -> if c then clicked := !clicked + s.prices.(j0))
+        s.clicks;
+      Alcotest.(check int) "revenue = clicked prices" !clicked s.revenue;
+      total := !total + s.revenue)
+    queries;
+  Alcotest.(check int) "revenue accumulates" !total (Essa.Engine.total_revenue e);
+  Alcotest.(check bool) "something was billed" true (!total > 0);
+  let fleet = Essa.Engine.fleet e in
+  Alcotest.(check int) "winners' billed spend = revenue" !total
+    (List.fold_left ( + ) 0
+       (List.init (Essa.Engine.n e) (fun adv ->
+            Essa_strategy.Roi_fleet.amt_spent fleet ~adv)))
+
+let test_engine_accounting_dense () =
+  let wl =
+    Essa_sim.Workload.section5 ~seed:6 ~n:50 ~k:4 ~num_keywords:5
+      ~budgeted_fraction:0.3 ()
+  in
+  List.iter
+    (fun method_ ->
+      let e = Essa_sim.Workload.make_engine ~partitioned:true wl ~method_ in
+      check_billed_spend e ~queries:(Essa_sim.Workload.queries wl ~seed:7 ~count:200))
+    [ `Rh; `Rhtalu ]
+
+let test_engine_accounting_flat () =
+  let u =
+    Essa_sim.Workload.universe ~keywords:8 ~n:60 ~zipf_s:1.1
+      ~budgeted_fraction:0.3 ~seed:8 ()
+  in
+  let e =
+    Essa_sim.Workload.make_flat_engine u ~store:(Essa_sim.Workload.universe_store u ())
+  in
+  check_billed_spend e
+    ~queries:(Essa_sim.Workload.universe_queries u ~seed:9 ~count:300)
+
+(* On a dense partitioned engine the method picks only the
+   winner-determination kernel over one logical_p fleet; the RH scan and
+   RHTALU's threshold algorithm rank identically, so the two engines
+   commit the same stream, spend snapshots included. *)
+let prop_partitioned_rh_eq_rhtalu =
+  qtest ~count:8 "dense partitioned: RH = RHTALU"
+    QCheck2.Gen.(int_range 0 10_000)
+    (fun seed ->
+      let wl =
+        Essa_sim.Workload.section5 ~seed ~n:30 ~k:3 ~num_keywords:4
+          ~brand_fraction:0.2 ~budgeted_fraction:0.3 ()
+      in
+      let e_rh = Essa_sim.Workload.make_engine ~partitioned:true wl ~method_:`Rh
+      and e_ta =
+        Essa_sim.Workload.make_engine ~partitioned:true wl ~method_:`Rhtalu
+      in
+      Array.for_all
+        (fun kw ->
+          Essa.Engine.run_partitioned e_rh ~keyword:kw
+          = Essa.Engine.run_partitioned e_ta ~keyword:kw)
+        (Essa_sim.Workload.queries wl ~seed:(seed + 1) ~count:150)
+      && Essa.Engine.total_revenue e_rh = Essa.Engine.total_revenue e_ta)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation cache: bit-identity.  A cached engine must be
@@ -918,13 +995,13 @@ let scripted_clock () =
 
 let mode_of i = if i mod 11 = 4 then Late else if i mod 6 = 5 then Cheap else Full
 
-let mixed_dense ~partitioned ~clock ~metrics =
+let mixed_dense ?(method_ = `Rhtalu) ~partitioned ~clock ~metrics () =
   let w =
     Essa_sim.Workload.section5 ~seed:5 ~n:40 ~k:4 ~num_keywords:3
       ~budgeted_fraction:0.3 ()
   in
   Essa.Engine.create ~metrics ~clock ~partitioned ~cache:true ~update_every:3
-    ~reserve:0 ~pricing:`Gsp ~method_:`Rhtalu ~ctr:(Essa_sim.Workload.ctr w)
+    ~reserve:0 ~pricing:`Gsp ~method_ ~ctr:(Essa_sim.Workload.ctr w)
     ~states:(Essa_sim.Workload.fresh_states w) ~user_seed:17 ()
 
 let mixed_flat ~clock ~metrics =
@@ -1016,7 +1093,7 @@ let test_mixed_tiers_serial () =
        essa.auction.degraded_unfilled=0 essa.engine.cache_hits=140 \
        essa.engine.cache_misses=100 \
        essa.engine.cache_invalidations=97"
-    ~make:(mixed_dense ~partitioned:false)
+    ~make:(mixed_dense ~partitioned:false ())
     ~queries:(mixed_queries ~keywords:3)
 
 let test_mixed_tiers_dense () =
@@ -1030,7 +1107,25 @@ let test_mixed_tiers_dense () =
        essa.auction.degraded_unfilled=22 essa.engine.cache_hits=108 \
        essa.engine.cache_misses=73 \
        essa.engine.cache_invalidations=70"
-    ~make:(mixed_dense ~partitioned:true)
+    ~make:(mixed_dense ~partitioned:true ())
+    ~queries:(mixed_queries ~keywords:3)
+
+(* The RH kernel on the same dense partitioned fleet: the summaries are
+   the RHTALU engine's (the two kernels rank identically), and only the
+   TA counters differ, since RH scans instead of running the threshold
+   algorithm. *)
+let test_mixed_tiers_dense_rh () =
+  check_mixed ~digest:"9b399b017a4d10889e9ea9207e4d241a"
+    ~counters:
+      "essa.auctions=240 essa.revenue_cents=15717 essa.clicks=474 \
+       essa.slots_filled=872 essa.ta.sorted_accesses=0 \
+       essa.ta.random_accesses=0 essa.ta.seen_objects=0 \
+       essa.reduction.candidates=1689 \
+       essa.auction.degraded_cheap=37 \
+       essa.auction.degraded_unfilled=22 essa.engine.cache_hits=108 \
+       essa.engine.cache_misses=73 \
+       essa.engine.cache_invalidations=70"
+    ~make:(mixed_dense ~method_:`Rh ~partitioned:true ())
     ~queries:(mixed_queries ~keywords:3)
 
 let test_mixed_tiers_flat () =
@@ -1097,6 +1192,11 @@ let () =
           Alcotest.test_case "methods agree on value" `Quick
             test_engine_all_methods_same_expected_value_one_auction;
           Alcotest.test_case "accounting" `Quick test_engine_accounting;
+          Alcotest.test_case "accounting (dense partitioned)" `Quick
+            test_engine_accounting_dense;
+          Alcotest.test_case "accounting (flat)" `Quick
+            test_engine_accounting_flat;
+          prop_partitioned_rh_eq_rhtalu;
           Alcotest.test_case "pricing rules: RH = RHTALU" `Slow
             test_engine_pricing_rules_equivalence;
           Alcotest.test_case "VCG price <= bid" `Quick test_engine_vcg_prices_bounded_by_bid;
@@ -1131,5 +1231,7 @@ let () =
             test_mixed_tiers_dense;
           Alcotest.test_case "mixed tiers pinned (flat)" `Quick
             test_mixed_tiers_flat;
+          Alcotest.test_case "mixed tiers pinned (dense partitioned, RH)" `Quick
+            test_mixed_tiers_dense_rh;
         ] );
     ]

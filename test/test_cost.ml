@@ -21,6 +21,7 @@ let ceilings =
     ("section5 rhtalu, partitioned", (3736.362, 1013.710));
     ("section5 rhtalu, serial", (3089.655, 0.0));
     ("section5 rh, serial", (164142.840, 0.0));
+    ("section5 rh, partitioned", (42141.662, 1013.710));
   ]
 
 type stream = {
@@ -73,6 +74,13 @@ let streams () =
       run = serial;
       queries = Array.sub q 0 120;
       warm = 20;
+    };
+    {
+      name = "section5 rh, partitioned";
+      engine = dense ~partitioned:true `Rh;
+      run = partitioned;
+      queries = q;
+      warm = 300;
     };
   ]
 

@@ -497,93 +497,6 @@ let test_table_pp_renders () =
   Alcotest.(check bool) "mentions table name" true (String.length s > 0);
   Alcotest.(check bool) "has separator row" true (String.contains s '-')
 
-(* ------------------------------------------------------------------ *)
-(* Derive: projection + join *)
-
-let test_derive_project () =
-  let t = make_kw_table () in
-  let doubled =
-    Derive.project ~from:t
-      ~columns:
-        [
-          ("text", Value.T_string, Expr.Col "text");
-          ("double_bid", Value.T_int, Expr.(Bin (Mul, Col "bid", int 2)));
-        ]
-      ~where:Expr.(Bin (Gt, Col "bid", int 1))
-      ~name:"Doubled" ()
-  in
-  Alcotest.(check int) "filtered" 2 (Table.cardinality doubled);
-  let bids =
-    List.map (fun r -> Value.to_int (Table.get_value doubled r "double_bid"))
-      (Table.to_rows doubled)
-  in
-  Alcotest.(check (list int)) "computed" [ 8; 16 ] bids
-
-let make_result_table () =
-  let schema =
-    Schema.make
-      [
-        { Schema.name = "text"; ty = Value.T_string };
-        { Schema.name = "slot"; ty = Value.T_int };
-      ]
-  in
-  let t = Table.create ~name:"Results" schema in
-  Table.insert t [| v_str "boot"; v_int 1 |];
-  Table.insert t [| v_str "shoe"; v_int 2 |];
-  Table.insert t [| v_str "hat"; v_int 3 |];
-  t
-
-let test_derive_join () =
-  let kw = make_kw_table () in
-  let results = make_result_table () in
-  let joined =
-    Derive.nested_loop_join ~left:kw ~right:results
-      ~on:Expr.(Bin (Eq, Col "Keywords.text", Col "Results.text"))
-      ~name:"J" ()
-  in
-  (* boot and shoe match; sock and hat do not. *)
-  Alcotest.(check int) "matches" 2 (Table.cardinality joined);
-  let pairs =
-    List.map
-      (fun r ->
-        ( Value.to_string_exn (Table.get_value joined r "Keywords.text"),
-          Value.to_int (Table.get_value joined r "Results.slot") ))
-      (Table.to_rows joined)
-  in
-  Alcotest.(check (list (pair string int))) "qualified columns"
-    [ ("boot", 1); ("shoe", 2) ] pairs
-
-let test_derive_join_cross_product_predicate () =
-  let kw = make_kw_table () in
-  let results = make_result_table () in
-  let joined =
-    Derive.nested_loop_join ~left:kw ~right:results
-      ~on:Expr.(Bin (Gt, Col "Keywords.bid", Col "Results.slot"))
-      ~name:"J2" ()
-  in
-  (* bid 4 beats slots 1,2,3; bid 8 beats 1,2,3; bid 1 beats none. *)
-  Alcotest.(check int) "pairs" 6 (Table.cardinality joined)
-
-let test_derive_join_same_name_rejected () =
-  let kw = make_kw_table () in
-  Alcotest.(check bool) "same name" true
-    (match
-       Derive.nested_loop_join ~left:kw ~right:kw ~on:(Expr.bool true) ~name:"X" ()
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_derive_project_type_checked () =
-  let t = make_kw_table () in
-  Alcotest.(check bool) "bad projection type" true
-    (match
-       Derive.project ~from:t
-         ~columns:[ ("oops", Value.T_int, Expr.Col "text") ]
-         ~name:"Bad" ()
-     with
-    | exception Value.Type_error _ -> true
-    | _ -> false)
-
 (* Property: Table.update touches exactly the rows matching the predicate. *)
 let prop_update_touches_only_matching =
   qtest "update touches exactly matching rows"
@@ -641,14 +554,6 @@ let () =
           Alcotest.test_case "no row scope" `Quick test_expr_no_row_scope;
           Alcotest.test_case "correlated subquery" `Quick test_expr_correlated_subquery;
           Alcotest.test_case "pp renders" `Quick test_expr_pp_renders;
-        ] );
-      ( "derive",
-        [
-          Alcotest.test_case "project" `Quick test_derive_project;
-          Alcotest.test_case "join" `Quick test_derive_join;
-          Alcotest.test_case "join predicate" `Quick test_derive_join_cross_product_predicate;
-          Alcotest.test_case "join same name" `Quick test_derive_join_same_name_rejected;
-          Alcotest.test_case "project type-checked" `Quick test_derive_project_type_checked;
         ] );
       ( "database",
         [

@@ -599,6 +599,56 @@ let test_open_loop_counts () =
   Alcotest.(check int) "accounted" 50 (report.accepted + report.shed);
   Alcotest.(check int) "accepted all committed" report.accepted stats.committed
 
+let load_gen_server () =
+  let workload =
+    Essa_sim.Workload.section5 ~seed:55 ~n:20 ~k:3 ~num_keywords:3 ()
+  in
+  let engine =
+    Essa_sim.Workload.make_engine ~partitioned:true workload ~method_:`Rhtalu
+  in
+  (workload, Server.create ~workers:1 ~queue_capacity:16 ~max_batch:4 ~engine ())
+
+let rejected f = match f () with exception Invalid_argument _ -> true | _ -> false
+
+(* Bad arguments are rejected before anything is submitted; a keyword
+   stream that runs dry mid-run is an error, and what it did submit
+   still commits. *)
+let test_open_loop_validation () =
+  let workload, server = load_gen_server () in
+  let keywords = Essa_sim.Workload.query_stream workload ~seed:56 in
+  Alcotest.(check bool) "offered < 0" true
+    (rejected (fun () -> Load_gen.open_loop server ~keywords ~offered:(-1) ()));
+  Alcotest.(check bool) "rate 0" true
+    (rejected (fun () ->
+         Load_gen.open_loop server ~keywords ~offered:5 ~rate_per_s:0.0 ()));
+  Alcotest.(check bool) "negative rate" true
+    (rejected (fun () ->
+         Load_gen.open_loop server ~keywords ~offered:5 ~rate_per_s:(-2.0) ()));
+  Alcotest.(check int) "nothing submitted" 0 (Server.accepted server);
+  Alcotest.(check bool) "keyword stream shorter than offered" true
+    (rejected (fun () ->
+         Load_gen.open_loop server ~keywords:(List.to_seq [ 0; 1; 2 ])
+           ~offered:4 ()));
+  let stats = Server.stop server in
+  Alcotest.(check int) "the three submitted queries commit" 3 stats.committed
+
+let test_closed_loop_validation () =
+  let workload, server = load_gen_server () in
+  let keywords = Essa_sim.Workload.query_stream workload ~seed:57 in
+  Alcotest.(check bool) "total < 0" true
+    (rejected (fun () -> Load_gen.closed_loop server ~keywords ~total:(-1) ()));
+  Alcotest.(check bool) "window 0" true
+    (rejected (fun () ->
+         Load_gen.closed_loop server ~keywords ~total:5 ~window:0 ()));
+  let report = Load_gen.closed_loop server ~keywords ~total:0 () in
+  Alcotest.(check int) "total 0 offers nothing" 0 report.offered;
+  Alcotest.(check bool) "keyword stream shorter than total" true
+    (rejected (fun () ->
+         Load_gen.closed_loop server ~keywords:(List.to_seq [ 2; 0 ])
+           ~total:3 ~window:2 ()));
+  let stats = Server.stop server in
+  Alcotest.(check int) "the two submitted queries commit" 2 stats.committed
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -660,5 +710,9 @@ let () =
         [
           Alcotest.test_case "closed loop" `Quick test_closed_loop_never_sheds;
           Alcotest.test_case "open loop" `Quick test_open_loop_counts;
+          Alcotest.test_case "open loop validation" `Quick
+            test_open_loop_validation;
+          Alcotest.test_case "closed loop validation" `Quick
+            test_closed_loop_validation;
         ] );
     ]

@@ -76,6 +76,51 @@ let test_workload_determinism () =
   let w2 = Essa_sim.Workload.section5 ~seed:7 ~n:10 () in
   Alcotest.(check bool) "same ctr" true (Essa_sim.Workload.ctr w1 = Essa_sim.Workload.ctr w2)
 
+(* [budgeted_fraction] gives that share of advertisers a daily budget of
+   50-500 cents; the rest stay unbudgeted. *)
+let test_workload_budgeted_share () =
+  let budgets fraction =
+    Array.map Essa_strategy.Roi_state.budget
+      (Essa_sim.Workload.fresh_states
+         (Essa_sim.Workload.section5 ~seed:4 ~n:400 ~budgeted_fraction:fraction ()))
+  in
+  Alcotest.(check bool) "fraction 0: no budgets" true
+    (Array.for_all Option.is_none (budgets 0.0));
+  Alcotest.(check bool) "fraction 1: every budget in [50, 500)" true
+    (Array.for_all
+       (function Some b -> b >= 50 && b < 500 | None -> false)
+       (budgets 1.0));
+  let half = Array.fold_left (fun c b -> if b = None then c else c + 1) 0 (budgets 0.5) in
+  Alcotest.(check bool) "fraction 0.5: about half" true (half >= 160 && half <= 240)
+
+(* [brand_fraction] puts the Section II-C slot-1 premium only on an
+   advertiser's highest-value keyword, at most half the value range. *)
+let test_workload_brand_premiums () =
+  let states fraction =
+    Essa_sim.Workload.fresh_states
+      (Essa_sim.Workload.section5 ~seed:5 ~n:60 ~num_keywords:6
+         ~brand_fraction:fraction ())
+  in
+  let premiums st =
+    List.init 6 (fun keyword -> Essa_strategy.Roi_state.premium st ~keyword)
+  in
+  Alcotest.(check bool) "fraction 0: no premiums" true
+    (Array.for_all (fun st -> List.for_all (( = ) 0) (premiums st)) (states 0.0));
+  Array.iter
+    (fun st ->
+      let values =
+        List.init 6 (fun keyword -> Essa_strategy.Roi_state.value st ~keyword)
+      in
+      let best = List.fold_left max 0 values in
+      List.iter2
+        (fun v p ->
+          if v = best then
+            Alcotest.(check bool) "premium on a favourite keyword" true
+              (p >= 1 && p <= 25)
+          else Alcotest.(check int) "no premium elsewhere" 0 p)
+        values (premiums st))
+    (states 1.0)
+
 let test_query_stream_uniform_range () =
   let wl = Essa_sim.Workload.section5 ~seed:1 ~n:5 () in
   let seen = Array.make 10 false in
@@ -319,73 +364,6 @@ let test_matcher_pruning_preserves_winners () =
   Alcotest.(check (float 1e-9)) "pruning is lossless" full_value pruned_value
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let run_traced ~auctions =
-  let wl = Essa_sim.Workload.section5 ~seed:9 ~n:40 ~k:4 () in
-  let engine = Essa_sim.Workload.make_engine wl ~method_:`Rh in
-  let trace = Essa_sim.Trace.create ~n:40 ~k:4 in
-  let fleet = Essa.Engine.fleet engine in
-  let values ~adv ~keyword =
-    Essa_strategy.Roi_state.value
-      (Essa_strategy.Roi_fleet.state fleet ~adv)
-      ~keyword
-  in
-  for t = 1 to auctions do
-    Essa_sim.Trace.record trace ~values (Essa.Engine.run_auction engine ~keyword:(t mod 10))
-  done;
-  (engine, trace)
-
-let test_trace_accounting () =
-  let engine, trace = run_traced ~auctions:200 in
-  Alcotest.(check int) "auctions" 200 (Essa_sim.Trace.auctions trace);
-  Alcotest.(check int) "revenue matches engine" (Essa.Engine.total_revenue engine)
-    (Essa_sim.Trace.revenue trace);
-  let reports = Essa_sim.Trace.report trace in
-  let total_spend = Array.fold_left (fun acc r -> acc + r.Essa_sim.Trace.spend) 0 reports in
-  Alcotest.(check int) "spend = revenue" (Essa_sim.Trace.revenue trace) total_spend;
-  Array.iter
-    (fun (r : Essa_sim.Trace.advertiser_report) ->
-      Alcotest.(check bool) "clicks <= impressions" true (r.clicks <= r.impressions);
-      Alcotest.(check int) "surplus identity" r.surplus (r.value_gained - r.spend))
-    reports
-
-let test_trace_top_spenders_sorted () =
-  let _, trace = run_traced ~auctions:150 in
-  let top = Essa_sim.Trace.top_spenders trace ~count:5 in
-  Alcotest.(check int) "five" 5 (List.length top);
-  let rec sorted = function
-    | (a : Essa_sim.Trace.advertiser_report) :: b :: rest ->
-        a.spend >= b.spend && sorted (b :: rest)
-    | _ -> true
-  in
-  Alcotest.(check bool) "descending spend" true (sorted top)
-
-let test_trace_revenue_series () =
-  let _, trace = run_traced ~auctions:100 in
-  let series = Essa_sim.Trace.revenue_series trace ~bucket:25 in
-  Alcotest.(check int) "4 buckets" 4 (List.length series);
-  let mean = List.fold_left ( +. ) 0.0 series /. 4.0 in
-  Alcotest.(check (float 1e-6)) "bucket means average to overall mean"
-    (float_of_int (Essa_sim.Trace.revenue trace) /. 100.0)
-    mean
-
-let test_trace_bucket_validation () =
-  let _, trace = run_traced ~auctions:10 in
-  Alcotest.(check bool) "bucket <= 0" true
-    (match Essa_sim.Trace.revenue_series trace ~bucket:0 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_trace_csv_shape () =
-  let _, trace = run_traced ~auctions:20 in
-  let csv = Essa_sim.Trace.to_csv trace in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check string) "header" "auction,keyword,slot,advertiser,price,clicked,revenue"
-    (List.hd lines);
-  Alcotest.(check bool) "one row per occupied slot" true (List.length lines > 20)
-
-(* ------------------------------------------------------------------ *)
 (* Cli_spec *)
 
 let test_cli_parse_bids () =
@@ -412,68 +390,6 @@ let test_cli_parse_probs () =
     (bad (fun () -> Essa_sim.Cli_spec.parse_probs ~k:2 "0.5"));
   Alcotest.(check bool) "not a float" true
     (bad (fun () -> Essa_sim.Cli_spec.parse_probs ~k:1 "zed"))
-
-(* ------------------------------------------------------------------ *)
-(* Ramp_engine *)
-
-let make_ramp_engines seed n k =
-  let rng = Essa_util.Rng.create seed in
-  let ctr =
-    Array.init n (fun _ ->
-        Array.init k (fun j ->
-            let hi = 0.9 -. (0.8 /. float_of_int k *. float_of_int j) in
-            Essa_util.Rng.float_in rng (hi -. (0.8 /. float_of_int k)) hi))
-  in
-  let starts = Array.init n (fun _ -> Essa_util.Rng.int rng 20) in
-  let rates = Array.init n (fun _ -> Essa_util.Rng.int rng 4) in
-  let budgets = Array.init n (fun _ -> 100 + Essa_util.Rng.int rng 900) in
-  let make mode =
-    Essa_sim.Ramp_engine.create ~mode ~ctr ~starts ~rates ~budgets
-      ~user_seed:(seed + 1)
-  in
-  (make `Scan, make `Ta)
-
-let test_ramp_engine_modes_bit_identical () =
-  let scan, ta = make_ramp_engines 17 300 6 in
-  for _ = 1 to 400 do
-    let s1 = Essa_sim.Ramp_engine.run_auction scan in
-    let s2 = Essa_sim.Ramp_engine.run_auction ta in
-    if s1 <> s2 then Alcotest.fail "scan and TA modes diverged"
-  done;
-  Alcotest.(check int) "revenues" (Essa_sim.Ramp_engine.total_revenue scan)
-    (Essa_sim.Ramp_engine.total_revenue ta);
-  for adv = 0 to 299 do
-    Alcotest.(check int) "budgets in sync"
-      (Essa_sim.Ramp_engine.remaining scan ~adv)
-      (Essa_sim.Ramp_engine.remaining ta ~adv)
-  done
-
-let test_ramp_engine_budgets_deplete () =
-  let _, ta = make_ramp_engines 3 50 4 in
-  let initial_total =
-    List.init 50 (fun adv -> Essa_sim.Ramp_engine.remaining ta ~adv)
-    |> List.fold_left ( + ) 0
-  in
-  for _ = 1 to 300 do
-    ignore (Essa_sim.Ramp_engine.run_auction ta)
-  done;
-  let final_total =
-    List.init 50 (fun adv -> Essa_sim.Ramp_engine.remaining ta ~adv)
-    |> List.fold_left ( + ) 0
-  in
-  (* Every cent of revenue left somebody's budget. *)
-  Alcotest.(check int) "budget conservation"
-    (initial_total - final_total)
-    (Essa_sim.Ramp_engine.total_revenue ta)
-
-let test_ramp_engine_validation () =
-  Alcotest.(check bool) "shape mismatch" true
-    (match
-       Essa_sim.Ramp_engine.create ~mode:`Ta ~ctr:[| [| 0.5 |] |] ~starts:[| 1; 2 |]
-         ~rates:[| 1 |] ~budgets:[| 1 |] ~user_seed:0
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Zipf universe *)
@@ -613,6 +529,8 @@ let () =
           Alcotest.test_case "fresh states independent" `Quick
             test_workload_fresh_states_independent;
           Alcotest.test_case "determinism" `Quick test_workload_determinism;
+          Alcotest.test_case "budgeted share" `Quick test_workload_budgeted_share;
+          Alcotest.test_case "brand premiums" `Quick test_workload_brand_premiums;
           Alcotest.test_case "query stream" `Quick test_query_stream_uniform_range;
         ] );
       ( "universe",
@@ -638,21 +556,6 @@ let () =
           Alcotest.test_case "parse bids" `Quick test_cli_parse_bids;
           Alcotest.test_case "parse bids errors" `Quick test_cli_parse_bids_errors;
           Alcotest.test_case "parse probs" `Quick test_cli_parse_probs;
-        ] );
-      ( "ramp_engine",
-        [
-          Alcotest.test_case "scan = TA (bit-identical)" `Quick
-            test_ramp_engine_modes_bit_identical;
-          Alcotest.test_case "budget conservation" `Quick test_ramp_engine_budgets_deplete;
-          Alcotest.test_case "validation" `Quick test_ramp_engine_validation;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "accounting" `Quick test_trace_accounting;
-          Alcotest.test_case "top spenders" `Quick test_trace_top_spenders_sorted;
-          Alcotest.test_case "revenue series" `Quick test_trace_revenue_series;
-          Alcotest.test_case "csv shape" `Quick test_trace_csv_shape;
-          Alcotest.test_case "bucket validation" `Quick test_trace_bucket_validation;
         ] );
       ( "experiment",
         [

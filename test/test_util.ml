@@ -285,67 +285,6 @@ let test_topk_of_array () =
     (Topk.of_array ~k:2 ~compare:Int.compare [| 3; 9; 1; 8; 2 |])
 
 (* ------------------------------------------------------------------ *)
-(* Kmerge *)
-
-let prop_kmerge_sorted =
-  qtest "merge_desc yields sorted union"
-    QCheck2.Gen.(list_size (int_bound 5) (list_size (int_bound 30) (int_range 0 100)))
-    (fun lists ->
-      let sorted_desc = List.map (fun l -> List.sort (fun a b -> compare b a) l) lists in
-      let merged = Kmerge.merge_desc_lists ~compare:Int.compare sorted_desc in
-      let expected = List.sort (fun a b -> compare b a) (List.concat sorted_desc) in
-      merged = expected)
-
-let test_kmerge_take () =
-  let s = List.to_seq [ 9; 7; 5 ] in
-  Alcotest.(check (list int)) "take 2" [ 9; 7 ] (Kmerge.take 2 s);
-  Alcotest.(check (list int)) "take beyond" [ 9; 7; 5 ] (Kmerge.take 10 s)
-
-let test_kmerge_stability () =
-  let merged =
-    Kmerge.merge_desc_lists
-      ~compare:(fun (a, _) (b, _) -> Int.compare a b)
-      [ [ (5, "a") ]; [ (5, "b") ] ]
-  in
-  Alcotest.(check (list (pair int string))) "ties from earlier list first"
-    [ (5, "a"); (5, "b") ] merged
-
-let prop_kmerge_lazy =
-  (* The lazy Seq merge agrees with sorting the concatenation, duplicate
-     keys included — the narrow value range forces collisions. *)
-  qtest "lazy merge_desc = sort of concatenation, dups preserved"
-    QCheck2.Gen.(list_size (int_bound 6) (list_size (int_bound 25) (int_range 0 8)))
-    (fun lists ->
-      let sorted_desc =
-        List.map (fun l -> List.sort (fun a b -> compare b a) l) lists
-      in
-      let merged =
-        List.of_seq
-          (Kmerge.merge_desc ~compare:Int.compare
-             (List.map List.to_seq sorted_desc))
-      in
-      merged = List.sort (fun a b -> compare b a) (List.concat lists))
-
-let prop_kmerge_lazy_prefix =
-  (* Laziness: taking a k-prefix never demands more of the inputs than a
-     full merge would, and the prefix matches the eager merge's prefix. *)
-  qtest "take k of lazy merge = prefix of eager merge"
-    QCheck2.Gen.(
-      pair (int_bound 12)
-        (list_size (int_bound 5) (list_size (int_bound 20) (int_range 0 50))))
-    (fun (k, lists) ->
-      let sorted_desc =
-        List.map (fun l -> List.sort (fun a b -> compare b a) l) lists
-      in
-      let eager = Kmerge.merge_desc_lists ~compare:Int.compare sorted_desc in
-      let lazy_prefix =
-        Kmerge.take k
-          (Kmerge.merge_desc ~compare:Int.compare
-             (List.map List.to_seq sorted_desc))
-      in
-      lazy_prefix = List.filteri (fun i _ -> i < k) eager)
-
-(* ------------------------------------------------------------------ *)
 (* Min_heap *)
 
 let prop_min_heap_sorts =
@@ -645,14 +584,6 @@ let () =
           Alcotest.test_case "float elements" `Quick test_topk_floats;
           Alcotest.test_case "negative k" `Quick test_topk_negative_k;
           Alcotest.test_case "of_array" `Quick test_topk_of_array;
-        ] );
-      ( "kmerge",
-        [
-          prop_kmerge_sorted;
-          prop_kmerge_lazy;
-          prop_kmerge_lazy_prefix;
-          Alcotest.test_case "take" `Quick test_kmerge_take;
-          Alcotest.test_case "stability" `Quick test_kmerge_stability;
         ] );
       ( "min_heap",
         [

@@ -159,6 +159,82 @@ let test_int_array_prefix () =
   | () -> Alcotest.fail "prefix longer than the array accepted"
   | exception Invalid_argument _ -> ()
 
+(* The aggregate codecs: float, bool and nested arrays and options
+   round-trip, empty ones included, and leave the reader exactly at the
+   end of what was written. *)
+let test_bincode_aggregates () =
+  let floats = [| 0.0; -0.0; 1.5; -3.25e-7; infinity; neg_infinity; max_float |] in
+  let nested = [| [| "a"; "" |]; [||]; [| "bc" |] |] in
+  let buf = Buffer.create 256 in
+  B.write_float_array buf floats;
+  B.write_float_array buf [||];
+  B.write_bool_array buf [| true; false; true |];
+  B.write_array buf (fun b a -> B.write_array b B.write_string a) nested;
+  B.write_option buf B.write_float (Some nan);
+  B.write_string buf "";
+  let s = Buffer.contents buf in
+  let r = B.reader s in
+  let bits a = Array.map Int64.bits_of_float a in
+  Alcotest.(check (array int64)) "float array, bit-exact" (bits floats)
+    (bits (B.read_float_array r));
+  Alcotest.(check int) "empty float array" 0 (Array.length (B.read_float_array r));
+  Alcotest.(check (array bool)) "bool array" [| true; false; true |]
+    (B.read_bool_array r);
+  Alcotest.(check (array (array string))) "nested arrays" nested
+    (B.read_array r (fun r -> B.read_array r B.read_string));
+  Alcotest.(check bool) "option of nan" true
+    (match B.read_option r B.read_float with
+    | Some f -> Float.is_nan f
+    | None -> false);
+  Alcotest.(check string) "empty string" "" (B.read_string r);
+  Alcotest.(check int) "fully consumed" (String.length s) (B.pos r);
+  Alcotest.(check int) "nothing left" 0 (B.remaining r)
+
+(* A tag byte that is neither 0 nor 1 is malformed input, reported as
+   [Truncated] like a short read, never a guess. *)
+let test_bincode_bad_tags () =
+  let raises_truncated f =
+    match f () with exception B.Truncated -> true | _ -> false
+  in
+  let byte v =
+    let buf = Buffer.create 1 in
+    B.write_u8 buf v;
+    B.reader (Buffer.contents buf)
+  in
+  Alcotest.(check bool) "bool byte 2" true
+    (raises_truncated (fun () -> B.read_bool (byte 2)));
+  Alcotest.(check bool) "option tag 7" true
+    (raises_truncated (fun () -> B.read_option (byte 7) B.read_int));
+  let buf = Buffer.create 16 in
+  B.write_int buf 2;
+  B.write_u8 buf 1;
+  B.write_u8 buf 255;
+  Alcotest.(check bool) "bad element in a bool array" true
+    (raises_truncated (fun () -> B.read_bool_array (B.reader (Buffer.contents buf))));
+  Alcotest.(check bool) "negative array length" true
+    (raises_truncated (fun () ->
+         let buf = Buffer.create 8 in
+         B.write_int buf (-1);
+         B.read_float_array (B.reader (Buffer.contents buf))))
+
+let test_crc_bytes_and_bounds () =
+  let st = Random.State.make [| 29 |] in
+  for len = 0 to 40 do
+    let s = random_string st len in
+    Alcotest.(check int32) "bytes = string" (Crc.string s)
+      (Crc.bytes (Bytes.of_string s))
+  done;
+  Alcotest.(check int32) "empty substring is the identity" 0x12345678l
+    (Crc.update 0x12345678l "abc" ~pos:3 ~len:0);
+  let rejected ~pos ~len =
+    match Crc.update 0l "abcdef" ~pos ~len with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "negative pos" true (rejected ~pos:(-1) ~len:2);
+  Alcotest.(check bool) "negative len" true (rejected ~pos:0 ~len:(-1));
+  Alcotest.(check bool) "past the end" true (rejected ~pos:4 ~len:3)
+
 (* A reader window over part of a string stops at the window's end. *)
 let test_reader_window () =
   let buf = Buffer.create 32 in
@@ -637,6 +713,11 @@ let () =
           QCheck_alcotest.to_alcotest crc_split;
           Alcotest.test_case "array prefix form" `Quick test_int_array_prefix;
           Alcotest.test_case "reader window" `Quick test_reader_window;
+          Alcotest.test_case "aggregates round-trip" `Quick
+            test_bincode_aggregates;
+          Alcotest.test_case "bad tags" `Quick test_bincode_bad_tags;
+          Alcotest.test_case "crc32 bytes and bounds" `Quick
+            test_crc_bytes_and_bounds;
         ] );
       ( "wal",
         [
