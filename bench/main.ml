@@ -214,14 +214,6 @@ let ablation_topk () =
              ignore (Essa_matching.Reduction.top_per_slot ~w ~count:15)));
       Test.make ~name:"tree-merge/n=50000"
         (Staged.stage (fun () -> ignore (Essa_matching.Tree_topk.tree_merge ~w ~count:15)));
-      Test.make ~name:"adhoc-domains-4/n=50000"
-        (Staged.stage (fun () ->
-             ignore (Essa_matching.Tree_topk.parallel ~domains:4 ~w ~count:15 ())));
-      (let pool = Essa_util.Domain_pool.create 4 in
-       (* [domains] defaults to the pool's size. *)
-       Test.make ~name:"pool-4/n=50000"
-         (Staged.stage (fun () ->
-              ignore (Essa_matching.Tree_topk.parallel ~pool ~w ~count:15 ()))));
     ]
 
 let ablation_lp () =
@@ -299,9 +291,6 @@ let ablation_heavyweight () =
     [
       Test.make ~name:"serial/2^8-patterns"
         (Staged.stage (fun () -> ignore (Essa.Heavyweight.solve ~model ~bids ())));
-      (let pool = Essa_util.Domain_pool.create 4 in
-       Test.make ~name:"pool-4/2^8-patterns"
-         (Staged.stage (fun () -> ignore (Essa.Heavyweight.solve ~pool ~model ~bids ()))));
     ]
 
 let ablation_pricing () =

@@ -85,14 +85,7 @@ let report_metrics ~out ~name = function
 (* ------------------------------------------------------------------ *)
 (* Figure 12 *)
 
-(* Run [f pool_opt] with an optional standing pool of [domains] workers:
-   0 means serial (no pool created). *)
-let with_opt_pool domains f =
-  if domains <= 0 then f None
-  else
-    Essa_util.Domain_pool.with_pool domains (fun pool -> f (Some pool))
-
-let fig12 seed auctions ns out skip_lp_dense quick brand metrics pool_domains =
+let fig12 seed auctions ns out skip_lp_dense quick brand metrics =
   let metrics = parse_metrics metrics in
   let ns =
     match parse_ns ns with
@@ -109,18 +102,16 @@ let fig12 seed auctions ns out skip_lp_dense quick brand metrics pool_domains =
     (if skip_lp_dense then [] else [ `Lp_dense ]) @ [ `Lp; `H; `Rh; `Rhtalu ]
   in
   let series =
-    with_opt_pool pool_domains (fun pool ->
-        List.map
-          (fun method_ ->
-            let s =
-              Essa_sim.Experiment.run_series
-                ?metrics:(Option.map snd metrics) ?pool
-                ~brand_fraction:brand ~method_ ~seed ~ns ~auctions ()
-            in
-            Printf.printf "  measured %s (%d points)\n%!" s.label
-              (List.length s.points);
-            s)
-          methods)
+    List.map
+      (fun method_ ->
+        let s =
+          Essa_sim.Experiment.run_series ?metrics:(Option.map snd metrics)
+            ~brand_fraction:brand ~method_ ~seed ~ns ~auctions ()
+        in
+        Printf.printf "  measured %s (%d points)\n%!" s.label
+          (List.length s.points);
+        s)
+      methods
   in
   report ~out ~name:"fig12" series;
   report_metrics ~out ~name:"fig12" metrics
@@ -128,7 +119,7 @@ let fig12 seed auctions ns out skip_lp_dense quick brand metrics pool_domains =
 (* ------------------------------------------------------------------ *)
 (* Figure 13 *)
 
-let fig13 seed auctions ns out quick brand metrics pool_domains =
+let fig13 seed auctions ns out quick brand metrics =
   let metrics = parse_metrics metrics in
   let ns =
     match parse_ns ns with
@@ -140,18 +131,16 @@ let fig13 seed auctions ns out quick brand metrics pool_domains =
     "Figure 13: reducing program evaluation — RH vs RHTALU (seed %d, %d auctions/point)\n\n%!"
     seed auctions;
   let series =
-    with_opt_pool pool_domains (fun pool ->
-        List.map
-          (fun method_ ->
-            let s =
-              Essa_sim.Experiment.run_series
-                ?metrics:(Option.map snd metrics) ?pool
-                ~brand_fraction:brand ~method_ ~seed ~ns ~auctions ()
-            in
-            Printf.printf "  measured %s (%d points)\n%!" s.label
-              (List.length s.points);
-            s)
-          [ `Rh; `Rhtalu ])
+    List.map
+      (fun method_ ->
+        let s =
+          Essa_sim.Experiment.run_series ?metrics:(Option.map snd metrics)
+            ~brand_fraction:brand ~method_ ~seed ~ns ~auctions ()
+        in
+        Printf.printf "  measured %s (%d points)\n%!" s.label
+          (List.length s.points);
+        s)
+      [ `Rh; `Rhtalu ]
   in
   report ~out ~name:"fig13" series;
   report_metrics ~out ~name:"fig13" metrics
@@ -256,12 +245,12 @@ let ablation_logical seed =
         (time_mode Essa_strategy.Roi_fleet.logical))
     [ 1000; 4000; 16000 ]
 
-let ablation_parallel seed =
+let ablation_tree seed =
   Printf.printf
-    "Ablation: Section III-E parallel tree aggregation (top-k reduction)\n\n\
-     On a single-vCPU container no speedup is physically available: the\n\
-     point of this table is exactness (identical top lists) and the cost\n\
-     of coordination (pooled workers vs per-call domain spawn).\n\n";
+    "Ablation: Section III-E tree aggregation (top-k reduction)\n\n\
+     The binary combining tree run serially against the heap scan: the\n\
+     point of this table is exactness (identical top lists) and the\n\
+     O(log n) depth, not speed.\n\n";
   let n = 200_000 and k = 15 in
   let rng = Essa_util.Rng.create seed in
   let w =
@@ -273,29 +262,19 @@ let ablation_parallel seed =
     Essa_util.Timing.repeat_time_ms 5 (fun () ->
         ignore (Essa_matching.Reduction.top_per_slot ~w ~count:k))
   in
-  Printf.printf "%28s %10.2f ms\n%!" "sequential heap scan" t_heap;
-  let tops_ref = Essa_matching.Reduction.top_per_slot ~w ~count:k in
-  List.iter
-    (fun domains ->
-      Essa_util.Domain_pool.with_pool domains (fun pool ->
-          let t =
-            Essa_util.Timing.repeat_time_ms 5 (fun () ->
-                ignore (Essa_matching.Tree_topk.parallel ~pool ~domains ~w ~count:k ()))
-          in
-          let tops = Essa_matching.Tree_topk.parallel ~pool ~domains ~w ~count:k () in
-          let same = tops = tops_ref in
-          Printf.printf "%25s %2d %10.2f ms   (identical result: %b)\n%!"
-            "pooled workers, domains =" domains t same))
-    [ 2; 4; 8 ];
-  let t_adhoc =
+  Printf.printf "%28s %10.2f ms\n%!" "heap scan" t_heap;
+  let t_tree =
     Essa_util.Timing.repeat_time_ms 5 (fun () ->
-        ignore (Essa_matching.Tree_topk.parallel ~domains:4 ~w ~count:k ()))
+        ignore (Essa_matching.Tree_topk.tree_merge ~w ~count:k))
   in
-  Printf.printf "%28s %10.2f ms   (spawn cost dominates)\n%!" "ad-hoc domains, 4" t_adhoc
+  let tops, depth = Essa_matching.Tree_topk.tree_merge ~w ~count:k in
+  Printf.printf "%28s %10.2f ms   (depth %d, identical result: %b)\n%!"
+    "serial tree_merge" t_tree depth
+    (tops = Essa_matching.Reduction.top_per_slot ~w ~count:k)
 
 let ablation_heavyweight seed =
   Printf.printf
-    "Ablation: heavyweight winner determination, serial vs parallel over 2^k patterns\n\n";
+    "Ablation: heavyweight winner determination over 2^k patterns\n\n";
   let rng = Essa_util.Rng.create seed in
   let n = 200 in
   List.iter
@@ -324,25 +303,13 @@ let ablation_heavyweight seed =
                   amount = 1 + Essa_util.Rng.int rng 50 };
               ])
       in
-      let t1, r1 =
-        let t =
-          Essa_util.Timing.repeat_time_ms 3 (fun () ->
-              ignore (Essa.Heavyweight.solve ~model ~bids ()))
-        in
-        (t, Essa.Heavyweight.solve ~model ~bids ())
+      let t =
+        Essa_util.Timing.repeat_time_ms 3 (fun () ->
+            ignore (Essa.Heavyweight.solve ~model ~bids ()))
       in
-      let t4, r4 =
-        Essa_util.Domain_pool.with_pool 4 (fun pool ->
-            let t =
-              Essa_util.Timing.repeat_time_ms 3 (fun () ->
-                  ignore (Essa.Heavyweight.solve ~pool ~model ~bids ()))
-            in
-            (t, Essa.Heavyweight.solve ~pool ~model ~bids ()))
-      in
-      Printf.printf
-        "k=%2d (2^k=%5d patterns): serial %8.2f ms, pool of 4 %8.2f ms, values agree: %b\n%!"
-        k (1 lsl k) t1 t4
-        (abs_float (r1.Essa.Heavyweight.value -. r4.Essa.Heavyweight.value) < 1e-6))
+      let r = Essa.Heavyweight.solve ~model ~bids () in
+      Printf.printf "k=%2d (2^k=%5d patterns): %8.2f ms, value %.2f\n%!" k
+        (1 lsl k) t r.Essa.Heavyweight.value)
     [ 6; 8; 10; 12 ]
 
 let ablation_fas seed =
@@ -715,13 +682,6 @@ let metrics_t =
            ~doc:"Emit an Essa_obs metrics snapshot (phase-latency histograms, \
                  TA access counters) alongside the CSV: text | json | prom.")
 
-let pool_t =
-  Arg.(value & opt int 0
-       & info [ "pool" ]
-           ~doc:"Fan a sweep's points out over this many standing worker \
-                 domains (0 = serial).  Points, labels and merged metrics \
-                 are identical to a serial sweep's.")
-
 let lp_dense_t =
   Arg.(value & flag
        & info [ "skip-lp-dense" ]
@@ -730,12 +690,12 @@ let lp_dense_t =
 let fig12_cmd =
   Cmd.v (Cmd.info "fig12" ~doc:"Winner-determination performance (Fig. 12)")
     Term.(const fig12 $ seed_t $ auctions_t $ ns_t $ out_t $ lp_dense_t $ quick_t
-          $ brand_t $ metrics_t $ pool_t)
+          $ brand_t $ metrics_t)
 
 let fig13_cmd =
   Cmd.v (Cmd.info "fig13" ~doc:"Reducing program evaluation (Fig. 13)")
     Term.(const fig13 $ seed_t $ auctions_t $ ns_t $ out_t $ quick_t $ brand_t
-          $ metrics_t $ pool_t)
+          $ metrics_t)
 
 let ablation_cmd name doc f =
   Cmd.v (Cmd.info name ~doc) Term.(const f $ seed_t)
@@ -750,12 +710,12 @@ let bakeoff_cmd =
 
 let all_cmd =
   let run seed =
-    fig12 seed None None (Some "results") false true 0.0 (Some "text") 0;
-    fig13 seed None None (Some "results") true 0.0 (Some "text") 0;
+    fig12 seed None None (Some "results") false true 0.0 (Some "text");
+    fig13 seed None None (Some "results") true 0.0 (Some "text");
     bakeoff seed true (Some "results");
     ablation_ta seed;
     ablation_logical seed;
-    ablation_parallel seed;
+    ablation_tree seed;
     ablation_heavyweight seed;
     ablation_fas seed;
     ablation_pricing_rules seed;
@@ -778,8 +738,8 @@ let main =
       fig13_cmd;
       ablation_cmd "ablation-ta" "Threshold-algorithm access counts vs full scan" ablation_ta;
       ablation_cmd "ablation-logical" "Logical vs explicit program updates" ablation_logical;
-      ablation_cmd "ablation-parallel" "Domain-parallel tree top-k aggregation" ablation_parallel;
-      ablation_cmd "ablation-heavyweight" "2^k-pattern heavyweight WD, serial vs parallel" ablation_heavyweight;
+      ablation_cmd "ablation-tree" "Serial tree top-k aggregation vs the heap scan" ablation_tree;
+      ablation_cmd "ablation-heavyweight" "2^k-pattern heavyweight WD" ablation_heavyweight;
       ablation_cmd "ablation-fas" "Theorem 3 FAS encoding: optimal vs greedy" ablation_fas;
       ablation_cmd "ablation-pricing-rules" "Provider revenue under GSP / VCG / pay-as-bid"
         ablation_pricing_rules;

@@ -76,11 +76,6 @@ let () =
     (abs_float (result.value -. brute.value) < 1e-6)
     brute.value;
 
-  (* And the parallel version over 4 domains. *)
-  let par = Essa.Heavyweight.solve ~domains:4 ~model ~bids () in
-  Format.printf "Domain-parallel enumeration agrees: %b@."
-    (abs_float (result.value -. par.value) < 1e-9);
-
   (* Contrast: a class-blind auction would mis-state every probability. *)
   Format.printf
     "@.Without the class model, the provider would assume no click diversion@.\

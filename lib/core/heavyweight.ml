@@ -53,34 +53,14 @@ let best_of results =
   | Some (mask, assignment, value) -> (mask, assignment, value)
   | None -> invalid_arg "Heavyweight: no patterns (k = 0?)"
 
-let solve ?pool ?(domains = 1) ~model ~bids () =
+let solve ~model ~bids () =
   check ~model ~bids;
-  let module CM = Essa_prob.Class_model in
-  let k = CM.k model in
-  let masks = List.init (1 lsl k) (fun mask -> mask) in
-  let evaluate mask =
-    let heavy_slots = pattern_of_mask ~k mask in
-    let assignment, value = solve_pattern ~model ~bids ~heavy_slots in
-    (mask, assignment, value)
-  in
+  let k = Essa_prob.Class_model.k model in
   let results =
-    if domains <= 1 && pool = None then List.map evaluate masks
-    else begin
-      let shards =
-        match pool with Some p -> Essa_util.Domain_pool.size p | None -> domains
-      in
-      let chunks =
-        List.init shards (fun d ->
-            List.filter (fun mask -> mask mod shards = d) masks)
-      in
-      let tasks = List.map (fun chunk () -> List.map evaluate chunk) chunks in
-      let parts =
-        match pool with
-        | Some p -> Essa_util.Domain_pool.run p tasks
-        | None -> List.map Domain.join (List.map Domain.spawn tasks)
-      in
-      List.concat parts |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-    end
+    List.init (1 lsl k) (fun mask ->
+        let heavy_slots = pattern_of_mask ~k mask in
+        let assignment, value = solve_pattern ~model ~bids ~heavy_slots in
+        (mask, assignment, value))
   in
   let mask, assignment, value = best_of results in
   { heavy_slots = pattern_of_mask ~k mask; assignment; value }

@@ -6,9 +6,9 @@
     The auctioneer chooses the allocation *and* the class pattern jointly:
     for each of the [2^k] heavy-slot subsets, heavyweights are matched to
     heavy slots and lightweights to light slots independently, and the best
-    (pattern, allocation) pair wins — [O(2^k (n log k + k⁵))] serially,
-    embarrassingly parallel across patterns with [2^k] processing units
-    (here: OCaml domains).
+    (pattern, allocation) pair wins — [O(2^k (n log k + k⁵))].  The paper
+    spreads the independent patterns over [2^k] processing units; here
+    they are enumerated serially, in mask order.
 
     Semantics note: the declared pattern is part of the allocation
     decision; a declared-heavy slot left empty still evaluates class
@@ -22,17 +22,14 @@ type result = {
 }
 
 val solve :
-  ?pool:Essa_util.Domain_pool.t ->
-  ?domains:int ->
   model:Essa_prob.Class_model.t ->
   bids:Essa_bidlang.Bids.t array ->
   unit ->
   result
 (** Enumerate all [2^k] patterns, solving two reduced-graph matchings per
-    pattern.  [pool] runs the enumeration on standing worker domains;
-    [domains > 1] (without a pool) spawns that many ad-hoc domains.
-    Deterministic: among equal-value optima the lexicographically smallest
-    pattern bitmask wins.  @raise Invalid_argument on shape mismatch. *)
+    pattern.  Deterministic: among equal-value optima the
+    lexicographically smallest pattern bitmask wins.
+    @raise Invalid_argument on shape mismatch. *)
 
 val solve_brute :
   model:Essa_prob.Class_model.t ->

@@ -2,8 +2,7 @@ type method_ =
   [ `Brute
   | `Lp
   | `Hungarian
-  | `Rh
-  | `Rh_parallel of int ]
+  | `Rh ]
 
 let adjusted ~w ~base =
   if Array.length w <> Array.length base then
@@ -19,10 +18,6 @@ let solve ~method_ ~w ~base =
   | `Lp -> Essa_lp.Assignment_lp.solve ~w:w' ()
   | `Hungarian -> Essa_matching.Hungarian.solve_classic ~w:w'
   | `Rh -> Essa_matching.Reduction.solve ~w:w' ()
-  | `Rh_parallel domains ->
-      let k = if Array.length w' = 0 then 0 else Array.length w'.(0) in
-      let top = Essa_matching.Tree_topk.parallel ~domains ~w:w' ~count:k () in
-      Essa_matching.Reduction.solve ~top ~w:w' ()
 
 let value ~w ~base assignment =
   Essa_matching.Assignment.total_value ~w ~base assignment

@@ -12,16 +12,13 @@
       advertiser-major: [O(nk(n+k))] (the paper's "H");
     - [`Rh] — the paper's contribution: per-slot top-k reduction
       ([O(nk log k)]) then Hungarian on the ≤ k²-advertiser subgraph
-      ([O(k⁵)]);
-    - [`Rh_parallel d] — RH with the top-k reduction executed by [d]
-      domains in the binary-tree combining scheme of Section III-E. *)
+      ([O(k⁵)]). *)
 
 type method_ =
   [ `Brute
   | `Lp
   | `Hungarian
-  | `Rh
-  | `Rh_parallel of int ]
+  | `Rh ]
 
 val solve :
   method_:method_ -> w:float array array -> base:float array ->

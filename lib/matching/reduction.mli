@@ -30,8 +30,8 @@ val top_per_slot : w:float array array -> count:int -> (int * float) list array
 
 val reduce : ?top:(int * float) list array -> w:float array array -> unit -> t
 (** Build the reduced instance from per-slot top lists ([top] defaults to
-    [top_per_slot ~w ~count:k]; pass the output of a tree/parallel
-    aggregation to reuse it). *)
+    [top_per_slot ~w ~count:k]; pass lists computed elsewhere, such as
+    {!Tree_topk.tree_merge}'s, to reuse them). *)
 
 val solve : ?top:(int * float) list array -> w:float array array -> unit -> Assignment.t
 (** RH: reduce, run {!Hungarian.solve} on the reduced graph, translate the

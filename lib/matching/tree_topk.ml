@@ -14,13 +14,9 @@ let merge ~count xs ys =
   in
   go count xs ys []
 
-let shape w =
+let tree_merge ~w ~count =
   let n = Array.length w in
   let k = if n = 0 then 0 else Array.length w.(0) in
-  (n, k)
-
-let tree_merge ~w ~count =
-  let n, k = shape w in
   let depth = ref 0 in
   let tops =
     Array.init k (fun j ->
@@ -36,39 +32,3 @@ let tree_merge ~w ~count =
         if n = 0 then [] else combine 0 n 0)
   in
   (tops, !depth)
-
-let chunk_tops ~w ~count ~k lo hi =
-  Array.init k (fun j -> Reduction.scan_top ~count ~get:(fun i -> w.(i).(j)) lo hi)
-
-let parallel ?pool ?domains ~w ~count () =
-  let domains =
-    match (domains, pool) with
-    | Some d, _ -> d
-    | None, Some pool -> Essa_util.Domain_pool.size pool
-    | None, None -> 1
-  in
-  if domains < 1 then invalid_arg "Tree_topk.parallel: domains < 1";
-  let n, k = shape w in
-  if n = 0 || k = 0 then Array.make k []
-  else if domains = 1 || n < domains then chunk_tops ~w ~count ~k 0 n
-  else begin
-    let bounds =
-      Array.init domains (fun d ->
-          (d * n / domains, (d + 1) * n / domains))
-    in
-    let tasks = Array.map (fun (lo, hi) () -> chunk_tops ~w ~count ~k lo hi) bounds in
-    let partials =
-      match pool with
-      | Some pool -> Essa_util.Domain_pool.run_array pool tasks
-      | None ->
-          (* No standing pool: spawn ad-hoc domains (costly; a pool is
-             the realistic deployment). *)
-          Array.map Domain.join (Array.map Domain.spawn tasks)
-    in
-    (* Root merge: chunks are index-ordered, so left-favouring ties keep
-       first-seen-wins semantics. *)
-    Array.init k (fun j ->
-        Array.fold_left
-          (fun acc partial -> merge ~count acc partial.(j))
-          [] partials)
-  end

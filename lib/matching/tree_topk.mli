@@ -1,22 +1,15 @@
-(** Tree-structured top-k aggregation (the parallelization of
+(** Tree-structured top-k aggregation (the combining scheme of
     Section III-E).
 
     The paper builds, per slot, a binary tree with the n advertisers at the
     leaves; each internal node merges its children's top-k lists, so the
-    root holds the slot's top-k bidders after O(log n) parallel rounds of
-    O(k) work.  We reproduce the combining structure in-process:
-
-    - {!tree_merge} simulates the tree sequentially (and reports its
-      depth), demonstrating that the combining operator is associative and
-      yields exactly the heap-based answer;
-    - {!parallel} maps the tree onto real parallelism: [domains] OCaml 5
-      domains each reduce a contiguous leaf range (the "run more than one
-      program sequentially on each machine" regime of the paper), and the
-      per-domain partial lists are merged at the root.
-
-    Both return the same per-slot lists as {!Reduction.top_per_slot}
-    (property-tested), so they can be passed straight to
-    {!Reduction.solve}. *)
+    root holds the slot's top-k bidders after O(log n) rounds of O(k)
+    work.  {!tree_merge} runs that tree sequentially and reports its
+    depth: it shows that the combining operator is associative and yields
+    exactly the per-slot lists of {!Reduction.top_per_slot}
+    (property-tested), so its output can be passed straight to
+    {!Reduction.solve}.  The tree is the paper's structural claim; on one
+    host the heap scan computes the same lists faster. *)
 
 val merge : count:int -> (int * float) list -> (int * float) list -> (int * float) list
 (** Merge two descending top lists into the descending top-[count] of
@@ -25,17 +18,3 @@ val merge : count:int -> (int * float) list -> (int * float) list -> (int * floa
 val tree_merge : w:float array array -> count:int -> (int * float) list array * int
 (** [(tops, depth)]: per-slot top-[count] lists computed by binary-tree
     combining, and the tree height (number of combining levels). *)
-
-val parallel :
-  ?pool:Essa_util.Domain_pool.t ->
-  ?domains:int -> w:float array array -> count:int -> unit ->
-  (int * float) list array
-(** Domain-parallel evaluation: splits advertisers into [domains]
-    contiguous chunks, computes per-chunk per-slot tops concurrently with
-    heaps, then root-merges.  With [pool] the chunks run on standing
-    workers (the realistic deployment — domain spawn costs ~1 ms);
-    without it, ad-hoc domains are spawned.  [domains] defaults to the
-    pool's worker count when [pool] is supplied (so the two can no longer
-    drift apart) and to 1 — the sequential heap scan — otherwise;
-    [domains <= 1] likewise degrades to the sequential scan.
-    @raise Invalid_argument if [domains < 1]. *)

@@ -1,9 +1,7 @@
 (** Monotone event counters (auctions run, TA sorted accesses, cents
     billed, ...).  Increments are atomic ([fetch_and_add]), so a counter
     handle may be shared by concurrent lanes — the partitioned serve mode
-    bumps engine counters from several domains at once.  Per-domain
-    registries merged after the fact ({!Registry.merge_into}) remain the
-    cheaper pattern for bulk aggregation. *)
+    bumps engine counters from several domains at once. *)
 
 type t
 

@@ -1,6 +1,5 @@
 (** Point-in-time float values (queue depth, current bid level, ...).
-    Last write wins; a registry merge overwrites the destination with the
-    source's value. *)
+    Last write wins. *)
 
 type t
 

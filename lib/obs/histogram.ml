@@ -57,8 +57,6 @@ let create ?bounds () =
     clamped = 0;
   }
 
-let bounds t = Array.copy t.bounds
-
 (* Smallest i with v <= bounds.(i), or length bounds for overflow.  Pure
    int binary search: the record path neither allocates nor touches
    floats. *)
@@ -135,12 +133,6 @@ let merge_into ~into src =
   into.clamped <- into.clamped + src.clamped;
   if src.min_v < into.min_v then into.min_v <- src.min_v;
   if src.max_v > into.max_v then into.max_v <- src.max_v
-
-let merge a b =
-  let t = create ~bounds:a.bounds () in
-  merge_into ~into:t a;
-  merge_into ~into:t b;
-  t
 
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;

@@ -8,8 +8,9 @@
     perturbing the measurement.
 
     Histograms with the same bucket layout are mergeable, which is how
-    per-domain (or per-engine) recorders aggregate into one snapshot:
-    record locally, [merge_into] after joining. *)
+    the server's per-lane recorders and a partitioned engine's
+    per-keyword recorders aggregate into one snapshot: record locally,
+    [merge_into] after joining. *)
 
 type t
 
@@ -33,8 +34,8 @@ val sum : t -> int
 
 val clamped : t -> int
 (** How many recorded samples were negative (clamped to 0).  Anything
-    non-zero is a bug in the caller's clock handling; [merge]/
-    [merge_into] sum it, [reset] zeroes it. *)
+    non-zero is a bug in the caller's clock handling; [merge_into]
+    sums it, [reset] zeroes it. *)
 
 val min_max : t -> (int * int) option
 (** Exact smallest and largest recorded sample; [None] when empty. *)
@@ -56,13 +57,7 @@ val merge_into : into:t -> t -> unit
 (** Add all of the source's samples into [into].
     @raise Invalid_argument if the bucket layouts differ. *)
 
-val merge : t -> t -> t
-(** Fresh histogram holding both inputs' samples (layouts must agree). *)
-
 val reset : t -> unit
-
-val bounds : t -> int array
-(** A copy of the bucket upper bounds (for building a mergeable twin). *)
 
 val iter_nonempty_cumulative :
   t -> (upper:int option -> cumulative:int -> unit) -> unit

@@ -80,14 +80,3 @@ let histogram ?(help = "") ?bounds t name =
 let find t name = locked t (fun () -> Option.map (fun e -> e.metric) (Hashtbl.find_opt t.tbl name))
 
 let entries t = locked t (fun () -> List.rev t.rev_entries)
-
-let merge_into ~into src =
-  List.iter
-    (fun { name; help; metric } ->
-      match metric with
-      | Counter c -> Counter.add (counter ~help into name) (Counter.value c)
-      | Gauge g -> Gauge.set (gauge ~help into name) (Gauge.value g)
-      | Histogram h ->
-          let dst = histogram ~help ~bounds:(Histogram.bounds h) into name in
-          Histogram.merge_into ~into:dst h)
-    (entries src)

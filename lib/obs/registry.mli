@@ -4,11 +4,10 @@
     name registers the metric, later calls (any engine, any domain) return
     the same handle, so identically-named recorders aggregate naturally.
     Get-or-create takes a mutex; callers cache the handle at construction
-    time and the record path never touches the registry.
-
-    The single-writer discipline for cross-domain use: give each domain its
-    own registry with the same metric names, then [merge_into] a summary
-    registry after joining. *)
+    time and the record path never touches the registry.  Counters are
+    atomic and may be shared across domains; a histogram has one writer,
+    so concurrent recorders each keep a private histogram and
+    {!Histogram.merge_into} it after joining. *)
 
 type metric =
   | Counter of Counter.t
@@ -36,8 +35,3 @@ val find : t -> string -> metric option
 
 val entries : t -> entry list
 (** All metrics in registration order (stable export order). *)
-
-val merge_into : into:t -> t -> unit
-(** Fold the source registry into [into]: counters add, gauges overwrite,
-    histograms merge (created in [into] with the source's bucket layout if
-    absent).  @raise Invalid_argument on a kind or bucket-layout clash. *)

@@ -67,87 +67,35 @@ let measure_point ?metrics ~brand_fraction ~method_ ~seed ~n ~auctions ~warmup
         point.ms_per_auction point.auctions_measured);
   point
 
-(* Parallel sweep: fan the next [pool size] points out as one wave, each
-   with a private registry, then fold results back in point order — the
-   single-writer discipline of {!Essa_obs.Registry}.  The give-up rule is
-   applied to the ordered results, so the series contains exactly the
-   points a serial sweep would have kept (a wave may compute points past
-   the give-up boundary; their measurements and metrics are discarded). *)
-let run_points_pooled ~pool ~metrics ~measure ~give_up_ms ns =
-  let wave_size = max 1 (Essa_util.Domain_pool.size pool) in
-  let rec take k = function
-    | x :: rest when k > 0 ->
-        let batch, remainder = take (k - 1) rest in
-        (x :: batch, remainder)
-    | rest -> ([], rest)
-  in
-  let rec waves acc ns =
-    match take wave_size ns with
-    | [], _ -> List.rev acc
-    | batch, rest ->
-        let results =
-          Essa_util.Domain_pool.run pool
-            (List.map
-               (fun n () ->
-                 let reg =
-                   Option.map (fun _ -> Essa_obs.Registry.create ()) metrics
-                 in
-                 (measure ?metrics:reg ~n (), reg))
-               batch)
-        in
-        let rec consume acc = function
-          | [] -> Either.Left acc (* wave exhausted, keep sweeping *)
-          | ((point : point), reg) :: more ->
-              Option.iter
-                (fun into ->
-                  Option.iter (fun r -> Essa_obs.Registry.merge_into ~into r) reg)
-                metrics;
-              if point.ms_per_auction > give_up_ms then
-                Either.Right (point :: acc)
-              else consume (point :: acc) more
-        in
-        (match consume acc results with
-        | Either.Right acc -> List.rev acc
-        | Either.Left acc -> waves acc rest)
-  in
-  waves [] ns
-
-let run_series ?metrics ?pool ?(warmup = 10) ?(point_budget_ms = 15_000.0)
+let run_series ?metrics ?(warmup = 10) ?(point_budget_ms = 15_000.0)
     ?(give_up_ms = 5_000.0) ?(brand_fraction = 0.0) ~method_ ~seed ~ns ~auctions
     () =
-  let measure ?metrics ~n () =
-    measure_point ?metrics ~brand_fraction ~method_ ~seed ~n ~auctions ~warmup
-      ~point_budget_ms ()
-  in
-  let points =
-    match pool with
-    | Some pool -> run_points_pooled ~pool ~metrics ~measure ~give_up_ms ns
-    | None ->
-        let rec go acc = function
-          | [] -> List.rev acc
-          | n :: rest ->
-              let point = measure ?metrics ~n () in
-              if point.ms_per_auction > give_up_ms then List.rev (point :: acc)
-              else go (point :: acc) rest
+  let rec go acc = function
+    | [] -> List.rev acc
+    | n :: rest ->
+        let point =
+          measure_point ?metrics ~brand_fraction ~method_ ~seed ~n ~auctions
+            ~warmup ~point_budget_ms ()
         in
-        go [] ns
+        if point.ms_per_auction > give_up_ms then List.rev (point :: acc)
+        else go (point :: acc) rest
   in
-  { label = method_label method_; method_; points }
+  { label = method_label method_; method_; points = go [] ns }
 
-let fig12 ?metrics ?pool ?(seed = 1)
+let fig12 ?metrics ?(seed = 1)
     ?(ns = [ 250; 500; 1000; 2000; 3000; 4000; 5000 ]) ?(auctions = 100)
     ?brand_fraction () =
   List.map
     (fun method_ ->
-      run_series ?metrics ?pool ?brand_fraction ~method_ ~seed ~ns ~auctions ())
+      run_series ?metrics ?brand_fraction ~method_ ~seed ~ns ~auctions ())
     [ `Lp_dense; `Lp; `H; `Rh; `Rhtalu ]
 
-let fig13 ?metrics ?pool ?(seed = 1)
+let fig13 ?metrics ?(seed = 1)
     ?(ns = [ 1000; 2500; 5000; 10000; 15000; 20000 ]) ?(auctions = 1000)
     ?brand_fraction () =
   List.map
     (fun method_ ->
-      run_series ?metrics ?pool ?brand_fraction ~method_ ~seed ~ns ~auctions ())
+      run_series ?metrics ?brand_fraction ~method_ ~seed ~ns ~auctions ())
     [ `Rh; `Rhtalu ]
 
 (* ------------------------------------------------------------------ *)

@@ -16,8 +16,7 @@ type point = {
   revenue : int;
       (** Engine revenue after warmup + measured auctions — deterministic
           for a given seed when the auction counts are (i.e. when the wall
-          budgets don't truncate), unlike the wall-clock timing; the
-          serial-vs-parallel equality test compares it. *)
+          budgets don't truncate), unlike the wall-clock timing. *)
 }
 
 type series = {
@@ -31,7 +30,6 @@ val method_label : Essa.Engine.method_ -> string
 
 val run_series :
   ?metrics:Essa_obs.Registry.t ->
-  ?pool:Essa_util.Domain_pool.t ->
   ?warmup:int ->
   ?point_budget_ms:float ->
   ?give_up_ms:float ->
@@ -50,34 +48,23 @@ val run_series :
     advertisers Click∧Slot1 premiums, exercising multi-feature bids in
     the sweep.  [metrics], when given, is shared by every engine the
     sweep creates, so phase-latency histograms and access counters
-    accumulate across the whole series (warmup auctions included).
-
-    [pool] fans the sweep's points out over the pool's worker domains,
-    one wave of [Domain_pool.size pool] points at a time.  Each point
-    records into a private registry; the registries are merged into
-    [metrics] in point order after each wave, and the give-up rule is
-    applied to the ordered wave results — so labels, points (including
-    [revenue]) and merged metrics are identical to a serial sweep's. *)
+    accumulate across the whole series (warmup auctions included). *)
 
 val fig12 :
   ?metrics:Essa_obs.Registry.t ->
-  ?pool:Essa_util.Domain_pool.t ->
   ?seed:int -> ?ns:int list -> ?auctions:int -> ?brand_fraction:float ->
   unit -> series list
 (** The Fig. 12 methods (plus the dense-tableau LP, whose series the
     give-up budget truncates early).  Defaults: seed 1, n ∈ {250, 500,
     1000, 2000, 3000, 4000, 5000}, 100 auctions per point (as in the
-    paper).  [pool] parallelizes each series' points, see
-    {!run_series}. *)
+    paper). *)
 
 val fig13 :
   ?metrics:Essa_obs.Registry.t ->
-  ?pool:Essa_util.Domain_pool.t ->
   ?seed:int -> ?ns:int list -> ?auctions:int -> ?brand_fraction:float ->
   unit -> series list
 (** RH vs RHTALU, Fig. 13.  Defaults: seed 1, n ∈ {1000, 2500, 5000,
-    10000, 15000, 20000}, 1000 auctions per point (as in the paper).
-    [pool] parallelizes each series' points, see {!run_series}. *)
+    10000, 15000, 20000}, 1000 auctions per point (as in the paper). *)
 
 (** {1 Reporting} *)
 

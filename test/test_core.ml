@@ -25,7 +25,7 @@ let prop_all_methods_agree =
           let a = Essa.Winner_determination.solve ~method_ ~w ~base in
           Essa_matching.Assignment.validate ~n:(Array.length w) a;
           abs_float (Essa.Winner_determination.value ~w ~base a -. best) < 1e-6)
-        [ `Brute; `Lp; `Hungarian; `Rh; `Rh_parallel 2 ])
+        [ `Brute; `Lp; `Hungarian; `Rh ])
 
 let test_wd_baseline_changes_winner () =
   (* With a high enough baseline, showing the strong advertiser destroys
@@ -280,35 +280,6 @@ let prop_heavyweight_matches_brute =
       let brute = Essa.Heavyweight.solve_brute ~model ~bids () in
       abs_float (fast.value -. brute.value) < 1e-6)
 
-let prop_heavyweight_parallel_agrees =
-  qtest ~count:20 "parallel pattern enumeration agrees" gen_class_instance (fun spec ->
-      let model, bids = build_class_model spec in
-      let serial = Essa.Heavyweight.solve ~model ~bids () in
-      let parallel = Essa.Heavyweight.solve ~domains:3 ~model ~bids () in
-      abs_float (serial.value -. parallel.value) < 1e-9
-      && serial.heavy_slots = parallel.heavy_slots)
-
-let test_heavyweight_pool_agrees () =
-  let rng = Essa_util.Rng.create 77 in
-  let spec =
-    let n = 4 and k = 2 in
-    let classes =
-      Array.init n (fun _ ->
-          if Essa_util.Rng.bool rng then Essa_prob.Class_model.Heavy
-          else Essa_prob.Class_model.Light)
-    in
-    let base_ctr = Array.init n (fun _ -> Essa_util.Rng.float_in rng 0.05 0.5) in
-    let amounts = Array.init n (fun _ -> 1 + Essa_util.Rng.int rng 50) in
-    (n, k, classes, base_ctr, amounts, 0.4)
-  in
-  let model, bids = build_class_model spec in
-  let serial = Essa.Heavyweight.solve ~model ~bids () in
-  Essa_util.Domain_pool.with_pool 2 (fun pool ->
-      let pooled = Essa.Heavyweight.solve ~pool ~model ~bids () in
-      Alcotest.(check (float 1e-9)) "values agree" serial.value pooled.value;
-      Alcotest.(check bool) "patterns agree" true
-        (serial.heavy_slots = pooled.heavy_slots))
-
 let test_heavyweight_respects_classes () =
   let classes = [| Essa_prob.Class_model.Heavy; Essa_prob.Class_model.Light |] in
   let ctr ~adv:_ ~slot:_ ~heavy_slots:_ = 0.5 in
@@ -343,6 +314,65 @@ let test_heavyweight_pattern_bids_steer () =
   let r = Essa.Heavyweight.solve ~model ~bids () in
   Alcotest.(check bool) "slot 1 declared light" false r.heavy_slots.(0);
   Alcotest.(check (float 1e-9)) "collects the pattern bid" 9.0 r.value
+
+let test_heavyweight_tie_smallest_mask () =
+  (* One heavyweight, two equally good slots: the patterns 01, 10 and 11
+     all earn 0.5 x 10, so the smallest mask (slot 1 heavy, slot 2
+     light) must win, and brute force must pick the same pattern. *)
+  let classes = [| Essa_prob.Class_model.Heavy |] in
+  let ctr ~adv:_ ~slot:_ ~heavy_slots:_ = 0.5 in
+  let cvr ~adv:_ ~slot:_ ~heavy_slots:_ = 0.0 in
+  let model = Essa_prob.Class_model.create ~k:2 ~classes ~ctr ~cvr in
+  let bids = [| Essa_bidlang.Bids.of_strings [ ("click", 10) ] |] in
+  let r = Essa.Heavyweight.solve ~model ~bids () in
+  Alcotest.(check (array bool)) "mask 1" [| true; false |] r.heavy_slots;
+  Alcotest.(check bool) "heavyweight in slot 1" true (r.assignment = [| Some 0; None |]);
+  Alcotest.(check (float 1e-9)) "value" 5.0 r.value;
+  let b = Essa.Heavyweight.solve_brute ~model ~bids () in
+  Alcotest.(check (array bool)) "brute picks the same pattern" r.heavy_slots b.heavy_slots
+
+let test_heavyweight_shape_rejected () =
+  let classes = [| Essa_prob.Class_model.Light; Essa_prob.Class_model.Heavy |] in
+  let ctr ~adv:_ ~slot:_ ~heavy_slots:_ = 0.5 in
+  let cvr ~adv:_ ~slot:_ ~heavy_slots:_ = 0.0 in
+  let model = Essa_prob.Class_model.create ~k:2 ~classes ~ctr ~cvr in
+  let rejects bids =
+    match Essa.Heavyweight.solve ~model ~bids () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  let click = Essa_bidlang.Bids.of_strings [ ("click", 10) ] in
+  Alcotest.(check bool) "too few bidders" true (rejects [| click |]);
+  Alcotest.(check bool) "too many bidders" true (rejects [| click; click; click |]);
+  Alcotest.(check bool) "slot past k" true
+    (rejects [| click; Essa_bidlang.Bids.of_strings [ ("slot3", 5) ] |])
+
+let prop_heavyweight_value_realised =
+  (* The reported value is what the returned allocation earns under the
+     returned pattern, and every winner sits in a slot of its class. *)
+  qtest ~count:60 "value = the allocation's revenue" gen_class_instance (fun spec ->
+      let model, bids = build_class_model spec in
+      let r = Essa.Heavyweight.solve ~model ~bids () in
+      let w, base =
+        Essa_prob.Class_model.revenue_matrix model ~bids ~heavy_slots:r.heavy_slots
+      in
+      Essa_matching.Assignment.validate ~n:(Array.length bids) r.assignment;
+      let admissible = ref true in
+      Array.iteri
+        (fun j0 cell ->
+          match cell with
+          | Some adv ->
+              if
+                not
+                  (Essa_prob.Class_model.admissible model ~adv ~slot:(j0 + 1)
+                     ~heavy_slots:r.heavy_slots)
+              then admissible := false
+          | None -> ())
+        r.assignment;
+      !admissible
+      && abs_float
+           (Essa_matching.Assignment.total_value ~w ~base r.assignment -. r.value)
+         < 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 3: FAS reduction *)
@@ -1173,10 +1203,11 @@ let () =
       ( "heavyweight",
         [
           prop_heavyweight_matches_brute;
-          prop_heavyweight_parallel_agrees;
           Alcotest.test_case "classes respected" `Quick test_heavyweight_respects_classes;
-          Alcotest.test_case "pooled enumeration" `Quick test_heavyweight_pool_agrees;
           Alcotest.test_case "pattern bids steer" `Quick test_heavyweight_pattern_bids_steer;
+          Alcotest.test_case "ties: smallest mask" `Quick test_heavyweight_tie_smallest_mask;
+          Alcotest.test_case "shape mismatch rejected" `Quick test_heavyweight_shape_rejected;
+          prop_heavyweight_value_realised;
         ] );
       ( "fas_reduction",
         [

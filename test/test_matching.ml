@@ -397,11 +397,6 @@ let prop_tree_merge_equals_heap =
       let expected = Reduction.top_per_slot ~w ~count:k in
       tops = expected && depth <= 1 + int_of_float (ceil (log (float_of_int (max 2 (Array.length w))) /. log 2.0)))
 
-let prop_parallel_equals_heap =
-  qtest ~count:50 "domain-parallel = heap scan" gen_weights_large (fun w ->
-      let k = Array.length w.(0) in
-      Tree_topk.parallel ~domains:3 ~w ~count:k () = Reduction.top_per_slot ~w ~count:k)
-
 let test_tree_merge_op () =
   let xs = [ (0, 9.0); (1, 5.0) ] and ys = [ (2, 7.0); (3, 5.0) ] in
   Alcotest.(check (list (pair int (float 0.0)))) "merge"
@@ -412,32 +407,73 @@ let test_tree_merge_op () =
     [ (1, 5.0) ]
     (Tree_topk.merge ~count:1 [ (1, 5.0) ] [ (0, 5.0) ])
 
-let test_parallel_with_pool () =
-  let rng = Essa_util.Rng.create 5 in
-  let w = Array.init 3000 (fun _ -> Array.init 6 (fun _ -> Essa_util.Rng.float rng 50.0)) in
-  Essa_util.Domain_pool.with_pool 3 (fun pool ->
-      Alcotest.(check bool) "pooled = sequential" true
-        (Tree_topk.parallel ~pool ~domains:3 ~w ~count:6 ()
-        = Reduction.top_per_slot ~w ~count:6))
+(* Descending top lists with small integer weights, so ties are common;
+   ids are distinct across the two lists, as under a tree node. *)
+let gen_top_list ~first_id =
+  QCheck2.Gen.(
+    list_size (int_range 0 8) (int_range 0 6) >|= fun ws ->
+    List.sort (fun a b -> compare b a) ws
+    |> List.mapi (fun i w -> (first_id + i, float_of_int w)))
 
-let test_parallel_domains_default () =
-  (* Without [domains], a pooled call splits across the pool's workers
-     and a bare call degrades to the sequential scan — both equal to the
-     heap scan. *)
-  let rng = Essa_util.Rng.create 6 in
-  let w = Array.init 2000 (fun _ -> Array.init 5 (fun _ -> Essa_util.Rng.float rng 50.0)) in
-  let expect = Reduction.top_per_slot ~w ~count:5 in
-  Essa_util.Domain_pool.with_pool 3 (fun pool ->
-      Alcotest.(check bool) "pool-sized default" true
-        (Tree_topk.parallel ~pool ~w ~count:5 () = expect));
-  Alcotest.(check bool) "no pool: sequential" true
-    (Tree_topk.parallel ~w ~count:5 () = expect)
+let prop_merge_is_stable_top =
+  (* The combine step is a stable merge truncated to [count]: the first
+     [count] of the union sorted by descending weight, left list first
+     on ties. *)
+  qtest "merge = stable top-count of the union"
+    QCheck2.Gen.(
+      triple (int_range 0 10) (gen_top_list ~first_id:0) (gen_top_list ~first_id:100))
+    (fun (count, xs, ys) ->
+      let union =
+        List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) (xs @ ys)
+      in
+      Tree_topk.merge ~count xs ys = List.filteri (fun i _ -> i < count) union)
 
-let test_parallel_invalid_domains () =
-  Alcotest.(check bool) "domains < 1" true
-    (match Tree_topk.parallel ~domains:0 ~w:[| [| 1.0 |] |] ~count:1 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+let prop_merge_associative =
+  (* Associativity is what lets the tree combine leaves in any grouping
+     (Section III-E): the left-favouring tie rule keeps it exact. *)
+  qtest "merge is associative"
+    QCheck2.Gen.(
+      quad (int_range 0 10) (gen_top_list ~first_id:0) (gen_top_list ~first_id:100)
+        (gen_top_list ~first_id:200))
+    (fun (count, a, b, c) ->
+      let m = Tree_topk.merge ~count in
+      m (m a b) c = m a (m b c))
+
+let test_tree_merge_depth () =
+  (* Halving [lo, hi) gives a tree of height exactly ceil (log2 n). *)
+  let ceil_log2 n =
+    let rec go d p = if p >= n then d else go (d + 1) (2 * p) in
+    go 0 1
+  in
+  for n = 1 to 200 do
+    let w = Array.init n (fun i -> [| float_of_int i; 1.0 |]) in
+    let _, depth = Tree_topk.tree_merge ~w ~count:2 in
+    Alcotest.(check int) (Printf.sprintf "depth n=%d" n) (ceil_log2 n) depth
+  done;
+  let tops, depth = Tree_topk.tree_merge ~w:[||] ~count:3 in
+  Alcotest.(check int) "no advertisers: no slots" 0 (Array.length tops);
+  Alcotest.(check int) "no advertisers: depth 0" 0 depth
+
+let test_tree_merge_count_edges () =
+  let w = [| [| 3.0; 1.0 |]; [| 5.0; 1.0 |]; [| 4.0; 2.0 |] |] in
+  let tops, _ = Tree_topk.tree_merge ~w ~count:0 in
+  Alcotest.(check bool) "count 0: empty lists" true (tops = [| []; [] |]);
+  (* A count past n keeps every advertiser, best first, ties to the
+     smaller index. *)
+  let tops, _ = Tree_topk.tree_merge ~w ~count:10 in
+  Alcotest.(check (list (pair int (float 0.0)))) "slot 1"
+    [ (1, 5.0); (2, 4.0); (0, 3.0) ] tops.(0);
+  Alcotest.(check (list (pair int (float 0.0)))) "slot 2"
+    [ (2, 2.0); (0, 1.0); (1, 1.0) ] tops.(1)
+
+let prop_tree_tops_drive_rh =
+  (* The tree's lists are a drop-in [?top] for the reduced-graph solve. *)
+  qtest ~count:100 "tree lists give RH the optimum" gen_weights_large (fun w ->
+      let k = Array.length w.(0) in
+      let top, _ = Tree_topk.tree_merge ~w ~count:k in
+      let a = Reduction.solve ~top ~w () in
+      Assignment.validate ~n:(Array.length w) a;
+      abs_float (Assignment.matching_weight ~w a -. Hungarian.optimal_weight ~w) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* LP cross-check lives in test_lp; here: the three matching paths agree
@@ -497,11 +533,12 @@ let () =
       ( "tree_topk",
         [
           prop_tree_merge_equals_heap;
-          prop_parallel_equals_heap;
           Alcotest.test_case "merge op" `Quick test_tree_merge_op;
-          Alcotest.test_case "pooled workers" `Quick test_parallel_with_pool;
-          Alcotest.test_case "domains default" `Quick test_parallel_domains_default;
-          Alcotest.test_case "invalid domains" `Quick test_parallel_invalid_domains;
+          prop_merge_is_stable_top;
+          prop_merge_associative;
+          Alcotest.test_case "depth = ceil log2 n" `Quick test_tree_merge_depth;
+          Alcotest.test_case "count 0 and count > n" `Quick test_tree_merge_count_edges;
+          prop_tree_tops_drive_rh;
         ] );
       ( "integration",
         [ Alcotest.test_case "3-way agreement n=500" `Quick test_three_way_agreement_big ] );

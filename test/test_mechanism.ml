@@ -10,8 +10,8 @@ module Engine = Essa.Engine
 module Workload = Essa_sim.Workload
 module Stable_match = Essa.Stable_match
 
-let qtest ?(count = 10) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 10) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Default construction (no [?mechanism]) is the classic mechanism. *)
 let test_default_is_classic () =
@@ -652,6 +652,194 @@ let test_reserve_fixed_validation () =
   Alcotest.(check bool) "negative floor rejected" true
     (raises (`Reserve (`Fixed [| 1; 2; 3; 4; 5; -1 |])))
 
+(* ------------------------------------------------------------------ *)
+(* Economic oracles: what the pricing rules are for, not only that two
+   implementations agree.  Separable instances: slot j (0-based) has
+   click probability alpha_j = 0.9 - 0.2j for every advertiser, and
+   advertiser i bids its integer per-click value v_i in 1..50, so
+   w.(i).(j) = alpha_j * v_i and the unassigned baseline is 0.
+   Allocation is [Winner_determination.solve ~method_:`Rh]. *)
+
+module Wd = Essa.Winner_determination
+module Pricing = Essa.Pricing
+
+let alpha j = 0.9 -. (0.2 *. float_of_int j)
+
+let gen_separable =
+  QCheck2.Gen.(
+    int_range 1 7 >>= fun n ->
+    int_range 1 4 >>= fun k ->
+    array_repeat n (int_range 1 50) >>= fun values -> return (k, values))
+
+let print_separable (k, values) =
+  Printf.sprintf "k=%d values=[%s]" k
+    (String.concat "; " (Array.to_list (Array.map string_of_int values)))
+
+let separable_weights ~k bids =
+  Array.map (fun b -> Array.init k (fun j -> alpha j *. float_of_int b)) bids
+
+(* [(assignment, vcg payments)] when advertisers bid [bids]. *)
+let vcg_outcome ~k bids =
+  let w = separable_weights ~k bids in
+  let base = Array.make (Array.length bids) 0.0 in
+  let assignment = Wd.solve ~method_:`Rh ~w ~base in
+  (assignment, Pricing.vcg ~w ~base ~assignment ())
+
+(* VCG is exactly truthful: with the others bidding their values, no
+   report in 0..50 gives advertiser i a higher expected utility
+   (alpha of its slot * v_i - its VCG payment) than bidding v_i. *)
+let prop_vcg_truthful =
+  qtest ~count:200 "VCG: no unilateral misreport in 0..50 pays" ~print:print_separable
+    gen_separable (fun (k, values) ->
+      let utility i bids =
+        let assignment, pay = vcg_outcome ~k bids in
+        let gain = ref 0.0 in
+        Array.iteri
+          (fun j cell ->
+            if cell = Some i then gain := alpha j *. float_of_int values.(i))
+          assignment;
+        !gain -. pay.(i)
+      in
+      Array.iteri
+        (fun i v ->
+          let truthful = utility i values in
+          for report = 0 to 50 do
+            if report <> v then begin
+              let bids = Array.copy values in
+              bids.(i) <- report;
+              let u = utility i bids in
+              if u > truthful +. 1e-6 then
+                QCheck2.Test.fail_reportf
+                  "advertiser %d (value %d) gains %.6f by reporting %d" i v
+                  (u -. truthful) report
+            end
+          done)
+        values;
+      true)
+
+(* Revenue order on truthful bids: paper-GSP <= VCG <= pay-as-bid.
+   Paper-GSP prices every filled slot j from the best advertiser left
+   unassigned: ceil (w_runner,j / alpha_j) cents per click, so its
+   expected revenue is the sum over filled slots of that price times
+   alpha_j.  On real numbers the order is exact: the winner of slot j
+   pays sum_{l>=j} (alpha_l - alpha_{l+1}) b_(l+2) under VCG (b_(m) the
+   m-th highest bid, alpha_k = 0), and every b_(l+2) is at least the
+   runner-up's bid.  The whole-cent ceiling could lift a GSP price above
+   the real-valued one by less than one cent per click, an allowance of
+   at most alpha_j cents per filled slot; here it is zero, because
+   w_runner,j / alpha_j is the runner's integer bid (up to float
+   rounding, which [gsp_per_click]'s 1e-9 guard absorbs).  So the check
+   allows float rounding only. *)
+let prop_revenue_order =
+  qtest ~count:500 "paper-GSP <= VCG <= pay-as-bid" ~print:print_separable
+    gen_separable (fun (k, values) ->
+      let w = separable_weights ~k values in
+      let assignment, pay = vcg_outcome ~k values in
+      let gsp =
+        Pricing.gsp_per_click ~w ~ctr:(fun ~adv:_ ~slot -> alpha (slot - 1))
+          ~assignment ()
+      in
+      let gsp_revenue = ref 0.0 in
+      Array.iteri
+        (fun j -> function
+          | Some price -> gsp_revenue := !gsp_revenue +. (float_of_int price *. alpha j)
+          | None -> ())
+        gsp;
+      let vcg_revenue = Array.fold_left ( +. ) 0.0 pay in
+      let bid_revenue = Array.fold_left ( +. ) 0.0 (Pricing.pay_as_bid ~w ~assignment) in
+      if !gsp_revenue > vcg_revenue +. 1e-6 || vcg_revenue > bid_revenue +. 1e-6 then
+        QCheck2.Test.fail_reportf "gsp %.6f, vcg %.6f, pay-as-bid %.6f"
+          !gsp_revenue vcg_revenue bid_revenue;
+      true)
+
+(* Per-advertiser CTRs, as Section V draws them: advertiser i's click
+   probability in slot j (0-based) lies in the slot's own interval
+   [0.80 - 0.2j, 0.95 - 0.2j], so the weights are no longer a product of
+   a slot factor and a bid.  Each advertiser still reports one number,
+   its per-click bid, and w.(i).(j) = ctr.(i).(j) * bid_i. *)
+let gen_per_advertiser =
+  QCheck2.Gen.(
+    int_range 1 7 >>= fun n ->
+    int_range 1 4 >>= fun k ->
+    array_repeat n (int_range 1 50) >>= fun values ->
+    array_repeat n (array_repeat k (int_range 0 15)) >>= fun offsets ->
+    let ctr =
+      Array.map
+        (Array.mapi (fun j off -> float_of_int (80 - (20 * j) + off) /. 100.0))
+        offsets
+    in
+    return (ctr, values))
+
+let print_per_advertiser (ctr, values) =
+  Printf.sprintf "values=[%s] ctr=[%s]"
+    (String.concat "; " (Array.to_list (Array.map string_of_int values)))
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun row ->
+               String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.2f") row)))
+             ctr)))
+
+let per_advertiser_weights ctr bids =
+  Array.mapi (fun i row -> Array.map (fun c -> c *. float_of_int bids.(i)) row) ctr
+
+(* Advertiser i's expected utility (its CTR in the slot it wins times its
+   true value, minus its VCG payment) when everyone bids [bids]. *)
+let vcg_utility ctr values i bids =
+  let w = per_advertiser_weights ctr bids in
+  let base = Array.make (Array.length bids) 0.0 in
+  let assignment = Wd.solve ~method_:`Rh ~w ~base in
+  let pay = Pricing.vcg ~w ~base ~assignment () in
+  let gain = ref 0.0 in
+  Array.iteri
+    (fun j cell -> if cell = Some i then gain := ctr.(i).(j) *. float_of_int values.(i))
+    assignment;
+  !gain -. pay.(i)
+
+(* VCG's truthfulness does not need separable CTRs: the true valuation
+   ctr.(i).(j) * v_i is one the bidder can report, and VCG maximises
+   reported welfare, so no misreport in 0..50 pays. *)
+let prop_vcg_truthful_per_advertiser =
+  qtest ~count:100 "VCG, per-advertiser CTRs: no misreport pays"
+    ~print:print_per_advertiser gen_per_advertiser (fun (ctr, values) ->
+      Array.iteri
+        (fun i v ->
+          let truthful = vcg_utility ctr values i values in
+          for report = 0 to 50 do
+            if report <> v then begin
+              let bids = Array.copy values in
+              bids.(i) <- report;
+              let u = vcg_utility ctr values i bids in
+              if u > truthful +. 1e-6 then
+                QCheck2.Test.fail_reportf
+                  "advertiser %d (value %d) gains %.6f by reporting %d" i v
+                  (u -. truthful) report
+            end
+          done)
+        values;
+      true)
+
+(* The Clarke pivot, checked against brute force: a truthful bidder's VCG
+   utility is its marginal contribution to welfare, W(N) - W(N \ i), so
+   a loser earns exactly 0 and no winner earns less than 0. *)
+let prop_vcg_utility_is_marginal =
+  qtest ~count:100 "VCG utility = marginal welfare (brute force)"
+    ~print:print_per_advertiser gen_per_advertiser (fun (ctr, values) ->
+      let w = per_advertiser_weights ctr values in
+      let n = Array.length w in
+      let welfare w =
+        snd (Essa_matching.Brute.best ~w ~base:(Array.make (Array.length w) 0.0) ())
+      in
+      let all = welfare w in
+      for i = 0 to n - 1 do
+        let without = welfare (Array.of_list (List.filteri (fun i' _ -> i' <> i) (Array.to_list w))) in
+        let u = vcg_utility ctr values i values in
+        if abs_float (u -. (all -. without)) > 1e-6 then
+          QCheck2.Test.fail_reportf "advertiser %d: utility %.6f, marginal welfare %.6f" i u
+            (all -. without)
+      done;
+      true)
+
 let () =
   Alcotest.run "essa_mechanism"
     [
@@ -684,5 +872,12 @@ let () =
             test_reserve_floor_above_all_bids;
           Alcotest.test_case "floor validation" `Quick
             test_reserve_fixed_validation;
+        ] );
+      ( "economics",
+        [
+          prop_vcg_truthful;
+          prop_revenue_order;
+          prop_vcg_truthful_per_advertiser;
+          prop_vcg_utility_is_marginal;
         ] );
     ]

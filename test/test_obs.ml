@@ -134,12 +134,48 @@ let test_histogram_merge () =
   Histogram.merge_into ~into:a b;
   Alcotest.(check int) "merged count" 1000 (Histogram.count a);
   Alcotest.(check bool) "merged min_max" true (Histogram.min_max a = Some (1, 1000));
-  let m = Histogram.merge a b in
-  Alcotest.(check int) "fresh merge count" 1500 (Histogram.count m);
   (* Merged quantiles stay within the error bound: the layouts agree. *)
   let est = Histogram.percentile a 50.0 in
   Alcotest.(check bool) "merged p50 sane" true
     (Float.abs (est -. 500.0) /. 500.0 <= 0.091)
+
+let test_histogram_merge_is_one_recorder () =
+  (* Recording two streams apart and merging must be indistinguishable
+     from recording both into one histogram — the contract the server's
+     lanes rely on.  Negative samples exercise the clamp tally. *)
+  let rng = Essa_util.Rng.create 11 in
+  let draw () = Essa_util.Rng.int rng 2_000_000 - 1_000 in
+  let a = Histogram.create () and b = Histogram.create () in
+  let one = Histogram.create () in
+  for _ = 1 to 3_000 do
+    let v = draw () in
+    Histogram.record a v;
+    Histogram.record one v
+  done;
+  for _ = 1 to 2_000 do
+    let v = draw () in
+    Histogram.record b v;
+    Histogram.record one v
+  done;
+  Histogram.merge_into ~into:a b;
+  Alcotest.(check int) "count" (Histogram.count one) (Histogram.count a);
+  Alcotest.(check int) "sum" (Histogram.sum one) (Histogram.sum a);
+  Alcotest.(check int) "clamped" (Histogram.clamped one) (Histogram.clamped a);
+  Alcotest.(check bool) "some clamped" true (Histogram.clamped a > 0);
+  Alcotest.(check bool) "min_max" true (Histogram.min_max one = Histogram.min_max a);
+  let buckets h =
+    let acc = ref [] in
+    Histogram.iter_nonempty_cumulative h (fun ~upper ~cumulative ->
+        acc := (upper, cumulative) :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check bool) "buckets" true (buckets one = buckets a);
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "p%g" q) (Histogram.percentile one q) (Histogram.percentile a q))
+    [ 0.0; 50.0; 90.0; 99.0; 100.0 ];
+  Alcotest.(check int) "source untouched" 2_000 (Histogram.count b)
 
 let test_histogram_merge_mismatch () =
   let a = Histogram.create ~bounds:[| 1; 10; 100 |] () in
@@ -288,27 +324,6 @@ let test_registry_find () =
   | _ -> Alcotest.fail "expected histogram");
   Alcotest.(check bool) "absent" true (Registry.find reg "nope" = None)
 
-let test_registry_merge_into () =
-  let src = Registry.create () and dst = Registry.create () in
-  Counter.add (Registry.counter src "c") 5;
-  Counter.add (Registry.counter dst "c") 2;
-  Gauge.set (Registry.gauge src "g") 9.0;
-  Gauge.set (Registry.gauge dst "g") 1.0;
-  Histogram.record (Registry.histogram src "h") 100;
-  Registry.merge_into ~into:dst src;
-  (match Registry.find dst "c" with
-  | Some (Registry.Counter c) -> Alcotest.(check int) "counters add" 7 (Counter.value c)
-  | _ -> Alcotest.fail "counter missing");
-  (match Registry.find dst "g" with
-  | Some (Registry.Gauge g) ->
-      Alcotest.(check (float 1e-9)) "gauges overwrite" 9.0 (Gauge.value g)
-  | _ -> Alcotest.fail "gauge missing");
-  match Registry.find dst "h" with
-  | Some (Registry.Histogram h) ->
-      Alcotest.(check int) "histograms merge (created on demand)" 1
-        (Histogram.count h)
-  | _ -> Alcotest.fail "histogram missing"
-
 (* ------------------------------------------------------------------ *)
 (* Export *)
 
@@ -398,6 +413,8 @@ let () =
           Alcotest.test_case "percentile edges" `Quick
             test_histogram_percentile_edges;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
+          Alcotest.test_case "merge = one recorder" `Quick
+            test_histogram_merge_is_one_recorder;
           Alcotest.test_case "merge mismatch" `Quick test_histogram_merge_mismatch;
           Alcotest.test_case "invalid bounds" `Quick test_histogram_invalid_bounds;
           Alcotest.test_case "reset" `Quick test_histogram_reset;
@@ -419,7 +436,6 @@ let () =
           Alcotest.test_case "invalid names" `Quick test_registry_invalid_name;
           Alcotest.test_case "entries order" `Quick test_registry_entries_order;
           Alcotest.test_case "find" `Quick test_registry_find;
-          Alcotest.test_case "merge_into" `Quick test_registry_merge_into;
         ] );
       ( "export",
         [

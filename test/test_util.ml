@@ -459,77 +459,6 @@ let prop_kahan_sum =
       abs_float (Stats.sum a -. naive) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Domain_pool *)
-
-let test_pool_runs_tasks () =
-  Domain_pool.with_pool 3 (fun pool ->
-      Alcotest.(check (list int)) "in order"
-        (List.init 30 (fun i -> i * i))
-        (Domain_pool.run pool (List.init 30 (fun i () -> i * i))))
-
-let test_pool_empty_task_list () =
-  Domain_pool.with_pool 2 (fun pool ->
-      Alcotest.(check (list int)) "empty" [] (Domain_pool.run pool []))
-
-let test_pool_propagates_exception () =
-  Domain_pool.with_pool 2 (fun pool ->
-      Alcotest.(check bool) "raises" true
-        (match Domain_pool.run pool [ (fun () -> 1); (fun () -> failwith "boom") ] with
-        | exception Failure msg -> msg = "boom"
-        | _ -> false);
-      (* The pool survives a failing batch. *)
-      Alcotest.(check (list int)) "still alive" [ 7 ]
-        (Domain_pool.run pool [ (fun () -> 7) ]))
-
-let test_pool_run_array () =
-  Domain_pool.with_pool 3 (fun pool ->
-      Alcotest.(check (array int)) "results land at their indices"
-        (Array.init 50 (fun i -> i * i))
-        (Domain_pool.run_array pool (Array.init 50 (fun i () -> i * i)));
-      Alcotest.(check (array int)) "empty" [||]
-        (Domain_pool.run_array pool [||]);
-      Alcotest.(check (array int)) "singleton" [| 3 |]
-        (Domain_pool.run_array pool [| (fun () -> 3) |]))
-
-let test_pool_run_array_first_failure () =
-  (* Two failing tasks: the re-raised exception is the earliest by index,
-     independent of which domain finished first. *)
-  Domain_pool.with_pool 2 (fun pool ->
-      let tasks =
-        [|
-          (fun () -> 0);
-          (fun () -> failwith "first");
-          (fun () -> failwith "second");
-        |]
-      in
-      Alcotest.(check bool) "earliest failure wins" true
-        (match Domain_pool.run_array pool tasks with
-        | exception Failure msg -> msg = "first"
-        | _ -> false))
-
-let test_pool_reuse_across_batches () =
-  Domain_pool.with_pool 2 (fun pool ->
-      for batch = 1 to 20 do
-        let expected = List.init 5 (fun i -> batch * i) in
-        Alcotest.(check (list int)) "batch" expected
-          (Domain_pool.run pool (List.init 5 (fun i () -> batch * i)))
-      done)
-
-let test_pool_shutdown_rejects () =
-  let pool = Domain_pool.create 1 in
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool (* idempotent *);
-  Alcotest.(check bool) "run after shutdown" true
-    (match Domain_pool.run pool [ (fun () -> 0) ] with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_pool_invalid_size () =
-  Alcotest.check_raises "zero workers"
-    (Invalid_argument "Domain_pool.create: need at least one worker") (fun () ->
-      ignore (Domain_pool.create 0))
-
-(* ------------------------------------------------------------------ *)
 (* Timing *)
 
 let test_timing_monotonic () =
@@ -606,18 +535,6 @@ let () =
           Alcotest.test_case "min_max" `Quick test_stats_min_max;
           Alcotest.test_case "min_max NaN policy" `Quick test_stats_min_max_nan;
           prop_kahan_sum;
-        ] );
-      ( "domain_pool",
-        [
-          Alcotest.test_case "runs tasks" `Quick test_pool_runs_tasks;
-          Alcotest.test_case "empty batch" `Quick test_pool_empty_task_list;
-          Alcotest.test_case "exception propagation" `Quick test_pool_propagates_exception;
-          Alcotest.test_case "run_array" `Quick test_pool_run_array;
-          Alcotest.test_case "run_array first failure" `Quick
-            test_pool_run_array_first_failure;
-          Alcotest.test_case "reuse across batches" `Quick test_pool_reuse_across_batches;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects;
-          Alcotest.test_case "invalid size" `Quick test_pool_invalid_size;
         ] );
       ( "timing",
         [
