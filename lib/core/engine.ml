@@ -353,11 +353,7 @@ let create ?metrics ?(clock = Essa_util.Timing.now_ns) ?(partitioned = false)
       (Array.map (fun p -> sorted_desc (Array.map float_of_int p)) premiums)
   in
   if reserve < 0 then invalid_arg "Engine.create: negative reserve";
-  (* Only the naive methods materialize the n × k matrix; partitions run
-     `Rh or `Rhtalu and never need it. *)
-  let scratch =
-    Mechanism.make_scratch ~n ~k ~flat:false ~with_w:(Mechanism.needs_w method_)
-  in
+  let scratch = Mechanism.make_scratch ~method_ ~n ~k in
   assemble ?metrics ~clock ~cache ~update_every ~mechanism ~pricing
     ~partitioned ~flat:false ~ctr ~fleet ~scratch ~user_seed (fun m ->
       {
@@ -373,7 +369,6 @@ let create ?metrics ?(clock = Essa_util.Timing.now_ns) ?(partitioned = false)
         x_prem_ids = prem_ids;
         x_prem_vals = prem_vals;
         x_fleet = fleet;
-        x_is_flat = false;
         x_c_ta_sorted = m.c_ta_sorted;
         x_c_ta_random = m.c_ta_random;
         x_c_ta_seen = m.c_ta_seen;
@@ -399,7 +394,7 @@ let create_flat ?metrics ?(clock = Essa_util.Timing.now_ns) ?(cache = true)
   assemble ?metrics ~clock ~cache ~update_every ~mechanism ~pricing
     ~partitioned:true ~flat:true ~ctr ~fleet
     ~scratch:(* unused: serial only *)
-      (Mechanism.make_scratch ~n:1 ~k ~with_w:false ~flat:true)
+      (Mechanism.make_scratch ~method_:`Rh ~n:1 ~k)
     ~user_seed (fun m ->
       {
         Mechanism.x_method = `Rh;
@@ -417,7 +412,6 @@ let create_flat ?metrics ?(clock = Essa_util.Timing.now_ns) ?(cache = true)
         x_prem_ids = [||];
         x_prem_vals = [||];
         x_fleet = fleet;
-        x_is_flat = true;
         x_c_ta_sorted = m.c_ta_sorted;
         x_c_ta_random = m.c_ta_random;
         x_c_ta_seen = m.c_ta_seen;
@@ -470,8 +464,8 @@ let partition_of t ~keyword =
             else t.n
           in
           ( Essa_util.Rng.split t.user_rng ~key:keyword,
-            Mechanism.make_scratch ~n:scratch_n ~k:t.k ~with_w:false
-              ~flat:t.is_flat,
+            Mechanism.make_scratch ~method_:t.ctx.x_method ~n:scratch_n
+              ~k:t.k,
             Essa_obs.Histogram.create () )
       in
       let p =
@@ -675,7 +669,7 @@ let drive ?deadline_ns ?snapshot ~forced t ~keyword =
         in
         if Array.length p.p_scratch.Mechanism.stamp < cap then
           p.p_scratch <-
-            Mechanism.make_scratch ~n:cap ~k:t.k ~with_w:false ~flat:true;
+            Mechanism.make_scratch ~method_:`Rh ~n:cap ~k:t.k;
         p.p_scratch
       end
     in
@@ -687,7 +681,7 @@ let drive ?deadline_ns ?snapshot ~forced t ~keyword =
            taken to its cheapest limit.  A degraded allocation is still a
            real one: clicks are sampled and winners billed and notified,
            so the RNG and advertiser states stay on one timeline. *)
-        let assignment, prices = M.cheap t.ctx ~keyword in
+        let assignment, prices = M.cheap t.ctx scr ~keyword in
         Essa_obs.Counter.incr t.m.c_degraded_cheap;
         let stamp = lap ~serial t.m.h_winner_determination stamp in
         (assignment, prices, Some Cheap_allocation, stamp)

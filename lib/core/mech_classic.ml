@@ -1,127 +1,103 @@
 open Mechanism
 
 (* Winner determination.  Besides the global assignment, every branch
-   produces a *pricing view*: the weight (sub)matrix and the advertiser
-   index mapping it is expressed in.  The reduced views built from
-   top-(k+1) lists support exact GSP and exact VCG (removing a winner
-   never pushes the removal-optimum outside the lists). *)
+   produces a *pricing view*: the weight (sub)matrix and the index
+   mapping it is expressed in.  The candidate rows of `Rh and the reduced
+   view built from `Rhtalu's top-(k+1) lists support exact GSP and exact
+   VCG (removing a winner never pushes the removal-optimum outside the
+   lists). *)
 let wd x s ~reserve ~keyword =
   reset_wd_stats s;
-  if x.x_is_flat then begin
-    let assignment, winners = flat_winner_determination x s ~reserve ~keyword in
-    { e_assignment = assignment; e_view = Flat_top winners }
-  end
-  else
-    match x.x_method with
-    | `Lp ->
-        let w = fill_weights x s ~reserve ~keyword in
-        { e_assignment = Essa_lp.Assignment_lp.solve ~w (); e_view = Full w }
-    | `Lp_dense ->
-        let w = fill_weights x s ~reserve ~keyword in
-        {
-          e_assignment = Essa_lp.Assignment_lp.solve ~solver:`Tableau ~w ();
-          e_view = Full w;
-        }
-    | `H ->
-        let w = fill_weights x s ~reserve ~keyword in
-        { e_assignment = Essa_matching.Hungarian.solve_classic ~w; e_view = Full w }
-    | (`Rh | `Rhtalu) as m ->
-        let count = x.x_k + 1 in
-        (* The full matrix is never materialized: weights travel inside
-           the top lists and the reduced view. *)
-        let top =
-          match m with
-          | `Rh -> rh_top_lists x s ~reserve ~keyword ~count
-          | `Rhtalu -> ta_top_lists x s ~reserve ~keyword ~count
-        in
-        let advertisers, reduced_w = reduced_from_top x s ~reserve ~keyword top in
-        let reduced = Essa_matching.Hungarian.solve ~w:reduced_w in
-        let assignment =
-          Array.map (Option.map (fun local -> advertisers.(local))) reduced
-        in
-        { e_assignment = assignment; e_view = Reduced { advertisers; w = reduced_w; top } }
+  match x.x_method with
+  | `Lp ->
+      let w = fill_weights x s ~reserve ~keyword in
+      { e_assignment = Essa_lp.Assignment_lp.solve ~w (); e_view = Full w }
+  | `Lp_dense ->
+      let w = fill_weights x s ~reserve ~keyword in
+      {
+        e_assignment = Essa_lp.Assignment_lp.solve ~solver:`Tableau ~w ();
+        e_view = Full w;
+      }
+  | `H ->
+      let w = fill_weights x s ~reserve ~keyword in
+      { e_assignment = Essa_matching.Hungarian.solve_classic ~w; e_view = Full w }
+  | `Rh -> rh_winner_determination x s ~reserve (keyword_view x s ~keyword)
+  | `Rhtalu ->
+      (* The full matrix is never materialized: weights travel inside the
+         top lists and the reduced view. *)
+      let top = ta_top_lists x s ~reserve ~keyword ~count:(x.x_k + 1) in
+      let advertisers, reduced_w = reduced_from_top x s ~reserve ~keyword top in
+      let reduced = Essa_matching.Hungarian.solve ~w:reduced_w in
+      let assignment =
+        Array.map (Option.map (fun local -> advertisers.(local))) reduced
+      in
+      {
+        e_assignment = assignment;
+        e_view = Reduced { advertisers; w = reduced_w; top };
+      }
 
-(* Flat pricing: GSP from the flat top lists, or pay-as-bid straight off
-   the store.  VCG is rejected at engine construction (it needs the dense
-   pricing view). *)
-let price_flat x s ~pricing ~reserve ~keyword ~assignment ~winners =
-  match pricing with
-  | `Gsp -> gsp_from_top_flat x s ~reserve ~keyword ~assignment ~winners
-  | `Pay_as_bid ->
-      let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
+let per_click_of_expected x ~expected ~slot ~adv =
+  let p = x.x_ctr.(adv).(slot - 1) in
+  if p <= 0.0 || expected <= 0.0 then 0
+  else int_of_float (Float.ceil ((expected /. p) -. 1e-9))
+
+(* VCG on a pricing view: [local.(j0)] is the row of [w] that won ad slot
+   j0.  Solve on the view's local indices, then translate each payment
+   into a per-click price for the slot's winner. *)
+let vcg_prices x ~w ~local ~assignment =
+  let base = Array.make (Array.length w) 0.0 in
+  let payments = Pricing.vcg ~method_:`Rh ~w ~base ~assignment:local () in
+  Array.mapi
+    (fun j0 cell ->
+      match (cell, local.(j0)) with
+      | Some adv, Some r ->
+          per_click_of_expected x ~expected:payments.(r) ~slot:(j0 + 1) ~adv
+      | _ -> 0)
+    assignment
+
+let price_eval ~pricing x s ~reserve ~keyword ev =
+  let assignment = ev.e_assignment in
+  match (ev.e_view, pricing) with
+  | Priced prices, _ -> prices
+  | Scored { winners; w; _ }, `Gsp ->
+      gsp_from_candidates x s ~reserve ~assignment ~winners ~w
+  | Reduced { top; _ }, `Gsp -> gsp_from_top x s ~reserve ~assignment ~top
+  | Full w, `Gsp ->
+      let ctr ~adv ~slot = x.x_ctr.(adv).(slot - 1) in
+      Array.map
+        (function None -> 0 | Some p -> max p reserve)
+        (Pricing.gsp_per_click ~w ~ctr ~assignment ())
+  | Scored { kv; winners; _ }, `Pay_as_bid ->
+      (* Slot 1 winners owe their Click∧Slot1 premium too. *)
+      Array.mapi
+        (fun j0 slot ->
+          if slot < 0 then 0
+          else kv.kv_bids.(slot) + if j0 = 0 then kv.kv_prems.(slot) else 0)
+        winners
+  | (Full _ | Reduced _), `Pay_as_bid ->
       Array.mapi
         (fun j0 cell ->
           match cell with
           | None -> 0
           | Some adv ->
-              Essa_strategy.State_store.flat_bid store ~keyword ~adv
-              + (if j0 = 0 then
-                   Essa_strategy.State_store.flat_premium store ~keyword ~adv
-                 else 0))
+              Essa_strategy.Roi_fleet.bid x.x_fleet ~adv ~keyword
+              + (if j0 = 0 then x.x_premiums.(keyword).(adv) else 0))
         assignment
-  | `Vcg -> assert false (* rejected by Engine.create_flat *)
-
-let price_eval ~pricing x s ~reserve ~keyword ev =
-  let assignment = ev.e_assignment in
-  match ev.e_view with
-  | Priced prices -> prices
-  | Flat_top winners ->
-      price_flat x s ~pricing ~reserve ~keyword ~assignment ~winners
-  | (Full _ | Reduced _) as view -> (
-      let ctr ~adv ~slot = x.x_ctr.(adv).(slot - 1) in
-      let per_click_of_expected ~expected ~slot ~adv =
-        let p = ctr ~adv ~slot in
-        if p <= 0.0 || expected <= 0.0 then 0
-        else int_of_float (Float.ceil ((expected /. p) -. 1e-9))
-      in
-      match pricing with
-      | `Gsp -> (
-          match view with
-          | Reduced { top; _ } -> gsp_from_top x s ~reserve ~assignment ~top
-          | Full w ->
-              let prices_opt = Pricing.gsp_per_click ~w ~ctr ~assignment () in
-              Array.map
-                (function None -> 0 | Some p -> max p reserve)
-                prices_opt
-          | Flat_top _ | Priced _ -> assert false)
-      | `Pay_as_bid ->
-          Array.mapi
-            (fun j0 cell ->
-              match cell with
-              | None -> 0
-              | Some adv ->
-                  (* Slot 1 winners owe their Click∧Slot1 premium too. *)
-                  Essa_strategy.Roi_fleet.bid x.x_fleet ~adv ~keyword
-                  + (if j0 = 0 then x.x_premiums.(keyword).(adv) else 0))
-            assignment
-      | `Vcg ->
-          (* Solve on the pricing view (local indices), then translate. *)
-          let view_w, to_local =
-            match view with
-            | Full w -> (w, fun i -> i)
-            | Reduced { w; _ } ->
-                (* [reduced_from_top] recorded each candidate's reduced
-                   row in [local_of] for this very auction. *)
-                (w, fun i -> s.local_of.(i))
-            | Flat_top _ | Priced _ -> assert false
-          in
-          let local_assignment = Array.map (Option.map to_local) assignment in
-          let base = Array.make (Array.length view_w) 0.0 in
-          let payments =
-            Pricing.vcg ~method_:`Rh ~w:view_w ~base ~assignment:local_assignment ()
-          in
-          Array.mapi
-            (fun j0 cell ->
-              match cell with
-              | None -> 0
-              | Some adv ->
-                  per_click_of_expected ~expected:payments.(to_local adv)
-                    ~slot:(j0 + 1) ~adv)
-            assignment)
-
-let cheap x ~reserve ~keyword =
-  if x.x_is_flat then cheap_allocation_flat x ~reserve ~keyword
-  else cheap_allocation x ~reserve ~keyword
+  | Full w, `Vcg -> vcg_prices x ~w ~local:assignment ~assignment
+  | Reduced { w; _ }, `Vcg ->
+      (* [reduced_from_top] recorded each candidate's reduced row in
+         [local_of] for this very auction. *)
+      vcg_prices x ~w
+        ~local:(Array.map (Option.map (fun adv -> s.local_of.(adv))) assignment)
+        ~assignment
+  | Scored { winners; w; _ }, `Vcg ->
+      (* So did [rh_winner_determination], by view slot. *)
+      vcg_prices x ~w
+        ~local:
+          (Array.map
+             (fun slot -> if slot < 0 then None else Some s.local_of.(slot))
+             winners)
+        ~assignment
 
 let make (pricing : pricing) : (module S) =
   (module struct
@@ -136,5 +112,5 @@ let make (pricing : pricing) : (module S) =
     let price x s ~keyword ev =
       price_eval ~pricing x s ~reserve:x.x_reserve ~keyword ev
 
-    let cheap x ~keyword = cheap x ~reserve:x.x_reserve ~keyword
+    let cheap x s ~keyword = cheap_allocation x s ~reserve:x.x_reserve ~keyword
   end)

@@ -12,20 +12,14 @@
 val wd :
   Mechanism.ctx -> Mechanism.scratch -> reserve:int -> keyword:int ->
   Mechanism.eval
-(** Winner determination for the ctx's method (flat engines take the
-    flat top-list path regardless of method).  Resets the scratch
-    access-statistic tallies first. *)
+(** Winner determination for the ctx's method (flat engines run [`Rh]).
+    Resets the scratch access-statistic tallies first. *)
 
 val price_eval :
   pricing:Mechanism.pricing ->
   Mechanism.ctx -> Mechanism.scratch -> reserve:int -> keyword:int ->
   Mechanism.eval -> int array
-(** Price an [eval] under [pricing], flooring winning prices at
-    [reserve].  VCG requires a dense view ([Full] or [Reduced]). *)
-
-val cheap :
-  Mechanism.ctx -> reserve:int -> keyword:int ->
-  Essa_matching.Assignment.t * int array
-(** The deadline-degraded tier (dense or flat by ctx). *)
+(** Price an [eval] under [pricing], flooring winning GSP prices at
+    [reserve]. *)
 
 val make : Mechanism.pricing -> (module Mechanism.S)

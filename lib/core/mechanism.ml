@@ -3,34 +3,41 @@ module Sstore = Essa_strategy.State_store
 type method_ = [ `Lp | `Lp_dense | `H | `Rh | `Rhtalu ]
 type pricing = [ `Gsp | `Vcg | `Pay_as_bid ]
 
-(* Per-auction mutable workspace: the full weight matrix buffer (naive
-   methods) and the reduced-pricing-view scratch, owned by whoever runs
-   the auction so the drivers allocate O(k²) small views instead of a
-   fresh Set/Hashtbl/list chain per auction.
-   [stamp.(i) = stamp_token] marks advertiser i as a member of the
-   current auction's reduced set, and [local_of.(i)] is then its row in
-   the reduced matrix.  The serial engine owns one; the partitioned
-   engine gives each keyword its own (lazily), so concurrent lanes never
-   share scratch. *)
+(* Per-auction mutable workspace: the score matrix (every method but
+   `Rhtalu), the reduced-pricing-view scratch and the top-k buffers,
+   owned by whoever runs the auction so the drivers allocate O(k²) small
+   views instead of a fresh Set/Hashtbl/list chain per auction.
+   Everything is indexed by keyword-view slot: the advertiser id on
+   dense engines, the partition slot on flat ones.
+   [stamp.(i) = stamp_token] marks slot i as a member of the current
+   auction's reduced set, and [local_of.(i)] is then its row in the
+   reduced matrix.  The serial engine owns one; the partitioned engine
+   gives each keyword its own (lazily), so concurrent lanes never share
+   scratch. *)
 type scratch = {
+  (* One row of k scores per view slot, filled once per auction by
+     [score_rows] ([||] for `Rhtalu, which never scores every row). *)
   w_buffer : float array array;
   stamp : int array;
   mutable stamp_token : int;
   local_of : int array;
   reduced_advs : int array;            (* capacity k·(k+1) candidates *)
-  (* Rows of k weights: dense engines keep the reduced matrix here
-     (capacity k·(k+1) rows); flat engines keep every live member's
-     scores, indexed by partition slot (capacity = the partition's). *)
-  reduced_w_rows : float array array;
-  (* Threshold-algorithm workspace of the SoA fast path: a stamp array for
-     the per-slot seen set (no Hashtbl) and one insertion-sorted top-(k+1)
-     buffer reused by every slot scan. *)
+  reduced_w_rows : float array array;  (* `Rhtalu's reduced matrix *)
+  (* Threshold-algorithm workspace of the SoA fast path (`Rhtalu only): a
+     stamp array for the per-slot seen set (no Hashtbl) and the effective
+     bids by advertiser. *)
   ta_seen : int array;
   mutable ta_token : int;
-  tk_ids : int array;                  (* capacity k+1 *)
-  tk_scores : float array;             (* capacity k+1 *)
-  tk_slots : int array;                (* capacity k+1; flat path only *)
-  ta_eff : float array;                (* effective bid by advertiser *)
+  ta_eff : float array;
+  (* The insertion-sorted top-(k+1) buffers of [Reduction.select] and the
+     TA. *)
+  tk_ids : int array;
+  tk_scores : float array;
+  tk_slots : int array;
+  (* A dense keyword view's identity ids and effective bids, made on the
+     first dense view this scratch serves ([||] until then). *)
+  mutable dense_ids : int array;
+  mutable dense_bids : int array;
   (* Per-auction access-statistic tallies, zeroed at the top of winner
      determination and folded into the shared counters as usual: the
      evaluation cache stores them with the entry so a hit can re-report
@@ -41,35 +48,32 @@ type scratch = {
   mutable wd_reduced : int;
 }
 
-(* [n] is the index space of the stamp arrays: the fleet size on dense
-   engines, the keyword partition's capacity on [flat] ones (where the
-   scratch is slot-indexed and grows with the partition). *)
-let make_scratch ~n ~k ~with_w ~flat =
+(* [n] is the index space of the view slots: the fleet size on dense
+   engines, the keyword partition's capacity on flat ones. *)
+let make_scratch ~method_ ~n ~k =
+  let ta = method_ = `Rhtalu in
   let reduced_capacity = min n (k * (k + 1)) in
   {
-    w_buffer = (if with_w then Array.make_matrix n k 0.0 else [||]);
+    w_buffer = (if ta then [||] else Array.make_matrix n k 0.0);
     stamp = Array.make n 0;
     stamp_token = 0;
     local_of = Array.make n 0;
     reduced_advs = Array.make reduced_capacity 0;
     reduced_w_rows =
-      Array.make_matrix (if flat then n else reduced_capacity) k 0.0;
-    ta_seen = Array.make n 0;
+      (if ta then Array.make_matrix reduced_capacity k 0.0 else [||]);
+    ta_seen = (if ta then Array.make n 0 else [||]);
     ta_token = 0;
+    ta_eff = (if ta then Array.make n 0.0 else [||]);
     tk_ids = Array.make (k + 1) 0;
     tk_scores = Array.make (k + 1) 0.0;
     tk_slots = Array.make (k + 1) 0;
-    ta_eff = Array.make n 0.0;
+    dense_ids = [||];
+    dense_bids = [||];
     wd_ta_sorted = 0;
     wd_ta_random = 0;
     wd_ta_seen = 0;
     wd_reduced = 0;
   }
-
-(* The naive methods score every advertiser on every slot through the
-   materialized matrix; `Rh computes scores on the fly (see
-   [rh_top_lists]) and `Rhtalu never materializes them. *)
-let needs_w = function `Lp | `Lp_dense | `H -> true | `Rh | `Rhtalu -> false
 
 type ctx = {
   x_method : method_;
@@ -84,11 +88,18 @@ type ctx = {
   x_prem_ids : int array array;
   x_prem_vals : float array array;
   x_fleet : Essa_strategy.Roi_fleet.t;
-  x_is_flat : bool;
   x_c_ta_sorted : Essa_obs.Counter.t;
   x_c_ta_random : Essa_obs.Counter.t;
   x_c_ta_seen : Essa_obs.Counter.t;
   x_c_reduced : Essa_obs.Counter.t;
+}
+
+type keyword_view = {
+  kv_ids : int array;
+  kv_bids : int array;
+  kv_prems : int array;
+  kv_len : int;
+  kv_live : int;
 }
 
 type view =
@@ -98,7 +109,7 @@ type view =
       w : float array array;
       top : (int * float) list array;
     }
-  | Flat_top of int array
+  | Scored of { kv : keyword_view; winners : int array; w : float array array }
   | Priced of int array
 
 type eval = { e_assignment : Essa_matching.Assignment.t; e_view : view }
@@ -107,7 +118,9 @@ module type S = sig
   val name : string
   val winner_determination : ctx -> scratch -> keyword:int -> eval
   val price : ctx -> scratch -> keyword:int -> eval -> int array
-  val cheap : ctx -> keyword:int -> Essa_matching.Assignment.t * int array
+
+  val cheap :
+    ctx -> scratch -> keyword:int -> Essa_matching.Assignment.t * int array
 end
 
 let reset_wd_stats s =
@@ -116,60 +129,78 @@ let reset_wd_stats s =
   s.wd_ta_seen <- 0;
   s.wd_reduced <- 0
 
-(* Full expected-revenue matrix for the naive methods: w(i,j) = ctr(i,j)
-   times the advertiser's current bid on the queried keyword.  Fills the
-   given scratch's buffer (the engine's own on the serial path, the
-   keyword partition's on the partitioned path). *)
-let fill_weights x s ~reserve ~keyword =
-  let prem = x.x_premiums.(keyword) in
-  for i = 0 to x.x_n - 1 do
-    let bid_c = Essa_strategy.Roi_fleet.bid x.x_fleet ~adv:i ~keyword in
-    let ctr_row = x.x_ctr.(i) and w_row = s.w_buffer.(i) in
-    if bid_c < reserve then
-      (* Below the per-click reserve: cannot win any slot (zero-weight
-         edges are never matched). *)
-      Array.fill w_row 0 x.x_k 0.0
-    else begin
-      let b = float_of_int bid_c in
-      (* Slot 1 carries the Click∧Slot1 premium; same float expression as
-         the TA aggregation below, to keep RH and RHTALU bit-identical. *)
-      w_row.(0) <- ctr_row.(0) *. (b +. float_of_int prem.(i));
-      for j = 1 to x.x_k - 1 do
-        w_row.(j) <- ctr_row.(j) *. b
-      done
+(* The one place the mechanism layer tells the store layouts apart.  A
+   flat partition hands over its slot arrays as they are; a dense fleet
+   is a view of n slots, slot i being advertiser i, whose effective bids
+   are read into the scratch. *)
+let keyword_view x s ~keyword =
+  let fleet = x.x_fleet in
+  if Essa_strategy.Roi_fleet.is_flat fleet then begin
+    let store = Essa_strategy.Roi_fleet.store_of fleet in
+    let fv = Sstore.flat_view store ~keyword in
+    {
+      kv_ids = fv.Sstore.fv_members;
+      kv_bids = fv.Sstore.fv_bids;
+      kv_prems = fv.Sstore.fv_premiums;
+      kv_len = fv.Sstore.fv_len;
+      kv_live = fv.Sstore.fv_live;
+    }
+  end
+  else begin
+    let n = x.x_n in
+    if Array.length s.dense_bids < n then begin
+      s.dense_ids <- Array.init n Fun.id;
+      s.dense_bids <- Array.make n 0
+    end;
+    let bids = s.dense_bids in
+    for i = 0 to n - 1 do
+      bids.(i) <- Essa_strategy.Roi_fleet.bid fleet ~adv:i ~keyword
+    done;
+    {
+      kv_ids = s.dense_ids;
+      kv_bids = bids;
+      kv_prems = x.x_premiums.(keyword);
+      kv_len = n;
+      kv_live = n;
+    }
+  end
+
+let live_slots kv =
+  let slots = Array.make kv.kv_live 0 and live = ref 0 in
+  for slot = 0 to kv.kv_len - 1 do
+    if kv.kv_ids.(slot) >= 0 then begin
+      slots.(!live) <- slot;
+      incr live
     end
   done;
-  s.w_buffer
+  slots
 
-(* `Rh top lists without the matrix: the per-slot scan feeds the same
-   float expressions as [fill_weights] — bid scattered once into the
-   scratch's effective-bid array, ctr read from the slot-major columns —
-   through the same [Reduction.scan_top] kernel (same tie-breaks, same
-   threshold short-circuit), so the lists are bit-identical to
-   [Reduction.top_per_slot] over a filled matrix while skipping the n × k
-   write pass and the matrix's cache footprint entirely.  This is what
-   keeps an evaluation-cache miss on the reduced lists: nothing on the
-   miss path touches an n × k structure anymore. *)
-let rh_top_lists x s ~reserve ~keyword ~count =
-  let eff = s.ta_eff in
-  let n = x.x_n in
-  for i = 0 to n - 1 do
-    eff.(i) <- float_of_int (Essa_strategy.Roi_fleet.bid x.x_fleet ~adv:i ~keyword)
-  done;
-  let prem = x.x_premiums.(keyword) in
-  let reserve_f = float_of_int reserve in
-  Array.init x.x_k (fun j ->
-      let col = x.x_ctr_cols.(j) in
-      let get =
-        if j = 0 then fun i ->
-          let b = eff.(i) in
-          if b < reserve_f then 0.0
-          else col.(i) *. (b +. float_of_int prem.(i))
-        else fun i ->
-          let b = eff.(i) in
-          if b < reserve_f then 0.0 else col.(i) *. b
-      in
-      Essa_matching.Reduction.scan_top ~count ~get 0 n)
+(* Expected revenue of every live view slot on every ad slot, into the
+   scratch's score rows: w(i,j) = ctr(i,j) · bid_i, slot 1 adding the
+   Click∧Slot1 premium, and an all-zero row for a sub-[reserve] bid
+   (zero-weight edges are never matched).  The same float expressions as
+   the TA's aggregation, which keeps RH and RHTALU bit-identical. *)
+let score_rows x s ~reserve kv =
+  let k = x.x_k and rows = s.w_buffer in
+  let ids = kv.kv_ids and bids = kv.kv_bids and prems = kv.kv_prems in
+  for slot = 0 to kv.kv_len - 1 do
+    let gid = ids.(slot) in
+    if gid >= 0 then begin
+      let row = rows.(slot) and bid_c = bids.(slot) in
+      if bid_c < reserve then Array.fill row 0 k 0.0
+      else begin
+        let b = float_of_int bid_c and ctr = x.x_ctr.(gid) in
+        row.(0) <- ctr.(0) *. (b +. float_of_int prems.(slot));
+        for j = 1 to k - 1 do
+          row.(j) <- ctr.(j) *. b
+        done
+      end
+    end
+  done
+
+let fill_weights x s ~reserve ~keyword =
+  score_rows x s ~reserve (keyword_view x s ~keyword);
+  s.w_buffer
 
 (* SoA replica of [Essa_ta.Threshold.top_k] for the auction's three
    concrete sources, eliminating the generic machinery's per-access cost
@@ -397,34 +428,37 @@ let ta_top_lists x s ~reserve ~keyword ~count =
   done;
   tops
 
-(* Degraded winner determination: one pass over the fleet taking the top-k
-   advertisers by slot-1 expected revenue (same float expression as the
-   matrix paths), assigned greedily to slots 1..k.  O(n log k), no
+(* Degraded winner determination: one pass over the keyword view taking
+   the top-k live slots by slot-1 expected revenue (same float expression
+   as [score_rows]), assigned greedily to slots 1..k.  O(n log k), no
    Hungarian, no reduced view — the deadline fallback tier.  Prices are
    pay-as-bid (plus the slot-1 premium), floored at the reserve: under a
    blown budget the system serves *something* billable rather than
    computing incentive-clean prices it has no time for. *)
-let cheap_allocation x ~reserve ~keyword =
-  let prem = x.x_premiums.(keyword) in
+let cheap_allocation x s ~reserve ~keyword =
+  let kv = keyword_view x s ~keyword in
+  let ids = kv.kv_ids and bids = kv.kv_bids and prems = kv.kv_prems in
   let top =
     Essa_util.Topk.create ~k:x.x_k
       ~compare:(fun (sa, ia, _) (sb, ib, _) ->
         let c = Float.compare sa sb in
         if c <> 0 then c else Int.compare ib ia)
   in
-  for i = 0 to x.x_n - 1 do
-    let bid_c = Essa_strategy.Roi_fleet.bid x.x_fleet ~adv:i ~keyword in
-    if bid_c >= reserve then begin
-      let s = x.x_ctr.(i).(0) *. (float_of_int bid_c +. float_of_int prem.(i)) in
-      if s > 0.0 then ignore (Essa_util.Topk.offer top (s, i, bid_c))
+  for slot = 0 to kv.kv_len - 1 do
+    let gid = ids.(slot) and bid_c = bids.(slot) in
+    if gid >= 0 && bid_c >= reserve then begin
+      let s =
+        x.x_ctr.(gid).(0) *. (float_of_int bid_c +. float_of_int prems.(slot))
+      in
+      if s > 0.0 then ignore (Essa_util.Topk.offer top (s, gid, slot))
     end
   done;
   let assignment = Array.make x.x_k None in
   let prices = Array.make x.x_k 0 in
   List.iteri
-    (fun j (_, i, bid_c) ->
-      assignment.(j) <- Some i;
-      prices.(j) <- max reserve (bid_c + if j = 0 then prem.(i) else 0))
+    (fun j (_, gid, slot) ->
+      assignment.(j) <- Some gid;
+      prices.(j) <- max reserve (bids.(slot) + if j = 0 then prems.(slot) else 0))
     (Essa_util.Topk.to_sorted_list top);
   (assignment, prices)
 
@@ -504,79 +538,20 @@ let gsp_from_top x s ~reserve ~assignment ~top =
     assignment
 
 (* ------------------------------------------------------------------ *)
-(* Flat-store auction paths: everything below reads the keyword's
-   partition view (live slots only) instead of per-advertiser arrays, so
-   per-auction cost is O(live · k) — independent of the fleet size and of
-   the keyword count.  Scores use the same float expressions as
-   [fill_weights] / [cheap_allocation], and candidate order (score
-   descending, global id ascending; reduced view in ascending global id)
-   matches the dense `Rh path, so on a universe where partitions and
-   fleet agree the two engines assign and price identically. *)
+(* The `Rh kernel.  Everything below reads the keyword view (live slots
+   only), so per-auction cost is O(live · k): on a flat store that is
+   independent of the fleet size and of the keyword count.  Candidate
+   order (score descending, id ascending; reduced view in ascending id)
+   matches the `Rhtalu path, so where both run they assign and price
+   identically. *)
 
-(* Canonical order on (score, global id): higher score first, ties to
-   the smaller id — or, with [worst], exactly the reverse. *)
-let[@inline] precedes ~worst (sc : float) (gid : int) ps pg =
-  if worst then sc < ps || (sc = ps && gid > pg)
-  else sc > ps || (sc = ps && gid < pg)
-
-(* Insertion-select into the scratch's tk buffers the [count] live members
-   that come first in [precedes ~worst] order on column [j] of the score
-   rows; returns how many were kept (fewer only when fewer are live). *)
-let select_flat s ~members ~len ~j ~count ~worst =
-  let rows = s.reduced_w_rows in
-  let tk_ids = s.tk_ids and tk_scores = s.tk_scores and tk_slots = s.tk_slots in
-  let size = ref 0 in
-  for slot = 0 to len - 1 do
-    let gid = members.(slot) in
-    if gid >= 0 then begin
-      let sc = rows.(slot).(j) in
-      let full = !size >= count in
-      if
-        (not full)
-        || precedes ~worst sc gid tk_scores.(count - 1) tk_ids.(count - 1)
-      then begin
-        let p = ref (if full then count - 1 else !size) in
-        if not full then incr size;
-        while
-          !p > 0 && precedes ~worst sc gid tk_scores.(!p - 1) tk_ids.(!p - 1)
-        do
-          tk_scores.(!p) <- tk_scores.(!p - 1);
-          tk_ids.(!p) <- tk_ids.(!p - 1);
-          tk_slots.(!p) <- tk_slots.(!p - 1);
-          decr p
-        done;
-        tk_scores.(!p) <- sc;
-        tk_ids.(!p) <- gid;
-        tk_slots.(!p) <- slot
-      end
-    end
-  done;
-  !size
-
-let flat_winner_determination x s ~reserve ~keyword =
-  let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
-  let fv = Sstore.flat_view store ~keyword in
-  let members = fv.Sstore.fv_members
-  and bids = fv.Sstore.fv_bids
-  and prems = fv.Sstore.fv_premiums in
-  let len = fv.Sstore.fv_len in
+let rh_winner_determination x s ~reserve kv =
+  let ids = kv.kv_ids and len = kv.kv_len in
   let k = x.x_k in
-  let rows = s.reduced_w_rows in
+  let rows = s.w_buffer in
   (* Score once: every later step reads these rows. *)
-  for slot = 0 to len - 1 do
-    let gid = members.(slot) in
-    if gid >= 0 then begin
-      let row = rows.(slot) and bid_c = bids.(slot) in
-      if bid_c < reserve then Array.fill row 0 k 0.0
-      else begin
-        let b = float_of_int bid_c and ctr = x.x_ctr.(gid) in
-        row.(0) <- ctr.(0) *. (b +. float_of_int prems.(slot));
-        for j = 1 to k - 1 do
-          row.(j) <- ctr.(j) *. b
-        done
-      end
-    end
-  done;
+  score_rows x s ~reserve kv;
+  let tk_ids = s.tk_ids and tk_scores = s.tk_scores and tk_slots = s.tk_slots in
   (* The candidates are the union of the slots' top-(k+1) lists, marked
      from whichever side of the live set is smaller.  With m live members
      beyond k+1, each list is the complement of the slot's bottom m in
@@ -584,7 +559,7 @@ let flat_winner_determination x s ~reserve ~keyword =
      slot: the stamps chain through the slots' loser sets (m <= 0 marks
      nobody).  Otherwise the top lists themselves are stamped. *)
   let count = k + 1 in
-  let m = fv.Sstore.fv_live - count in
+  let m = kv.kv_live - count in
   let complement = m < count in
   let stamp = s.stamp in
   s.stamp_token <- s.stamp_token + 1;
@@ -593,10 +568,13 @@ let flat_winner_determination x s ~reserve ~keyword =
     while !j < k && !losing > 0 do
       let prev = s.stamp_token in
       s.stamp_token <- prev + 1;
-      let kept = select_flat s ~members ~len ~j:!j ~count:m ~worst:true in
+      let kept =
+        Essa_matching.Reduction.select ~rows ~ids ~len ~j:!j ~count:m
+          ~worst:true ~tk_ids ~tk_scores ~tk_slots
+      in
       losing := 0;
       for i = 0 to kept - 1 do
-        let slot = s.tk_slots.(i) in
+        let slot = tk_slots.(i) in
         if !j = 0 || stamp.(slot) = prev then begin
           stamp.(slot) <- s.stamp_token;
           incr losing
@@ -607,21 +585,24 @@ let flat_winner_determination x s ~reserve ~keyword =
   end
   else
     for j = 0 to k - 1 do
-      let kept = select_flat s ~members ~len ~j ~count ~worst:false in
+      let kept =
+        Essa_matching.Reduction.select ~rows ~ids ~len ~j ~count ~worst:false
+          ~tk_ids ~tk_scores ~tk_slots
+      in
       for i = 0 to kept - 1 do
-        stamp.(s.tk_slots.(i)) <- s.stamp_token
+        stamp.(tk_slots.(i)) <- s.stamp_token
       done
     done;
-  (* Reduced view in ascending global-id order, exactly like the dense
-     [reduced_from_top]: the candidates' slots are insertion-sorted by
-     global id in place (at most k·(k+1) of them; live ids are distinct),
-     and their rows are the score rows themselves. *)
+  (* Reduced view in ascending id order, exactly like [reduced_from_top]:
+     the candidates' slots are insertion-sorted by id in place (at most
+     k·(k+1) of them; live ids are distinct), and their rows are the
+     score rows themselves. *)
   let token = s.stamp_token and slots = s.reduced_advs and ncand = ref 0 in
   for slot = 0 to len - 1 do
-    let gid = members.(slot) in
+    let gid = ids.(slot) in
     if gid >= 0 && (stamp.(slot) = token) <> complement then begin
       let p = ref !ncand in
-      while !p > 0 && members.(slots.(!p - 1)) > gid do
+      while !p > 0 && ids.(slots.(!p - 1)) > gid do
         slots.(!p) <- slots.(!p - 1);
         decr p
       done;
@@ -634,7 +615,8 @@ let flat_winner_determination x s ~reserve ~keyword =
   s.wd_reduced <- s.wd_reduced + ncand;
   let w = Array.make ncand [||] in
   for r = 0 to ncand - 1 do
-    w.(r) <- rows.(slots.(r))
+    w.(r) <- rows.(slots.(r));
+    s.local_of.(slots.(r)) <- r
   done;
   (* [solve] answers an empty candidate set with an empty assignment. *)
   let assignment = Essa_matching.Hungarian.solve ~w in
@@ -644,26 +626,24 @@ let flat_winner_determination x s ~reserve ~keyword =
     | None -> ()
     | Some local ->
         winners.(j) <- slots.(local);
-        assignment.(j) <- Some members.(slots.(local))
+        assignment.(j) <- Some ids.(slots.(local))
   done;
-  (assignment, winners)
+  { e_assignment = assignment; e_view = Scored { kv; winners; w } }
 
-(* GSP runner-up by scan: the best live non-winner on the slot's column
-   of the score rows.  That is the first non-winner of the slot's
-   top-(k+1) list — a list of k+1 entries holds at least one non-winner,
-   and a shorter list holds every live member — and only its score enters
-   the price, so the highest non-winner score gives the prices of the
-   list search, at the same arithmetic and reserve floor. *)
-let gsp_from_top_flat x s ~reserve ~keyword ~assignment ~winners =
-  let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
-  let fv = Sstore.flat_view store ~keyword in
-  let members = fv.Sstore.fv_members and len = fv.Sstore.fv_len in
-  let rows = s.reduced_w_rows in
+(* GSP runner-up by scan of the candidate rows: the best non-winner on
+   the slot's column.  Every slot's top-(k+1) list lies among the
+   candidates and holds the best live non-winner on its column (a list of
+   k+1 entries holds at least one non-winner, and a shorter list holds
+   every live member), so the candidates' best non-winner is the live
+   one: the list search's price at the same arithmetic and reserve
+   floor, in O(k · candidates). *)
+let gsp_from_candidates x s ~reserve ~assignment ~winners ~w =
   s.stamp_token <- s.stamp_token + 1;
   let token = s.stamp_token in
   for j = 0 to Array.length winners - 1 do
     if winners.(j) >= 0 then s.stamp.(winners.(j)) <- token
   done;
+  let slots = s.reduced_advs in
   let prices = Array.make (Array.length assignment) 0 in
   for j0 = 0 to Array.length assignment - 1 do
     match assignment.(j0) with
@@ -671,9 +651,9 @@ let gsp_from_top_flat x s ~reserve ~keyword ~assignment ~winners =
     | Some winner ->
         (* No non-winner leaves [neg_infinity]: no runner-up, price 0. *)
         let weight = ref neg_infinity in
-        for slot = 0 to len - 1 do
-          if members.(slot) >= 0 && s.stamp.(slot) <> token then begin
-            let sc = rows.(slot).(j0) in
+        for r = 0 to Array.length w - 1 do
+          if s.stamp.(slots.(r)) <> token then begin
+            let sc = w.(r).(j0) in
             if sc > !weight then weight := sc
           end
         done;
@@ -685,40 +665,3 @@ let gsp_from_top_flat x s ~reserve ~keyword ~assignment ~winners =
         prices.(j0) <- max runner reserve
   done;
   prices
-
-(* The deadline-degraded single-pass fallback, flat form: top-k of the
-   live slots by slot-1 expected revenue, pay-as-bid prices floored at the
-   reserve — same scores, same tie order as [cheap_allocation]. *)
-let cheap_allocation_flat x ~reserve ~keyword =
-  let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
-  let fv = Sstore.flat_view store ~keyword in
-  let members = fv.Sstore.fv_members
-  and bids = fv.Sstore.fv_bids
-  and prems = fv.Sstore.fv_premiums in
-  let len = fv.Sstore.fv_len in
-  let top =
-    Essa_util.Topk.create ~k:x.x_k
-      ~compare:(fun (sa, ia, _) (sb, ib, _) ->
-        let c = Float.compare sa sb in
-        if c <> 0 then c else Int.compare ib ia)
-  in
-  for slot = 0 to len - 1 do
-    let gid = members.(slot) in
-    if gid >= 0 then begin
-      let bid_c = bids.(slot) in
-      if bid_c >= reserve then begin
-        let s =
-          x.x_ctr.(gid).(0) *. (float_of_int bid_c +. float_of_int prems.(slot))
-        in
-        if s > 0.0 then ignore (Essa_util.Topk.offer top (s, gid, slot))
-      end
-    end
-  done;
-  let assignment = Array.make x.x_k None in
-  let prices = Array.make x.x_k 0 in
-  List.iteri
-    (fun j (_, gid, slot) ->
-      assignment.(j) <- Some gid;
-      prices.(j) <- max reserve (bids.(slot) + if j = 0 then prems.(slot) else 0))
-    (Essa_util.Topk.to_sorted_list top);
-  (assignment, prices)

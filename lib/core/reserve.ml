@@ -1,5 +1,3 @@
-module Sstore = Essa_strategy.State_store
-
 type rule = [ `Fixed of int array | `Monopoly ]
 
 (* The monopoly reserve: walk the keyword's bids in descending order and
@@ -9,21 +7,12 @@ type rule = [ `Fixed of int array | `Monopoly ]
    Strict improvement only, so ties keep the higher price — the
    conventional monopolist tie-break (same allocation, more revenue
    headroom). *)
-let monopoly_reserve x ~keyword =
+let monopoly_reserve x s ~keyword =
+  let kv = Mechanism.keyword_view x s ~keyword in
   let bids =
-    if x.Mechanism.x_is_flat then begin
-      let store = Essa_strategy.Roi_fleet.store_of x.Mechanism.x_fleet in
-      let fv = Sstore.flat_view store ~keyword in
-      let members = fv.Sstore.fv_members and fbids = fv.Sstore.fv_bids in
-      let acc = ref [] in
-      for slot = fv.Sstore.fv_len - 1 downto 0 do
-        if members.(slot) >= 0 then acc := fbids.(slot) :: !acc
-      done;
-      Array.of_list !acc
-    end
-    else
-      Array.init x.Mechanism.x_n (fun i ->
-          Essa_strategy.Roi_fleet.bid x.Mechanism.x_fleet ~adv:i ~keyword)
+    Array.map
+      (fun slot -> kv.Mechanism.kv_bids.(slot))
+      (Mechanism.live_slots kv)
   in
   Array.sort (fun a b -> Int.compare b a) bids;
   let best_r = ref 0 and best_rev = ref 0 in
@@ -39,11 +28,11 @@ let monopoly_reserve x ~keyword =
     bids;
   !best_r
 
-let effective_reserve x rule ~keyword =
+let effective_reserve x s rule ~keyword =
   let floor =
     match rule with
     | `Fixed floors -> floors.(keyword)
-    | `Monopoly -> monopoly_reserve x ~keyword
+    | `Monopoly -> monopoly_reserve x s ~keyword
   in
   max x.Mechanism.x_reserve floor
 
@@ -56,13 +45,17 @@ let make ~(pricing : Mechanism.pricing) (rule : rule) : (module Mechanism.S) =
     let name = "reserve"
 
     let winner_determination x s ~keyword =
-      Mech_classic.wd x s ~reserve:(effective_reserve x rule ~keyword) ~keyword
+      Mech_classic.wd x s
+        ~reserve:(effective_reserve x s rule ~keyword)
+        ~keyword
 
     let price x s ~keyword ev =
       Mech_classic.price_eval ~pricing x s
-        ~reserve:(effective_reserve x rule ~keyword)
+        ~reserve:(effective_reserve x s rule ~keyword)
         ~keyword ev
 
-    let cheap x ~keyword =
-      Mech_classic.cheap x ~reserve:(effective_reserve x rule ~keyword) ~keyword
+    let cheap x s ~keyword =
+      Mechanism.cheap_allocation x s
+        ~reserve:(effective_reserve x s rule ~keyword)
+        ~keyword
   end)

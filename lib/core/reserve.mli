@@ -23,13 +23,6 @@
 
 type rule = [ `Fixed of int array | `Monopoly ]
 
-val monopoly_reserve : Mechanism.ctx -> keyword:int -> int
-(** The monopoly reserve of the keyword's current live bids (0 when no
-    positive bids).  Exposed for tests and the bakeoff report. *)
-
-val effective_reserve : Mechanism.ctx -> rule -> keyword:int -> int
-(** [max ctx.x_reserve (rule floor)] — the floor the mechanism applies. *)
-
 val make : pricing:Mechanism.pricing -> rule -> (module Mechanism.S)
 (** The reserve mechanism ([name = "reserve"]).  [`Fixed] array length is
     validated by [Engine.create]/[create_flat], not here. *)

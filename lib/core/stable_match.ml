@@ -1,5 +1,3 @@
-module Sstore = Essa_strategy.State_store
-
 type outcome = {
   sm_assignment : int option array;
   sm_prices : int array;
@@ -91,31 +89,14 @@ let solve ~bids ~ctr ?premiums ?max_price ~reserve ~k () =
 let wd_stable x s ~keyword =
   Mechanism.reset_wd_stats s;
   let k = x.Mechanism.x_k in
-  let gids, bids, prems =
-    if x.Mechanism.x_is_flat then begin
-      let store = Essa_strategy.Roi_fleet.store_of x.Mechanism.x_fleet in
-      let fv = Sstore.flat_view store ~keyword in
-      let members = fv.Sstore.fv_members
-      and fbids = fv.Sstore.fv_bids
-      and fprems = fv.Sstore.fv_premiums in
-      let live = ref [] in
-      for slot = fv.Sstore.fv_len - 1 downto 0 do
-        if members.(slot) >= 0 then live := slot :: !live
-      done;
-      let slots = Array.of_list !live in
-      (* Canonical candidate order: ascending global id, independent of
-         how free-list churn permuted the partition's slots. *)
-      Array.sort (fun a b -> Int.compare members.(a) members.(b)) slots;
-      ( Array.map (fun sl -> members.(sl)) slots,
-        Array.map (fun sl -> fbids.(sl)) slots,
-        Array.map (fun sl -> fprems.(sl)) slots )
-    end
-    else
-      ( Array.init x.Mechanism.x_n (fun i -> i),
-        Array.init x.Mechanism.x_n (fun i ->
-            Essa_strategy.Roi_fleet.bid x.Mechanism.x_fleet ~adv:i ~keyword),
-        x.Mechanism.x_premiums.(keyword) )
-  in
+  let kv = Mechanism.keyword_view x s ~keyword in
+  let ids = kv.Mechanism.kv_ids and slots = Mechanism.live_slots kv in
+  (* Canonical candidate order: ascending id, independent of how
+     free-list churn permuted a flat partition's slots. *)
+  Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) slots;
+  let gids = Array.map (fun sl -> ids.(sl)) slots in
+  let bids = Array.map (fun sl -> kv.Mechanism.kv_bids.(sl)) slots in
+  let prems = Array.map (fun sl -> kv.Mechanism.kv_prems.(sl)) slots in
   let ctr c j = x.Mechanism.x_ctr.(gids.(c)).(j) in
   let { sm_assignment; sm_prices } =
     solve ~bids ~ctr ~premiums:prems ~reserve:x.Mechanism.x_reserve ~k ()
@@ -139,6 +120,6 @@ let mech : (module Mechanism.S) =
       | Mechanism.Priced p -> p
       | _ -> assert false
 
-    let cheap x ~keyword =
-      Mech_classic.cheap x ~reserve:x.Mechanism.x_reserve ~keyword
+    let cheap x s ~keyword =
+      Mechanism.cheap_allocation x s ~reserve:x.Mechanism.x_reserve ~keyword
   end)

@@ -3,35 +3,58 @@ type t = {
   reduced_w : float array array;
 }
 
-(* Order candidates by weight; ties favour the smaller advertiser index
-   (Topk rejects non-strict improvements, so earlier advertisers win). *)
-let candidate_compare (_, wa) (_, wb) = Float.compare wa wb
+(* Canonical order on (score, id): higher score first, ties to the
+   smaller id — or, with [worst], exactly the reverse. *)
+let[@inline] precedes ~worst (sc : float) (id : int) ps pid =
+  if worst then sc < ps || (sc = ps && id > pid)
+  else sc > ps || (sc = ps && id < pid)
 
-(* Allocation-conscious scan: most candidates lose to the current heap
-   minimum, and testing that against a cached threshold first avoids
-   boxing a tuple per rejected candidate (which would otherwise dominate
-   GC pressure, and serialize multi-domain scans on the collector). *)
-let scan_top ~count ~get lo hi =
-  let heap = Essa_util.Topk.create ~k:count ~compare:candidate_compare in
-  let threshold = ref neg_infinity in
-  let full = ref (count = 0) in
-  for i = lo to hi - 1 do
-    let x = get i in
-    if (not !full) || x > !threshold then begin
-      ignore (Essa_util.Topk.offer heap (i, x));
-      match Essa_util.Topk.threshold heap with
-      | Some (_, t) ->
-          threshold := t;
-          full := true
-      | None -> ()
-    end
-  done;
-  Essa_util.Topk.to_sorted_list heap
+(* Insertion-select into the three parallel buffers: most rows lose to
+   the kept tail at once, so a scan costs one comparison per row and
+   boxes nothing. *)
+let select ~rows ~ids ~len ~j ~count ~worst ~tk_ids ~tk_scores ~tk_slots =
+  let size = ref 0 in
+  if count > 0 then
+    for slot = 0 to len - 1 do
+      let id = ids.(slot) in
+      if id >= 0 then begin
+        let sc = rows.(slot).(j) in
+        let full = !size >= count in
+        if
+          (not full)
+          || precedes ~worst sc id tk_scores.(count - 1) tk_ids.(count - 1)
+        then begin
+          let p = ref (if full then count - 1 else !size) in
+          if not full then incr size;
+          while
+            !p > 0 && precedes ~worst sc id tk_scores.(!p - 1) tk_ids.(!p - 1)
+          do
+            tk_scores.(!p) <- tk_scores.(!p - 1);
+            tk_ids.(!p) <- tk_ids.(!p - 1);
+            tk_slots.(!p) <- tk_slots.(!p - 1);
+            decr p
+          done;
+          tk_scores.(!p) <- sc;
+          tk_ids.(!p) <- id;
+          tk_slots.(!p) <- slot
+        end
+      end
+    done;
+  !size
 
 let top_per_slot ~w ~count =
   let n = Array.length w in
   let k = if n = 0 then 0 else Array.length w.(0) in
-  Array.init k (fun j -> scan_top ~count ~get:(fun i -> w.(i).(j)) 0 n)
+  let ids = Array.init n Fun.id in
+  let tk_ids = Array.make count 0
+  and tk_scores = Array.make count 0.0
+  and tk_slots = Array.make count 0 in
+  Array.init k (fun j ->
+      let kept =
+        select ~rows:w ~ids ~len:n ~j ~count ~worst:false ~tk_ids ~tk_scores
+          ~tk_slots
+      in
+      List.init kept (fun i -> (tk_ids.(i), tk_scores.(i))))
 
 let reduce ?top ~w () =
   let n = Array.length w in

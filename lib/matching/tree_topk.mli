@@ -9,7 +9,7 @@
     exactly the per-slot lists of {!Reduction.top_per_slot}
     (property-tested), so its output can be passed straight to
     {!Reduction.solve}.  The tree is the paper's structural claim; on one
-    host the heap scan computes the same lists faster. *)
+    host the {!Reduction.select} scan computes the same lists faster. *)
 
 val merge : count:int -> (int * float) list -> (int * float) list -> (int * float) list
 (** Merge two descending top lists into the descending top-[count] of

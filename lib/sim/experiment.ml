@@ -130,14 +130,14 @@ let to_table series_list =
 
 let to_csv series_list =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "method,n,auctions,ms_per_auction\n";
+  Buffer.add_string buf "method,n,auctions,ms_per_auction,revenue\n";
   List.iter
     (fun s ->
       List.iter
         (fun p ->
           Buffer.add_string buf
-            (Printf.sprintf "%s,%d,%d,%.6f\n" s.label p.n p.auctions_measured
-               p.ms_per_auction))
+            (Printf.sprintf "%s,%d,%d,%.6f,%d\n" s.label p.n
+               p.auctions_measured p.ms_per_auction p.revenue))
         s.points)
     series_list;
   Buffer.contents buf

@@ -72,7 +72,7 @@ val to_table : series list -> string
 (** Aligned text table, one row per n, one column per method. *)
 
 val to_csv : series list -> string
-(** Long-format CSV: method,n,auctions,ms_per_auction. *)
+(** Long-format CSV: method,n,auctions,ms_per_auction,revenue. *)
 
 val to_ascii_plot : ?log_y:bool -> ?height:int -> ?width:int -> series list -> string
 (** A terminal scatter plot (log-scale y by default) in the spirit of the

@@ -1,11 +1,10 @@
-(** Bounded top-k selection with a size-k min-heap.
-
-    The reduced-graph winner-determination algorithm of Section III-E needs,
-    for each slot, the k advertisers with the highest expected revenue, out
-    of n candidates, in O(n log k) time and O(k) space.  This module provides
-    that primitive: feed elements one by one, the heap keeps the k largest
-    seen so far (the heap root is the smallest retained element, i.e. the
-    current admission threshold). *)
+(** Bounded top-k selection with a size-k min-heap, over any element
+    type: feed elements one by one, the heap keeps the k largest seen so
+    far (the heap root is the smallest retained element, i.e. the current
+    admission threshold), in O(n log k) time and O(k) space.  The generic
+    threshold algorithm, the daily-ramp fleet and the engine's degraded
+    tier use it; the reduced-graph scan of Section III-E uses the
+    unboxed [Essa_matching.Reduction.select] instead. *)
 
 type 'a t
 (** A top-k accumulator over elements of type ['a]. *)

@@ -20,8 +20,8 @@ let ceilings =
     ("flat zipf, partitioned", (397.715, 49.364));
     ("section5 rhtalu, partitioned", (3736.362, 1013.710));
     ("section5 rhtalu, serial", (3089.655, 0.0));
-    ("section5 rh, serial", (164142.840, 0.0));
-    ("section5 rh, partitioned", (42141.662, 1013.710));
+    ("section5 rh, serial", (123098.810, 0.0));
+    ("section5 rh, partitioned", (1057.315, 1013.710));
   ]
 
 type stream = {

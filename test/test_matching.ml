@@ -317,6 +317,35 @@ let test_reduction_tie_canonical () =
   let top = Reduction.top_per_slot ~w ~count:2 in
   Alcotest.(check (list int)) "first two ids" [ 0; 1 ] (List.map fst top.(0))
 
+let prop_top_lists_canonical_under_ties =
+  (* Integer weights, so most scores tie: each slot's list is the first
+     [count] of a sort by (weight descending, index ascending), entries
+     in that order. *)
+  qtest "top lists = (weight desc, index asc) sort under ties"
+    QCheck2.Gen.(
+      let* n = int_range 1 30 in
+      let* k = int_range 1 5 in
+      let* count = int_range 0 8 in
+      let* w =
+        array_size (return n)
+          (array_size (return k) (map float_of_int (int_range 0 3)))
+      in
+      return (w, count))
+    (fun (w, count) ->
+      let k = Array.length w.(0) in
+      let tops = Reduction.top_per_slot ~w ~count in
+      List.for_all
+        (fun j ->
+          let sorted =
+            List.sort
+              (fun (ia, wa) (ib, wb) ->
+                let c = Float.compare wb wa in
+                if c <> 0 then c else Int.compare ia ib)
+              (List.init (Array.length w) (fun i -> (i, w.(i).(j))))
+          in
+          tops.(j) = List.filteri (fun i _ -> i < count) sorted)
+        (List.init k Fun.id))
+
 let prop_adding_advertiser_never_hurts =
   qtest ~count:200 "optimum is monotone in the advertiser set"
     QCheck2.Gen.(
@@ -519,6 +548,7 @@ let () =
           prop_rh_equals_hungarian;
           prop_rh_with_ties;
           prop_rh_with_kplus1_lists_optimal;
+          prop_top_lists_canonical_under_ties;
           prop_adding_advertiser_never_hurts;
           prop_hungarian_extreme_scales;
           Alcotest.test_case "Fig. 9-11 example" `Quick test_fig9_example;

@@ -44,24 +44,23 @@ let test_mechanism_names () =
     (name ~mechanism:(`Reserve `Monopoly) ())
 
 (* ------------------------------------------------------------------ *)
-(* Flat winner determination against its reference: the list-based
-   top-(k+1) scan and list-walking GSP the score-once kernel replaced,
-   kept here as the oracle.  Hand-built single-keyword stores put the
-   live count on every side of the kernel's selection regimes (live <=
-   k+1, k+1 < live < 2(k+1), live >= 2(k+1)), with retirement holes,
-   equal bids and scores (ties broken by global id), a reserve above some
-   bids (all-zero rows) and slot-0 premiums. *)
+(* The RH kernel against its reference: the list-based top-(k+1) scan
+   and list-walking GSP the score-once kernel replaced, kept here as the
+   oracle.  Hand-built single-keyword stores put the live count on every
+   side of the kernel's selection regimes (live <= k+1, k+1 < live <
+   2(k+1), live >= 2(k+1)), with retirement holes, equal bids and scores
+   (ties broken by id), a reserve above some bids (all-zero rows) and
+   slot-0 premiums.  Each instance runs twice: on the flat partition's
+   own view, and on a dense view of its live members (identity ids,
+   every slot live) over the same bids. *)
 
 module Mechanism = Essa.Mechanism
 module Sstore = Essa_strategy.State_store
 
-let reference_flat_wd (x : Mechanism.ctx) ~reserve ~keyword =
-  let store = Essa_strategy.Roi_fleet.store_of x.x_fleet in
-  let fv = Sstore.flat_view store ~keyword in
-  let members = fv.Sstore.fv_members
-  and bids = fv.Sstore.fv_bids
-  and prems = fv.Sstore.fv_premiums in
-  let len = fv.Sstore.fv_len in
+let reference_rh_wd (x : Mechanism.ctx) ~reserve (kv : Mechanism.keyword_view)
+    =
+  let members = kv.kv_ids and bids = kv.kv_bids and prems = kv.kv_prems in
+  let len = kv.kv_len in
   let count = x.x_k + 1 in
   let tk_ids = Array.make count 0
   and tk_scores = Array.make count 0.0
@@ -141,7 +140,7 @@ let reference_flat_wd (x : Mechanism.ctx) ~reserve ~keyword =
   in
   (assignment, tops, Array.length slots)
 
-let reference_gsp_flat (x : Mechanism.ctx) ~reserve ~assignment ~top =
+let reference_gsp (x : Mechanism.ctx) ~reserve ~assignment ~top =
   let is_winner id =
     let rec go j0 =
       if j0 >= Array.length assignment then false
@@ -184,7 +183,6 @@ let flat_ctx ~ctr ~k store : Mechanism.ctx =
     x_prem_ids = [||];
     x_prem_vals = [||];
     x_fleet = Essa_strategy.Roi_fleet.flat_p store;
-    x_is_flat = true;
     x_c_ta_sorted = c ();
     x_c_ta_random = c ();
     x_c_ta_seen = c ();
@@ -240,35 +238,67 @@ let flat_case_matches (k, live, holes, order, retired, bids, prems, ctr, (r1, r2
     Sstore.flat_retire store ~keyword:0 ~adv:order.(retired.(h))
   done;
   let x = flat_ctx ~ctr ~k store in
-  let fv = Sstore.flat_view store ~keyword:0 in
-  assert (fv.Sstore.fv_live = live);
   let cap = (Sstore.flat_stats store ~keyword:0).Sstore.fs_capacity in
-  let s = Mechanism.make_scratch ~n:cap ~k ~with_w:false ~flat:true in
+  let flat_s = Mechanism.make_scratch ~method_:`Rh ~n:cap ~k in
+  let flat_kv = Mechanism.keyword_view x flat_s ~keyword:0 in
+  assert (flat_kv.kv_live = live);
+  (* The dense arm: the live members in slot order as advertisers
+     0 .. live-1, with their CTR rows, bids and premiums. *)
+  let slots = Mechanism.live_slots flat_kv in
+  let dense_x =
+    {
+      x with
+      x_n = live;
+      x_ctr = Array.map (fun sl -> ctr.(flat_kv.kv_ids.(sl))) slots;
+    }
+  in
+  let dense_kv =
+    {
+      Mechanism.kv_ids = Array.init live Fun.id;
+      kv_bids = Array.map (fun sl -> flat_kv.kv_bids.(sl)) slots;
+      kv_prems = Array.map (fun sl -> flat_kv.kv_prems.(sl)) slots;
+      kv_len = live;
+      kv_live = live;
+    }
+  in
   List.for_all
-    (fun reserve ->
-      let a_ref, top, ncand = reference_flat_wd x ~reserve ~keyword:0 in
-      let p_ref = reference_gsp_flat x ~reserve ~assignment:a_ref ~top in
-      Mechanism.reset_wd_stats s;
-      let a, winners =
-        Mechanism.flat_winner_determination x s ~reserve ~keyword:0
-      in
-      let p =
-        Mechanism.gsp_from_top_flat x s ~reserve ~keyword:0 ~assignment:a
-          ~winners
-      in
-      if a <> a_ref || p <> p_ref || s.Mechanism.wd_reduced <> ncand then
-        QCheck2.Test.fail_reportf "k=%d live=%d reserve=%d: %s" k live reserve
-          (if a <> a_ref then "assignments differ"
-           else if p <> p_ref then "prices differ"
-           else
-             Printf.sprintf "candidates %d vs %d" s.Mechanism.wd_reduced ncand);
-      Array.for_all2
-        (fun cell slot ->
-          match cell with
-          | None -> slot = -1
-          | Some gid -> fv.Sstore.fv_members.(slot) = gid)
-        a winners)
-    [ r1; r2 ]
+    (fun (arm, x, kv, s) ->
+      List.for_all
+        (fun reserve ->
+          let a_ref, top, ncand = reference_rh_wd x ~reserve kv in
+          let p_ref = reference_gsp x ~reserve ~assignment:a_ref ~top in
+          Mechanism.reset_wd_stats s;
+          let a, winners, w =
+            match Mechanism.rh_winner_determination x s ~reserve kv with
+            | { e_assignment; e_view = Scored { winners; w; _ } } ->
+                (e_assignment, winners, w)
+            | _ -> assert false
+          in
+          let p =
+            Mechanism.gsp_from_candidates x s ~reserve ~assignment:a ~winners ~w
+          in
+          if a <> a_ref || p <> p_ref || s.Mechanism.wd_reduced <> ncand then
+            QCheck2.Test.fail_reportf "%s k=%d live=%d reserve=%d: %s" arm k
+              live reserve
+              (if a <> a_ref then "assignments differ"
+               else if p <> p_ref then "prices differ"
+               else
+                 Printf.sprintf "candidates %d vs %d" s.Mechanism.wd_reduced
+                   ncand);
+          Array.for_all2
+            (fun cell slot ->
+              match cell with
+              | None -> slot = -1
+              | Some gid -> kv.kv_ids.(slot) = gid)
+            a winners)
+        [ r1; r2 ])
+    [
+      ("flat", x, flat_kv, flat_s);
+      ( "dense",
+        dense_x,
+        dense_kv,
+        Mechanism.make_scratch ~method_:`Rh ~n:live ~k );
+    ]
 
 let prop_flat_wd_equals_reference =
   qtest ~count:1000 "flat WD + GSP = list-based reference" gen_flat_case
@@ -316,7 +346,7 @@ let test_served_stream_pin () =
     Array.map
       (fun kw ->
         let s = Engine.run_partitioned engine ~keyword:kw in
-        let live = (Sstore.flat_view store ~keyword:kw).Sstore.fv_live in
+        let live = (Sstore.flat_stats store ~keyword:kw).Sstore.fs_live in
         let rg = regime ~k ~live in
         regimes.(rg) <- regimes.(rg) + 1;
         (s.Engine.assignment, s.Engine.prices, s.Engine.clicks, s.Engine.revenue))
@@ -426,7 +456,6 @@ let dense_rhtalu_ctx ~ctr ~states ~reserve : Mechanism.ctx =
     x_prem_ids = prem_ids;
     x_prem_vals = prem_vals;
     x_fleet = Roi_fleet.logical states;
-    x_is_flat = false;
     x_c_ta_sorted = c ();
     x_c_ta_random = c ();
     x_c_ta_seen = c ();
@@ -446,7 +475,7 @@ let prop_fast_ta_equals_generic =
         dense_rhtalu_ctx ~ctr:(Workload.ctr wl) ~states:(Workload.fresh_states wl)
           ~reserve
       in
-      let s = Mechanism.make_scratch ~n ~k ~with_w:false ~flat:false in
+      let s = Mechanism.make_scratch ~method_:`Rhtalu ~n ~k in
       let clicks = Essa_util.Rng.create (seed + 11) in
       let count = k + 1 in
       let agree = ref true in

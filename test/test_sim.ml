@@ -250,23 +250,28 @@ let test_fig12_methods () =
   | [] -> Alcotest.fail "no series"
 
 let test_csv_round_trips () =
-  (* The method, n and auctions columns — the ones two commits' sweeps
-     are compared on — read back as the series' own fields. *)
+  (* The method, n, auctions and revenue columns — the ones two commits'
+     sweeps are compared on — read back as the series' own fields. *)
   let s = tiny_series () in
   let rows =
     String.split_on_char '\n' (String.trim (Essa_sim.Experiment.to_csv [ s ]))
     |> List.tl
     |> List.map (fun line ->
            match String.split_on_char ',' line with
-           | [ m; n; auctions; ms ] ->
-               (m, int_of_string n, int_of_string auctions, float_of_string ms)
+           | [ m; n; auctions; ms; revenue ] ->
+               ( (m, int_of_string n, int_of_string auctions),
+                 float_of_string ms,
+                 int_of_string revenue )
            | _ -> Alcotest.failf "malformed row %S" line)
   in
   Alcotest.(check (list (triple string int int))) "columns"
     (List.map (fun (p : Essa_sim.Experiment.point) -> ("RH", p.n, p.auctions_measured)) s.points)
-    (List.map (fun (m, n, a, _) -> (m, n, a)) rows);
+    (List.map (fun (key, _, _) -> key) rows);
+  Alcotest.(check (list int)) "revenue column"
+    (List.map (fun (p : Essa_sim.Experiment.point) -> p.revenue) s.points)
+    (List.map (fun (_, _, revenue) -> revenue) rows);
   List.iter2
-    (fun (p : Essa_sim.Experiment.point) (_, _, _, ms) ->
+    (fun (p : Essa_sim.Experiment.point) (_, ms, _) ->
       Alcotest.(check bool) "ms to 6 places" true
         (abs_float (ms -. p.ms_per_auction) <= 5e-7))
     s.points rows
@@ -283,7 +288,8 @@ let test_csv_format () =
   let s = tiny_series () in
   let csv = Essa_sim.Experiment.to_csv [ s ] in
   let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check string) "header" "method,n,auctions,ms_per_auction" (List.hd lines);
+  Alcotest.(check string) "header" "method,n,auctions,ms_per_auction,revenue"
+    (List.hd lines);
   Alcotest.(check int) "rows" 3 (List.length lines);
   List.iter
     (fun line ->
